@@ -286,6 +286,8 @@ def _cmd_analyze(config: ExperimentConfig) -> int:
     dataset = load_corpus(config.input)
     report_a = load_report_predictions(config.report_a)
     report_b = load_report_predictions(config.report_b)
+    _check_report_corpus(report_a, config.report_a, dataset, config.input)
+    _check_report_corpus(report_b, config.report_b, dataset, config.input)
     a_only, b_only = compare_predictions(report_a, report_b)
     if a_only or b_only:
         test = sign_test(len(a_only), len(b_only), config.level)
@@ -317,6 +319,21 @@ def _cmd_analyze(config: ExperimentConfig) -> int:
           f"p = {test.p_value:.3g} ({verdict}); "
           f"{len(feats)} effective features", file=sys.stderr)
     return EXIT_OK
+
+
+def _check_report_corpus(report: PrecisionReport, report_path, dataset: Dataset,
+                         corpus_path) -> None:
+    """Every prediction of ``report`` must name an example of ``dataset``
+    by index and carry that example's gold label."""
+    for index, gold, _ in report.predictions:
+        if (not isinstance(index, int) or isinstance(index, bool)
+                or not 0 <= index < len(dataset)):
+            raise ValueError(f"{report_path}: example index {index!r} is not in "
+                             f"{corpus_path} ({len(dataset)} examples)")
+        if gold != dataset[index].label:
+            raise ValueError(f"{report_path}: gold label {gold!r} of example "
+                             f"{index} differs from {corpus_path} "
+                             f"({dataset[index].label!r})")
 
 
 def _cmd_distribution(config: ExperimentConfig) -> int:

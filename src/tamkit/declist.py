@@ -54,6 +54,9 @@ class DecisionListModel:
                      tokenizer=tokenizer, max_n=self.max_n)
         return decide(self, fv).label
 
+    def predict_batch(self, examples, tokenizer=None) -> list[str]:
+        return [self.predict(ex, tokenizer) for ex in examples]
+
     def to_dict(self) -> dict:
         return {
             "mode": int(self.mode),

@@ -54,6 +54,9 @@ class BaselineModel:
     def predict(self, example) -> str:
         return baseline_classify(example.sentence)
 
+    def predict_batch(self, examples) -> list[str]:
+        return [self.predict(ex) for ex in examples]
+
 
 def baseline_classify(sentence: str) -> str:
     """"past" when the sentence ends with the past-tense particle, else
@@ -125,13 +128,7 @@ def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
     for fold in range(plan.n_folds):
         train_idx, test_idx = plan.fold_indices(fold)
         model = fit(spec, dataset.subset(train_idx), mode, tokenizer, max_n)
-        correct = 0
-        for i in test_idx:
-            predicted = model.predict(dataset[i])
-            predictions[i] = (i, dataset[i].label, predicted)
-            if predicted == dataset[i].label:
-                correct += 1
-        fold_results.append((correct, len(test_idx)))
+        fold_results.append(_score(model, dataset, test_idx, predictions))
     return PrecisionReport(tuple(fold_results), tuple(predictions), closed=False)
 
 
@@ -144,14 +141,21 @@ def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet,
 
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
     """Score an already trained model on a dataset."""
-    predictions = []
+    predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
+    fold_result = _score(model, dataset, range(len(dataset)), predictions)
+    return PrecisionReport((fold_result,), tuple(predictions), closed)
+
+
+def _score(model, dataset: Dataset, indices, predictions) -> tuple[int, int]:
+    """Predict ``dataset[i]`` for each index in one batch, store
+    (index, gold, predicted) at ``predictions[i]``, and return
+    (correct, total)."""
+    examples = [dataset[i] for i in indices]
     correct = 0
-    for i, ex in enumerate(dataset):
-        predicted = model.predict(ex)
-        predictions.append((i, ex.label, predicted))
-        if predicted == ex.label:
-            correct += 1
-    return PrecisionReport(((correct, len(dataset)),), tuple(predictions), closed)
+    for i, ex, predicted in zip(indices, examples, model.predict_batch(examples)):
+        predictions[i] = (i, ex.label, predicted)
+        correct += predicted == ex.label
+    return correct, len(examples)
 
 
 @dataclass(frozen=True)
@@ -275,13 +279,7 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
     fold_results = []
     if disjoint_idx:
         model = fit(spec, train, mode, tokenizer, max_n)
-        correct = 0
-        for i in disjoint_idx:
-            predicted = model.predict(test[i])
-            predictions[i] = (i, test[i].label, predicted)
-            if predicted == test[i].label:
-                correct += 1
-        fold_results.append((correct, len(disjoint_idx)))
+        fold_results.append(_score(model, test, disjoint_idx, predictions))
     if overlap_idx:
         overlap = [test[i] for i in overlap_idx]
         n_folds = min(folds, len(overlap))
@@ -295,11 +293,5 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
             withheld = {test[i] for i in group}
             reduced = Dataset(ex for ex in train if ex not in withheld)
             model = fit(spec, reduced, mode, tokenizer, max_n)
-            correct = 0
-            for i in group:
-                predicted = model.predict(test[i])
-                predictions[i] = (i, test[i].label, predicted)
-                if predicted == test[i].label:
-                    correct += 1
-            fold_results.append((correct, len(group)))
+            fold_results.append(_score(model, test, group, predictions))
     return PrecisionReport(tuple(fold_results), tuple(predictions), closed=False)

@@ -44,6 +44,9 @@ class KnnModel:
     def predict(self, example) -> str:
         return classify_knn(self, example.sentence)
 
+    def predict_batch(self, examples) -> list[str]:
+        return [self.predict(ex) for ex in examples]
+
     def to_dict(self) -> dict:
         return {
             "k": self.k,

@@ -57,6 +57,9 @@ class MaxEntModel:
                      tokenizer=tokenizer, max_n=self.max_n)
         return classify_maxent(self, fv)[0]
 
+    def predict_batch(self, examples, tokenizer=None) -> list[str]:
+        return [self.predict(ex, tokenizer) for ex in examples]
+
     def to_dict(self) -> dict:
         return {
             "mode": int(self.mode),

@@ -36,11 +36,17 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
+    """Read a model file. A file that is not a well-formed model document
+    raises ``ValueError`` with a one-line message naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         document = json.load(fh)
-    if document.get("format") != FORMAT:
+    if not isinstance(document, dict) or document.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} file")
     method = document.get("method")
-    if method not in _CLASSES:
+    if not isinstance(method, str) or method not in _CLASSES:
         raise ValueError(f"{path}: unknown model method {method!r}")
-    return _CLASSES[method].from_dict(document["payload"])
+    try:
+        return _CLASSES[method].from_dict(document["payload"])
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed {method} model payload "
+                         f"({type(exc).__name__}: {exc})") from exc

@@ -18,6 +18,20 @@ with the extrema ranging over all training examples.
 Multiclass data is handled pairwise: one binary classifier per unordered
 label pair, each trained only on examples of its two labels, combined by
 voting. Pairwise trainings are independent; trained models are immutable.
+
+The kernel is built once per ``train_pairwise`` call, over all of its
+examples: a dense Gram matrix up to ``GRAM_LIMIT`` examples, a row cache
+above it. Each pair's solver reads that kernel restricted to the pair's
+examples. Kernel values are exact small integers, so a pair model is
+identical to one trained on the pair alone.
+
+``PairwiseModel.predict_batch`` stacks the distinct support vectors of all
+pairs into one sparse matrix and, per block of test rows, computes every
+kernel value with one product. Each pair then sums its terms left to right
+in stored support-vector order, so every raw decision value is
+bit-identical to ``decide``, and a value of exactly 0 votes for the
+positive side in both paths. ``decide`` and ``classify_pairwise`` stay as
+the per-example reference.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ KKT_TOL = 1e-3
 UPDATE_EPS = 1e-12     # floor for the two-variable quadratic coefficient
 ALPHA_FLOOR = 1e-12    # multipliers at or below this are treated as zero
 GRAM_LIMIT = 4096      # precompute the full Gram matrix up to this many examples
+BLOCK_TERMS = 1 << 15  # kernel terms per block in PairwiseModel.predict_batch
 
 
 class TrainingError(RuntimeError):
@@ -60,7 +75,19 @@ def kernel(x: FeatureVector, y: FeatureVector, d: int) -> float:
     return float((x.dot(y) + 1) ** d)
 
 
-class KernelCache:
+class _RowKernel:
+    """Kernel read row by row; its columns are rows, by symmetry."""
+
+    def columns(self, idx) -> np.ndarray:
+        """K[:, idx] as a C-ordered array; a product with it then sums in
+        the same order whichever kernel type produced it."""
+        return np.stack([self.row(j) for j in idx], axis=1)
+
+    def restrict(self, idx) -> "_RowKernel":
+        return _RowView(self, idx)
+
+
+class KernelCache(_RowKernel):
     """Kernel rows computed on demand with a bounded LRU.
 
     Rows are rebuilt from the sparse example matrix when evicted, so results
@@ -92,15 +119,47 @@ class KernelCache:
         return row
 
 
-class _DenseGram:
+class _RowView(_RowKernel):
+    """The rows of a larger kernel restricted to a subset of its examples,
+    in subset order."""
+
+    def __init__(self, kern: _RowKernel, idx):
+        self._kern = kern
+        self._idx = np.asarray(idx, dtype=np.intp)
+
+    def row(self, i: int) -> np.ndarray:
+        return self._kern.row(self._idx[i])[self._idx]
+
+
+class _DenseGram(_RowKernel):
     """Fully precomputed kernel matrix for problems that fit in memory."""
 
-    def __init__(self, X, d: int):
-        gram = (X @ X.T).toarray()
-        self._K = (gram + 1.0) ** d
+    def __init__(self, K: np.ndarray):
+        self._K = K
 
     def row(self, i: int) -> np.ndarray:
         return self._K[i]
+
+
+def _poly(counts, d: int) -> np.ndarray:
+    """(counts + 1)^d, in place on the dense copy of a sparse count matrix.
+    Counts are small integers, so every kernel value is exact."""
+    K = counts.toarray()
+    K += 1.0
+    K **= d
+    return K
+
+
+def _kernel_matrix(X, d: int, gram_limit: int, cache_rows: int | None):
+    """The dense Gram matrix of the rows of ``X`` up to ``gram_limit`` rows,
+    a row cache above it."""
+    l = X.shape[0]
+    if l <= gram_limit:
+        return _DenseGram(_poly(X @ X.T, d))
+    if cache_rows is None:
+        # keep the cached rows around 64 MB
+        cache_rows = max(64, (8 << 20) // max(l, 1))
+    return KernelCache(X, d, cache_rows)
 
 
 def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
@@ -242,12 +301,17 @@ class BinarySvmModel:
 def train_binary_svm(examples, C: float = 1.0, d: int = 1,
                      kkt_tol: float = KKT_TOL, max_iter: int | None = None,
                      gram_limit: int = GRAM_LIMIT,
-                     cache_rows: int | None = None) -> BinarySvmModel:
+                     cache_rows: int | None = None,
+                     _kernel=None) -> BinarySvmModel:
     """Solve the dual for a two-class problem.
 
     ``examples`` is a sequence of (FeatureVector, +-1) pairs; both classes
     must be present. Raises ConvergenceError if the iteration cap
     (default 100 per example) is hit first.
+
+    ``_kernel`` is the kernel of ``examples`` in their order, already built
+    by the caller (``train_pairwise`` passes its fold kernel restricted to
+    the pair); without it the kernel is built here from the vectors.
     """
     vectors = [fv for fv, _ in examples]
     y = np.array([lab for _, lab in examples], dtype=np.float64)
@@ -263,23 +327,17 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1,
     if max_iter is None:
         max_iter = 100 * l
 
-    n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
-    X = to_csr(vectors, n_cols)
-    if l <= gram_limit:
-        kern = _DenseGram(X, d)
-    else:
-        if cache_rows is None:
-            # keep the cached rows around 64 MB
-            cache_rows = max(64, (8 << 20) // max(l, 1))
-        kern = KernelCache(X, d, cache_rows)
+    kern = _kernel
+    if kern is None:
+        n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
+        kern = _kernel_matrix(to_csr(vectors, n_cols), d, gram_limit, cache_rows)
 
     alpha, grad, n_iter = _smo(kern, y, C, kkt_tol, max_iter)
 
     # bias-free decision value of every training example, summed over the
     # multipliers that remain active
     active = np.flatnonzero(alpha > ALPHA_FLOOR)
-    counts = (X @ X[active].T).toarray()
-    u = ((counts + 1.0) ** d) @ (alpha[active] * y[active])
+    u = kern.columns(active) @ (alpha[active] * y[active])
     b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
 
     info = {
@@ -309,6 +367,50 @@ def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:
     return raw, (1 if raw >= 0 else -1)
 
 
+class _Stacked:
+    """A pairwise model's classifiers laid out for batch prediction.
+
+    The distinct support vectors of all pairs form one sparse matrix. Row j
+    of ``cols`` / ``coef`` lists pair j's support-vector rows and
+    coefficients (alpha * y) in stored order, padded to the longest support
+    set with coefficient 0.0; adding the padded zero terms last leaves every
+    running sum unchanged.
+    """
+
+    def __init__(self, model: "PairwiseModel"):
+        pairs = list(model.models.values())
+        if any(m.d != model.d for m in pairs):
+            raise ValueError("every pair classifier must use the model's degree")
+        self.d = model.d
+        label_index = {lab: k for k, lab in enumerate(model.labels)}
+        rows: dict[FeatureVector, int] = {}
+        width = max([1] + [len(m.support_vectors) for m in pairs])
+        self.cols = np.zeros((len(pairs), width), dtype=np.intp)
+        self.coef = np.zeros((len(pairs), width))
+        for j, m in enumerate(pairs):
+            n_sv = len(m.support_vectors)
+            self.cols[j, :n_sv] = [rows.setdefault(sv, len(rows))
+                                   for sv in m.support_vectors]
+            self.coef[j, :n_sv] = [a * yv for yv, a in zip(m.sv_labels, m.sv_alpha)]
+        self.bias = np.array([m.b for m in pairs])
+        self.n_cols = max((sv.ids[-1] + 1 for sv in rows if sv.ids), default=1)
+        # padding points at row 0, so keep one row even with no support vectors
+        self.sv_t = to_csr(list(rows) or [FeatureVector()], self.n_cols).T.tocsr()
+        # test rows per block, so that one block's terms stay near BLOCK_TERMS
+        self.block_rows = max(1, BLOCK_TERMS // max(1, self.cols.size))
+        self.pos = np.array([label_index[a] for a, _ in model.models], dtype=np.intp)
+        self.neg = np.array([label_index[b] for _, b in model.models], dtype=np.intp)
+        # votes of the degenerate pairs, the same for every example
+        self.fixed_votes = np.zeros(len(model.labels), dtype=np.int64)
+        for winner in model.degenerate.values():
+            self.fixed_votes[label_index[winner]] += 1
+        # label indices in tie-break order: global frequency, then label text
+        self.rank = np.array(sorted(
+            range(len(model.labels)),
+            key=lambda k: (-model.label_counts[model.labels[k]], model.labels[k])),
+            dtype=np.intp)
+
+
 class PairwiseModel:
     """One binary classifier per unordered label pair, combined by voting."""
 
@@ -325,11 +427,55 @@ class PairwiseModel:
         self.C = float(C)
         self.d = int(d)
         self.max_n = max_n
+        self._stacked: _Stacked | None = None  # built by the first prediction
 
     def predict(self, example, tokenizer=None) -> str:
-        fv = extract(example, self.mode, self.vocab, frozen=True,
-                     tokenizer=tokenizer, max_n=self.max_n)
-        return classify_pairwise(self, fv)
+        return self.predict_batch([example], tokenizer)[0]
+
+    def predict_batch(self, examples, tokenizer=None) -> list[str]:
+        """Labels of ``examples``, equal to ``classify_pairwise`` on each.
+
+        Examples are encoded and scored in blocks sized so that a block's
+        rows times padded support-vector terms stay near ``BLOCK_TERMS``.
+        """
+        st = self._stack()
+        n_labels = len(self.labels)
+        labels: list[str] = []
+        for start in range(0, len(examples), st.block_rows):
+            block = [extract(ex, self.mode, self.vocab, frozen=True,
+                             tokenizer=tokenizer, max_n=self.max_n)
+                     for ex in examples[start:start + st.block_rows]]
+            winners = np.where(self.decision_values(block) >= 0, st.pos, st.neg)
+            flat = (np.arange(len(block))[:, None] * n_labels + winners).ravel()
+            votes = np.bincount(flat, minlength=len(block) * n_labels)
+            votes = votes.reshape(len(block), n_labels) + st.fixed_votes
+            # argmax takes the first maximum, so rank order breaks vote ties
+            best = st.rank[votes[:, st.rank].argmax(axis=1)]
+            labels += [self.labels[k] for k in best]
+        return labels
+
+    def decision_values(self, fvs) -> np.ndarray:
+        """Raw decision value of every pair classifier (columns, in
+        ``self.models`` order) for every feature vector (rows).
+
+        One sparse product with the stacked support vectors gives every
+        kernel value. Each pair then sums its terms left to right in stored
+        support-vector order, as ``decide`` does, so every value is
+        bit-identical to ``decide(m, fv)[0]``.
+        """
+        st = self._stack()
+        # ids beyond the last support-vector column cannot meet any of them
+        width = max([st.n_cols] + [fv.ids[-1] + 1 for fv in fvs if fv.ids])
+        K = _poly(to_csr(fvs, width)[:, :st.n_cols] @ st.sv_t, st.d)
+        terms = K[:, st.cols]  # (rows, pairs, padded support vectors)
+        terms *= st.coef
+        # cumsum adds sequentially; a pairwise-summing reduction would not
+        return np.cumsum(terms, axis=2, out=terms)[:, :, -1] + st.bias
+
+    def _stack(self) -> _Stacked:
+        if self._stacked is None:
+            self._stacked = _Stacked(self)
+        return self._stacked
 
     def to_dict(self) -> dict:
         return {
@@ -361,8 +507,15 @@ class PairwiseModel:
 
 def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 1,
                    labels=None, tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM,
+                   gram_limit: int = GRAM_LIMIT, cache_rows: int | None = None,
                    **svm_kwargs) -> PairwiseModel:
     """Train one binary model per unordered label pair.
+
+    The kernel is built once over the whole dataset (dense up to
+    ``gram_limit`` examples, a row cache above it); each pair's solver reads
+    it restricted to the pair's examples. Kernel values are exact integers,
+    so every pair model is identical to ``train_binary_svm`` on the pair
+    alone.
 
     ``labels`` may name labels beyond those present in ``dataset`` (e.g. the
     full inventory of a cross-validation parent); a pair whose one side has
@@ -377,6 +530,8 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
     vocab = Vocabulary.from_dataset(dataset, mode, tokenizer, max_n)
     fvs = [extract(ex, mode, vocab, frozen=True, tokenizer=tokenizer, max_n=max_n)
            for ex in dataset]
+    kern = _kernel_matrix(to_csr(fvs, max(len(vocab), 1)), d, gram_limit,
+                          cache_rows)
     by_label: dict[str, list[int]] = {}
     for idx, ex in enumerate(dataset):
         by_label.setdefault(ex.label, []).append(idx)
@@ -392,7 +547,9 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
             degenerate[(a, b)] = a if a_idx else b
             continue
         pair_examples = [(fvs[i], 1) for i in a_idx] + [(fvs[i], -1) for i in b_idx]
-        models[(a, b)] = train_binary_svm(pair_examples, C=C, d=d, **svm_kwargs)
+        models[(a, b)] = train_binary_svm(pair_examples, C=C, d=d,
+                                          _kernel=kern.restrict(a_idx + b_idx),
+                                          **svm_kwargs)
     return PairwiseModel(all_labels, models, degenerate, dataset.label_counts,
                          vocab, mode, C, d, max_n)
 

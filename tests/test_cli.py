@@ -4,7 +4,7 @@ import pytest
 
 from synth import random_token_corpus, table1_corpus
 from tamkit.cli import main
-from tamkit.corpus import serialize_corpus
+from tamkit.corpus import Dataset, Example, serialize_corpus
 from tamkit.storage import load_model, save_model
 
 import random
@@ -171,6 +171,18 @@ class TestModelFiles:
         assert main(["eval", "--input", str(corpus_file), "--model",
                      str(path)]) == 2
 
+    @pytest.mark.parametrize("method", ["knn", "dlist", "maxent", "svm"])
+    def test_empty_payload_is_data_error(self, tmp_path, corpus_file, capsys,
+                                         method):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "tamkit-model", "method": method,
+                                    "payload": {}}), encoding="utf-8")
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in err and method in err
+
 
 class TestAnalyze:
     def test_sign_test_and_effective_features(self, tmp_path):
@@ -196,6 +208,43 @@ class TestAnalyze:
         features = [r["feature"] for r in records[1:]]
         from synth import MODAL_ADVERB
         assert MODAL_ADVERB in features
+
+    def test_reports_from_another_corpus_are_data_error(self, tmp_path,
+                                                        suffix_corpus_file,
+                                                        capsys):
+        reports = []
+        for name, method in (("a.jsonl", "dlist"), ("b.jsonl", "baseline")):
+            reports.append(tmp_path / name)
+            args = (["cv", "--folds", "3"] if method == "dlist" else ["eval"])
+            assert main(args + ["--input", str(suffix_corpus_file), "--method",
+                                method, "--out", str(reports[-1])]) == 0
+        small = tmp_path / "small.tsv"
+        # the first 20 examples: gold labels agree, indices run past the end
+        small.write_text(serialize_corpus(Dataset(
+            table1_corpus(300, seed=4).examples[:20])), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["analyze", "--input", str(small), "--report-a",
+                     str(reports[0]), "--report-b", str(reports[1])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "index" in err
+
+    def test_report_gold_labels_must_match_corpus(self, tmp_path,
+                                                  suffix_corpus_file, capsys):
+        report = tmp_path / "r.jsonl"
+        assert main(["eval", "--input", str(suffix_corpus_file), "--method",
+                     "baseline", "--out", str(report)]) == 0
+        relabeled = tmp_path / "relabeled.tsv"
+        ds = table1_corpus(300, seed=4)
+        first = ds[0]
+        other = "past" if first.label != "past" else "present"
+        relabeled.write_text(serialize_corpus(Dataset(
+            [Example(other, first.sentence, first.tokens), *ds.examples[1:]])),
+            encoding="utf-8")
+        code = main(["analyze", "--input", str(relabeled), "--report-a",
+                     str(report), "--report-b", str(report)])
+        assert code == 2
+        assert "gold label" in capsys.readouterr().err
 
 
 def test_cv_all_grid(tmp_path):

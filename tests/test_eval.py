@@ -152,6 +152,9 @@ class _ConstModel:
     def predict(self, example):
         return self.label
 
+    def predict_batch(self, examples):
+        return [self.label for _ in examples]
+
 
 class TestEffectiveFeatures:
     def test_overrepresented_feature_selected(self):

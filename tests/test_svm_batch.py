@@ -1,0 +1,147 @@
+"""Property tests: batched pairwise prediction and fold-kernel training
+against the per-example and per-pair reference paths."""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tamkit.corpus import Dataset, Example
+from tamkit.features import FeatureSet, FeatureVector, Vocabulary, extract
+from tamkit.svm import (
+    BinarySvmModel,
+    PairwiseModel,
+    classify_pairwise,
+    decide,
+    train_binary_svm,
+    train_pairwise,
+)
+
+LABELS = ("a", "b", "c", "d")
+TOKENS = ("t0", "t1", "t2", "t3", "t4", "t5")
+
+tokens = st.lists(st.sampled_from(TOKENS), max_size=4).map(tuple)
+# few distinct characters, so suffixes are shared and kernels overlap
+sentences = st.text(alphabet="xyz", max_size=5)
+examples = st.builds(Example, st.sampled_from(LABELS), sentences, tokens)
+corpora = (st.lists(examples, min_size=2, max_size=24)
+           .map(Dataset)
+           .filter(lambda ds: len(ds.label_counts) >= 2))
+modes = st.sampled_from(tuple(FeatureSet))
+degrees = st.sampled_from((1, 2))
+
+
+def vectors(model, queries):
+    return [extract(ex, model.mode, model.vocab, frozen=True) for ex in queries]
+
+
+def assert_batch_matches_reference(model, queries):
+    fvs = vectors(model, queries)
+    assert model.predict_batch(queries) == [classify_pairwise(model, fv)
+                                            for fv in fvs]
+    raw = model.decision_values(fvs)
+    for r, fv in enumerate(fvs):
+        for j, binary in enumerate(model.models.values()):
+            assert raw[r, j] == decide(binary, fv)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, modes, degrees, st.lists(examples, max_size=6))
+def test_trained_model_batch_equals_per_example(ds, mode, d, unseen):
+    model = train_pairwise(ds, mode, d=d)
+    assert_batch_matches_reference(model, list(ds) + unseen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(corpora, modes, degrees, st.lists(examples, max_size=6))
+def test_loaded_model_batch_equals_per_example(ds, mode, d, unseen):
+    trained = train_pairwise(ds, mode, d=d)
+    loaded = PairwiseModel.from_dict(json.loads(json.dumps(trained.to_dict())))
+    queries = list(ds) + unseen
+    assert_batch_matches_reference(loaded, queries)
+    assert loaded.predict_batch(queries) == trained.predict_batch(queries)
+
+
+@st.composite
+def hand_built_models(draw):
+    """Pair models with arbitrary support sets (possibly empty), multipliers
+    and biases, over a small token vocabulary; some pairs are degenerate
+    (a fixed vote), possibly all of them."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=2, unique=True))
+    labels.sort()
+    vocab = Vocabulary.from_dataset(
+        Dataset(Example("a", "", (tok,)) for tok in TOKENS), FeatureSet.FS3)
+    d = draw(degrees)
+    id_sets = st.lists(st.integers(0, len(vocab) - 1), max_size=4)
+    models, degenerate = {}, {}
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            if draw(st.booleans()) and draw(st.booleans()):
+                degenerate[(a, b)] = draw(st.sampled_from((a, b)))
+                continue
+            n_sv = draw(st.integers(0, 12))
+            models[(a, b)] = BinarySvmModel(
+                [FeatureVector(draw(id_sets)) for _ in range(n_sv)],
+                [draw(st.sampled_from((1, -1))) for _ in range(n_sv)],
+                [draw(st.floats(1e-6, 1.0)) for _ in range(n_sv)],
+                b=draw(st.sampled_from((0.0, -0.5, 0.5)) | st.floats(-2.0, 2.0)),
+                C=1.0, d=d)
+    counts = {lab: draw(st.integers(1, 3)) for lab in labels}
+    return PairwiseModel(labels, models, degenerate, counts, vocab,
+                         FeatureSet.FS3, C=1.0, d=d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hand_built_models(), st.lists(examples, max_size=8))
+def test_hand_built_model_batch_equals_per_example(model, queries):
+    # an example with no known token has an empty feature vector
+    queries = queries + [Example("a", "", ()), Example("a", "", ("zz",))]
+    assert_batch_matches_reference(model, queries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora, modes, degrees, st.sampled_from((None, 0)))
+def test_pair_models_equal_training_the_pair_alone(ds, mode, d, gram_limit):
+    # gram_limit=0 reads the fold kernel through the row cache
+    kwargs = {} if gram_limit is None else {"gram_limit": 0, "cache_rows": 2}
+    model = train_pairwise(ds, mode, d=d, **kwargs)
+    fvs = vectors(model, ds)
+    for (a, b), binary in model.models.items():
+        pair = ([(fv, 1) for fv, ex in zip(fvs, ds) if ex.label == a]
+                + [(fv, -1) for fv, ex in zip(fvs, ds) if ex.label == b])
+        alone = train_binary_svm(pair, d=d)
+        assert binary.sv_alpha == alone.sv_alpha
+        assert binary.b == alone.b
+        assert binary.info["iterations"] == alone.info["iterations"]
+        assert binary.support_vectors == alone.support_vectors
+
+
+def test_decision_values_sum_in_stored_order():
+    # many support vectors with full-precision multipliers: summing their
+    # terms in any order but left to right changes the last bits of some
+    rng = random.Random(5)
+    vocab = Vocabulary.from_dataset(
+        Dataset(Example("a", "", (tok,)) for tok in TOKENS), FeatureSet.FS3)
+    n_sv = 40
+    binary = BinarySvmModel(
+        [FeatureVector(rng.sample(range(len(TOKENS)), rng.randint(0, 4)))
+         for _ in range(n_sv)],
+        [rng.choice((1, -1)) for _ in range(n_sv)],
+        [rng.random() for _ in range(n_sv)],
+        b=rng.uniform(-1, 1), C=1.0, d=2)
+    model = PairwiseModel(["a", "b"], {("a", "b"): binary}, {}, {"a": 1, "b": 1},
+                          vocab, FeatureSet.FS3, C=1.0, d=2)
+    queries = [Example("a", "", tuple(rng.sample(TOKENS, rng.randint(0, 5))))
+               for _ in range(50)]
+    assert_batch_matches_reference(model, queries)
+
+
+def test_pair_degree_must_match_model_degree():
+    vocab = Vocabulary.from_list([["token", "t0"]])
+    binary = BinarySvmModel([FeatureVector([0])], [1], [1.0], b=0.0, C=1.0, d=2)
+    model = PairwiseModel(["a", "b"], {("a", "b"): binary}, {}, {"a": 1, "b": 1},
+                          vocab, FeatureSet.FS3, C=1.0, d=1)
+    with pytest.raises(ValueError):
+        model.predict_batch([Example("a", "", ("t0",))])
