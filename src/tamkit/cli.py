@@ -161,21 +161,37 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_REPORT_FIELDS = {"fold": ("correct", "total"),
+                  "prediction": ("index", "gold", "predicted")}
+
+
 def load_report_predictions(path) -> PrecisionReport:
     """Rebuild a PrecisionReport from a line-delimited report file."""
     folds, predictions, closed = [], [], False
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if record.get("record") == "fold":
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not JSON ({exc.msg} "
+                                 f"at column {exc.colno})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+            kind = record.get("record")
+            fields = _REPORT_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+            missing = [f for f in fields if f not in record]
+            if missing:
+                raise ValueError(f"{path}: line {lineno}: {kind} record without "
+                                 f"{', '.join(missing)}")
+            if kind == "fold":
                 folds.append((record["correct"], record["total"]))
-            elif record.get("record") == "prediction":
+            elif kind == "prediction":
                 predictions.append((record["index"], record["gold"],
                                     record["predicted"]))
-            elif record.get("record") == "summary":
+            elif kind == "summary":
                 closed = record.get("closed", False)
     if not predictions:
         raise ValueError(f"{path}: no prediction records found")
@@ -396,18 +412,12 @@ def build_parser() -> _Parser:
                    help="run the full method/feature-set grid and print a matrix")
 
     p = sub.add_parser("cross-domain", help="train on one corpus, test on another")
+    add_common(p, corpus=False)
     p.add_argument("--train", dest="train_path", required=True)
     p.add_argument("--test", dest="test_path", required=True)
-    p.add_argument("--method", choices=("knn", "dlist", "maxent", "svm", "baseline"),
-                   required=True)
-    p.add_argument("--features", type=int, choices=(1, 2, 3), default=None)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--folds", type=int, default=10,
                    help="folds for the overlapping part")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", "-o")
 
     p = sub.add_parser("analyze", help="sign test and effective features "
                                        "between two reports")

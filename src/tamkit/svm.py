@@ -21,9 +21,15 @@ voting. Pairwise trainings are independent; trained models are immutable.
 
 The kernel is built once per ``train_pairwise`` call, over all of its
 examples: a dense Gram matrix up to ``GRAM_LIMIT`` examples, a row cache
-above it. Each pair's solver reads that kernel restricted to the pair's
-examples. Kernel values are exact small integers, so a pair model is
-identical to one trained on the pair alone.
+above it. One solver, ``_smo``, runs every pair's problem on that kernel
+in lockstep: padded arrays hold all problems, each round takes one step
+of every unfinished problem with a few array operations, and a problem
+leaves the arrays when it converges or reaches its iteration cap.
+``train_binary_svm`` is the same solver on one problem. Each problem does
+exactly the arithmetic of the scalar one-problem solver, so its
+multipliers, gradient and iteration count are bit-identical to it, and a
+pair model is identical to one trained on the pair alone. That scalar
+solver is kept in ``tests/svm_reference.py`` as the oracle.
 
 ``PairwiseModel.predict_batch`` stacks the distinct support vectors of all
 pairs into one sparse matrix and, per block of test rows, computes every
@@ -56,6 +62,7 @@ UPDATE_EPS = 1e-12     # floor for the two-variable quadratic coefficient
 ALPHA_FLOOR = 1e-12    # multipliers at or below this are treated as zero
 GRAM_LIMIT = 4096      # precompute the full Gram matrix up to this many examples
 BLOCK_TERMS = 1 << 15  # kernel terms per block in PairwiseModel.predict_batch
+SOLVE_TERMS = 1 << 16  # padded entries per lockstep chunk of SMO problems
 
 
 class TrainingError(RuntimeError):
@@ -75,19 +82,7 @@ def kernel(x: FeatureVector, y: FeatureVector, d: int) -> float:
     return float((x.dot(y) + 1) ** d)
 
 
-class _RowKernel:
-    """Kernel read row by row; its columns are rows, by symmetry."""
-
-    def columns(self, idx) -> np.ndarray:
-        """K[:, idx] as a C-ordered array; a product with it then sums in
-        the same order whichever kernel type produced it."""
-        return np.stack([self.row(j) for j in idx], axis=1)
-
-    def restrict(self, idx) -> "_RowKernel":
-        return _RowView(self, idx)
-
-
-class KernelCache(_RowKernel):
+class KernelCache:
     """Kernel rows computed on demand with a bounded LRU.
 
     Rows are rebuilt from the sparse example matrix when evicted, so results
@@ -118,27 +113,30 @@ class KernelCache(_RowKernel):
             self._rows.popitem(last=False)
         return row
 
+    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """K[rows[p], cols[p, q]] for every p and q, as a new array."""
+        return np.stack([self.row(r)[c] for r, c in zip(rows, cols)])
 
-class _RowView(_RowKernel):
-    """The rows of a larger kernel restricted to a subset of its examples,
-    in subset order."""
-
-    def __init__(self, kern: _RowKernel, idx):
-        self._kern = kern
-        self._idx = np.asarray(idx, dtype=np.intp)
-
-    def row(self, i: int) -> np.ndarray:
-        return self._kern.row(self._idx[i])[self._idx]
+    def columns(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """K[rows][:, cols] as a C-ordered array; a product with it then sums
+        in the same order whichever kernel type produced it."""
+        out = np.empty((len(rows), len(cols)))
+        for k, c in enumerate(cols):
+            out[:, k] = self.row(c)[rows]
+        return out
 
 
-class _DenseGram(_RowKernel):
+class _DenseGram:
     """Fully precomputed kernel matrix for problems that fit in memory."""
 
     def __init__(self, K: np.ndarray):
         self._K = K
 
-    def row(self, i: int) -> np.ndarray:
-        return self._K[i]
+    def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self._K[rows[:, None], cols]
+
+    def columns(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(self._K[np.ix_(rows, cols)])
 
 
 def _poly(counts, d: int) -> np.ndarray:
@@ -167,81 +165,194 @@ def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
     return float(alpha.sum() - 0.5 * (alpha @ grad + alpha.sum()))
 
 
-def _smo(kern, y: np.ndarray, C: float, kkt_tol: float, max_iter: int):
-    """Maximal-violating-pair SMO. Returns (alpha, grad, iterations)."""
-    l = len(y)
-    alpha = np.zeros(l)
-    grad = -np.ones(l)  # gradient of (1/2 a'Qa - sum a), Q_ij = y_i y_j K_ij
-    pos = y > 0
-    for it in range(max_iter):
-        minus_yg = -y * grad
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = up_idx[np.argmax(minus_yg[up_idx])]
-        j = low_idx[np.argmin(minus_yg[low_idx])]
-        if minus_yg[i] - minus_yg[j] <= kkt_tol:
-            return alpha, grad, it
-        Ki = kern.row(i)
-        Kj = kern.row(j)
-        Qi = (y[i] * y) * Ki
-        Qj = (y[j] * y) * Kj
-        old_i = alpha[i]
-        old_j = alpha[j]
-        if y[i] != y[j]:
-            quad = Ki[i] + Kj[j] + 2.0 * Qi[j]
+def _smo(kern, problems, C: float, kkt_tol: float, max_iter: int | None = None):
+    """Maximal-violating-pair SMO on independent problems sharing one kernel.
+
+    ``problems`` is a list of ``(idx, y)``: the indices of a problem's
+    examples in ``kern`` and their labels (+-1.0), as sequences. ``C`` must
+    be positive. Problems are sorted by size and solved in lockstep, in
+    chunks of at most ``SOLVE_TERMS`` padded entries. Yields
+    ``(p, alpha, grad, iterations)`` as each problem ``p`` converges, so a
+    caller can finish it before the others. A problem that reaches its
+    iteration cap (``max_iter``, default 100 per example) first is not
+    yielded; after the last yield, the first such problem in order raises
+    ConvergenceError.
+    """
+    C = float(C)
+    sizes = [len(y) for _, y in problems]
+    caps = [100 * n if max_iter is None else max_iter for n in sizes]
+    capped = {}
+    order = sorted(range(len(problems)), key=sizes.__getitem__)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        # sorted by size, so the last problem of a chunk sets its width
+        while (stop < len(order)
+               and (stop + 1 - start) * sizes[order[stop]] <= SOLVE_TERMS):
+            stop += 1
+        chunk = order[start:stop]
+        for k, alpha, grad, n_iter in _smo_lockstep(
+                kern, [problems[p] for p in chunk], [caps[p] for p in chunk],
+                C, kkt_tol):
+            p = chunk[k]
+            if n_iter < caps[p]:
+                yield p, alpha, grad, n_iter
+            else:
+                capped[p] = _dual_value(alpha, grad)
+        start = stop
+    if capped:
+        p = min(capped)
+        raise ConvergenceError(
+            f"SMO did not reach KKT tolerance {kkt_tol} in {caps[p]} iterations",
+            dual_value=capped[p],
+        )
+
+
+def _smo_lockstep(kern, problems, caps, C: float, kkt_tol: float):
+    """One SMO step per unfinished problem per round, on padded ``(P, L)``
+    arrays; padding has label 0, so it is in neither working-set mask.
+
+    Every problem does exactly the arithmetic of a scalar solver on its own:
+    the working set is the first maximal / minimal ``-y * grad`` over the
+    masks, the clipped two-variable update runs on Python floats, and the
+    gradient update keeps the scalar operand order. A problem leaves the
+    arrays, yielded as ``(k, alpha, grad, iterations)`` with ``k`` its
+    position in ``problems``, when it reaches its cap (tested first) or the
+    KKT tolerance. Products are taken in place, so that few ``(P, L)``
+    arrays are alive.
+    """
+    sizes = [len(y) for _, y in problems]
+    G = np.zeros((len(problems), max(sizes)), dtype=np.intp)
+    Y = np.zeros(G.shape)
+    for p, (idx, y) in enumerate(problems):
+        G[p, :sizes[p]] = idx
+        Y[p, :sizes[p]] = y
+    alpha = np.zeros(G.shape)
+    grad = -np.ones(G.shape)  # gradient of (1/2 a'Qa - sum a), Q_ij = y_i y_j K_ij
+    up = Y > 0    # y = +1 with alpha < C, or y = -1 with alpha > 0
+    low = Y < 0   # y = -1 with alpha < C, or y = +1 with alpha > 0
+    cap = np.asarray(caps)
+    ids = np.arange(len(problems))  # problem of each remaining row
+    it = 0
+    while True:
+        i, j, gap = _working_sets(Y, grad, up, low)
+        done = (cap[ids] <= it) | (gap <= kkt_tol)
+        if done.any():
+            for r in np.flatnonzero(done):
+                k = ids[r]
+                yield k, alpha[r, :sizes[k]].copy(), grad[r, :sizes[k]].copy(), it
+            keep = ~done
+            if not keep.any():
+                return
+            ids, i, j = ids[keep], i[keep], j[keep]
+            # one array at a time, so that one old copy at most is alive
+            G = G[keep]
+            Y = Y[keep]
+            alpha = alpha[keep]
+            grad = grad[keep]
+            up = up[keep]
+            low = low[keep]
+        rows = np.arange(len(ids))
+        yi = Y[rows, i]
+        yj = Y[rows, j]
+        Ki = kern.gather(G[rows, i], G)
+        Kj = kern.gather(G[rows, j], G)
+        K_ii = Ki[rows, i].tolist()
+        K_jj = Kj[rows, j].tolist()
+        # Q rows (y_i * y) * K_i, written over the kernel rows
+        Qi = np.multiply(yi[:, None] * Y, Ki, out=Ki)
+        Qj = np.multiply(yj[:, None] * Y, Kj, out=Kj)
+        old_i = alpha[rows, i]
+        old_j = alpha[rows, j]
+        new_i, new_j = _pair_updates(
+            yi.tolist(), yj.tolist(), K_ii, K_jj, Qi[rows, j].tolist(),
+            grad[rows, i].tolist(), grad[rows, j].tolist(),
+            old_i.tolist(), old_j.tolist(), C)
+        new_i = np.array(new_i)
+        new_j = np.array(new_j)
+        alpha[rows, i] = new_i
+        alpha[rows, j] = new_j
+        # grad += Qi * (new_i - old_i) + Qj * (new_j - old_j)
+        Qi *= (new_i - old_i)[:, None]
+        Qj *= (new_j - old_j)[:, None]
+        Qi += Qj
+        grad += Qi
+        for k, y, a in ((i, yi, new_i), (j, yj, new_j)):
+            up[rows, k] = np.where(y > 0, a < C, a > 0)
+            low[rows, k] = np.where(y > 0, a > 0, a < C)
+        it += 1
+
+
+def _working_sets(Y, grad, up, low):
+    """Per row: the first maximal ``-y * grad`` over ``up``, the first
+    minimal one over ``low``, and their difference."""
+    minus_yg = -Y
+    minus_yg *= grad
+    up_v = np.where(up, minus_yg, -np.inf)
+    low_v = np.where(low, minus_yg, np.inf)
+    i = up_v.argmax(axis=1)
+    j = low_v.argmin(axis=1)
+    rows = np.arange(len(i))
+    return i, j, up_v[rows, i] - low_v[rows, j]
+
+
+def _pair_updates(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
+    """The clipped analytic two-variable step of every problem, on floats:
+    new (alpha_i, alpha_j) lists for the working sets (i, j)."""
+    new_i, new_j = [], []
+    for yi, yj, kii, kjj, qij, gi, gj, ai, aj in zip(
+            y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j):
+        if yi != yj:
+            quad = kii + kjj + 2.0 * qij
             if quad <= 0.0:
                 quad = UPDATE_EPS
-            delta = (-grad[i] - grad[j]) / quad
-            diff = alpha[i] - alpha[j]
-            alpha[i] += delta
-            alpha[j] += delta
+            delta = (-gi - gj) / quad
+            diff = ai - aj
+            ai += delta
+            aj += delta
             if diff > 0:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
+                if aj < 0:
+                    aj = 0.0
+                    ai = diff
             else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
+                if ai < 0:
+                    ai = 0.0
+                    aj = -diff
             if diff > 0:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = C - diff
+                if ai > C:
+                    ai = C
+                    aj = C - diff
             else:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = C + diff
+                if aj > C:
+                    aj = C
+                    ai = C + diff
         else:
-            quad = Ki[i] + Kj[j] - 2.0 * Qi[j]
+            quad = kii + kjj - 2.0 * qij
             if quad <= 0.0:
                 quad = UPDATE_EPS
-            delta = (grad[i] - grad[j]) / quad
-            asum = alpha[i] + alpha[j]
-            alpha[i] -= delta
-            alpha[j] += delta
+            delta = (gi - gj) / quad
+            asum = ai + aj
+            ai -= delta
+            aj += delta
             if asum > C:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = asum - C
+                if ai > C:
+                    ai = C
+                    aj = asum - C
             else:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = asum
+                if aj < 0:
+                    aj = 0.0
+                    ai = asum
             if asum > C:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = asum - C
+                if aj > C:
+                    aj = C
+                    ai = asum - C
             else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = asum
-        grad += Qi * (alpha[i] - old_i) + Qj * (alpha[j] - old_j)
-    raise ConvergenceError(
-        f"SMO did not reach KKT tolerance {kkt_tol} in {max_iter} iterations",
-        dual_value=_dual_value(alpha, grad),
-    )
+                if ai < 0:
+                    ai = 0.0
+                    aj = asum
+        new_i.append(ai)
+        new_j.append(aj)
+    return new_i, new_j
 
 
 def kkt_violation(u: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
@@ -252,15 +363,6 @@ def kkt_violation(u: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> 
     up = (pos & (alpha < C)) | (~pos & (alpha > 0))
     low = (~pos & (alpha < C)) | (pos & (alpha > 0))
     return float(max(0.0, score[up].max() - score[low].min()))
-
-
-def kkt_feasible_bias(u: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
-    """Midpoint of the bias interval implied by the optimality conditions."""
-    score = y - u
-    pos = y > 0
-    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-    low = (~pos & (alpha < C)) | (pos & (alpha > 0))
-    return float((score[up].max() + score[low].min()) / 2.0)
 
 
 class BinarySvmModel:
@@ -301,17 +403,12 @@ class BinarySvmModel:
 def train_binary_svm(examples, C: float = 1.0, d: int = 1,
                      kkt_tol: float = KKT_TOL, max_iter: int | None = None,
                      gram_limit: int = GRAM_LIMIT,
-                     cache_rows: int | None = None,
-                     _kernel=None) -> BinarySvmModel:
+                     cache_rows: int | None = None) -> BinarySvmModel:
     """Solve the dual for a two-class problem.
 
     ``examples`` is a sequence of (FeatureVector, +-1) pairs; both classes
     must be present. Raises ConvergenceError if the iteration cap
     (default 100 per example) is hit first.
-
-    ``_kernel`` is the kernel of ``examples`` in their order, already built
-    by the caller (``train_pairwise`` passes its fold kernel restricted to
-    the pair); without it the kernel is built here from the vectors.
     """
     vectors = [fv for fv, _ in examples]
     y = np.array([lab for _, lab in examples], dtype=np.float64)
@@ -324,20 +421,22 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1,
         raise TrainingError("both classes must be present")
     if C <= 0:
         raise TrainingError("C must be positive")
-    if max_iter is None:
-        max_iter = 100 * l
 
-    kern = _kernel
-    if kern is None:
-        n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
-        kern = _kernel_matrix(to_csr(vectors, n_cols), d, gram_limit, cache_rows)
+    n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
+    kern = _kernel_matrix(to_csr(vectors, n_cols), d, gram_limit, cache_rows)
+    idx = np.arange(l)
+    [(_, alpha, grad, n_iter)] = _smo(kern, [(idx, y)], C, kkt_tol, max_iter)
+    return _finish(kern, idx, y, vectors, alpha, grad, n_iter, C, d)
 
-    alpha, grad, n_iter = _smo(kern, y, C, kkt_tol, max_iter)
 
+def _finish(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
+            grad: np.ndarray, n_iter: int, C: float, d: int) -> BinarySvmModel:
+    """The model of one solved problem: its examples are ``idx`` in the
+    kernel, with labels ``y`` and feature vectors ``vectors``."""
     # bias-free decision value of every training example, summed over the
     # multipliers that remain active
     active = np.flatnonzero(alpha > ALPHA_FLOOR)
-    u = kern.columns(active) @ (alpha[active] * y[active])
+    u = kern.columns(idx, idx[active]) @ (alpha[active] * y[active])
     b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
 
     info = {
@@ -345,7 +444,7 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1,
         "dual_value": _dual_value(alpha, grad),
         "kkt_violation": kkt_violation(u, y, alpha, C),
         "alpha": tuple(float(a) for a in alpha),
-        "n_train": l,
+        "n_train": len(y),
     }
     return BinarySvmModel(
         (vectors[i] for i in active),
@@ -508,14 +607,15 @@ class PairwiseModel:
 def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 1,
                    labels=None, tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM,
                    gram_limit: int = GRAM_LIMIT, cache_rows: int | None = None,
-                   **svm_kwargs) -> PairwiseModel:
+                   kkt_tol: float = KKT_TOL,
+                   max_iter: int | None = None) -> PairwiseModel:
     """Train one binary model per unordered label pair.
 
     The kernel is built once over the whole dataset (dense up to
-    ``gram_limit`` examples, a row cache above it); each pair's solver reads
-    it restricted to the pair's examples. Kernel values are exact integers,
-    so every pair model is identical to ``train_binary_svm`` on the pair
-    alone.
+    ``gram_limit`` examples, a row cache above it), and one lockstep solver
+    runs every pair's problem on it. Each pair model is identical to
+    ``train_binary_svm`` on the pair alone. If a pair reaches its iteration
+    cap, the first such pair in pair order raises ConvergenceError.
 
     ``labels`` may name labels beyond those present in ``dataset`` (e.g. the
     full inventory of a cross-validation parent); a pair whose one side has
@@ -527,6 +627,8 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
     all_labels = sorted(set(labels or ()) | set(dataset.label_counts))
     if len(all_labels) < 2:
         raise TrainingError("pairwise training needs at least 2 labels")
+    if C <= 0:
+        raise TrainingError("C must be positive")
     vocab = Vocabulary.from_dataset(dataset, mode, tokenizer, max_n)
     fvs = [extract(ex, mode, vocab, frozen=True, tokenizer=tokenizer, max_n=max_n)
            for ex in dataset]
@@ -536,7 +638,8 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
     for idx, ex in enumerate(dataset):
         by_label.setdefault(ex.label, []).append(idx)
 
-    models = {}
+    pairs = []
+    problems = []
     degenerate = {}
     for a, b in combinations(all_labels, 2):
         a_idx = by_label.get(a, [])
@@ -546,10 +649,16 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
         if not a_idx or not b_idx:
             degenerate[(a, b)] = a if a_idx else b
             continue
-        pair_examples = [(fvs[i], 1) for i in a_idx] + [(fvs[i], -1) for i in b_idx]
-        models[(a, b)] = train_binary_svm(pair_examples, C=C, d=d,
-                                          _kernel=kern.restrict(a_idx + b_idx),
-                                          **svm_kwargs)
+        pairs.append((a, b))
+        problems.append((a_idx + b_idx, [1.0] * len(a_idx) + [-1.0] * len(b_idx)))
+    # each pair is finished as soon as it converges, so that the solver's
+    # arrays and the pair models are not all alive at once
+    finished = [None] * len(problems)
+    for p, alpha, grad, n_iter in _smo(kern, problems, C, kkt_tol, max_iter):
+        idx, y = problems[p]
+        finished[p] = _finish(kern, np.array(idx), np.array(y),
+                              [fvs[i] for i in idx], alpha, grad, n_iter, C, d)
+    models = dict(zip(pairs, finished))
     return PairwiseModel(all_labels, models, degenerate, dataset.label_counts,
                          vocab, mode, C, d, max_n)
 

@@ -64,6 +64,29 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["cv", "--bogus"]) == 1
 
+    def test_cross_domain_without_method_is_usage_error(self, corpus_file,
+                                                        capsys):
+        code = main(["cross-domain", "--train", str(corpus_file),
+                     "--test", str(corpus_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--method" in err
+        assert err.count("\n") == 1
+
+
+def test_cross_domain_accepts_its_flags(corpus_file, tmp_path):
+    out = tmp_path / "r.jsonl"
+    code = main(["cross-domain", "--train", str(corpus_file), "--test",
+                 str(corpus_file), "--method", "svm", "--features", "3",
+                 "--k", "5", "--d", "2", "--C", "0.5", "--folds", "3",
+                 "--seed", "4", "-o", str(out)])
+    assert code == 0
+    config = json.loads(out.read_text().splitlines()[-1])["config"]
+    assert config == {"command": "cross-domain", "method": "svm",
+                      "feature_set": 3, "seed": 4, "d": 2, "C": 0.5,
+                      "folds": 3, "train": str(corpus_file),
+                      "test": str(corpus_file)}
+
 
 class TestDeterminism:
     def test_cv_reports_are_byte_identical(self, corpus_file, tmp_path):
@@ -228,6 +251,24 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "index" in err
+
+    @pytest.mark.parametrize("line, problem", [
+        ("not json", "not JSON (Expecting value at column 1)"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"record": "prediction", "gold": "past"}',
+         "prediction record without index, predicted"),
+        ('{"record": "fold", "correct": 1}', "fold record without total"),
+    ])
+    def test_malformed_report_record_is_data_error(self, tmp_path, corpus_file,
+                                                   capsys, line, problem):
+        report = tmp_path / "r.jsonl"
+        report.write_text('{"record": "fold", "correct": 1, "total": 1}\n'
+                          + line + "\n", encoding="utf-8")
+        code = main(["analyze", "--input", str(corpus_file), "--report-a",
+                     str(report), "--report-b", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {report}: line 2: {problem}\n"
 
     def test_report_gold_labels_must_match_corpus(self, tmp_path,
                                                   suffix_corpus_file, capsys):

@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from svm_reference import kkt_feasible_bias
 from synth import random_token_corpus
 from tamkit.corpus import Dataset, Example
 from tamkit.features import FeatureSet, FeatureVector, extract
@@ -15,7 +16,6 @@ from tamkit.svm import (
     classify_pairwise,
     decide,
     kernel,
-    kkt_feasible_bias,
     kkt_violation,
     train_binary_svm,
     train_pairwise,
@@ -190,6 +190,12 @@ class TestBinaryTraining:
         with pytest.raises(ConvergenceError) as info:
             train_binary_svm(examples, C=1.0, d=1, max_iter=1)
         assert isinstance(info.value.dual_value, float)
+
+    def test_cap_is_tested_before_convergence(self):
+        examples = [(FeatureVector([0]), 1), (FeatureVector([1]), -1)]
+        assert train_binary_svm(examples, max_iter=2).info["iterations"] == 1
+        with pytest.raises(ConvergenceError):
+            train_binary_svm(examples, max_iter=1)
 
     def test_cache_path_matches_dense_path(self):
         rng = random.Random(4)

@@ -1,17 +1,24 @@
-"""Property tests: batched pairwise prediction and fold-kernel training
-against the per-example and per-pair reference paths."""
+"""Property tests: batched pairwise prediction and the lockstep solver
+against the per-example, per-pair and scalar reference paths."""
 
 import json
 import random
+from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svm_reference import reference_smo
+from tamkit import svm
 from tamkit.corpus import Dataset, Example
-from tamkit.features import FeatureSet, FeatureVector, Vocabulary, extract
+from tamkit.features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
 from tamkit.svm import (
+    KKT_TOL,
     BinarySvmModel,
+    ConvergenceError,
     PairwiseModel,
     classify_pairwise,
     decide,
@@ -145,3 +152,116 @@ def test_pair_degree_must_match_model_degree():
                           vocab, FeatureSet.FS3, C=1.0, d=1)
     with pytest.raises(ValueError):
         model.predict_batch([Example("a", "", ("t0",))])
+
+
+N_IDS = 5  # feature ids of the solver problems: few, so vectors repeat
+
+
+@st.composite
+def solver_batches(draw):
+    """A pool of feature vectors (duplicates likely) and a batch of
+    two-class problems of mixed sizes over it, as (indices, labels)."""
+    id_sets = st.lists(st.integers(0, N_IDS - 1), max_size=3)
+    pool = [FeatureVector(ids) for ids in draw(st.lists(id_sets, min_size=2,
+                                                         max_size=16))]
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2,
+                            max_size=12))
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=len(idx),
+                              max_size=len(idx)))
+        signs[0], signs[1] = 1.0, -1.0  # both classes present
+        problems.append((np.array(idx), np.array(signs)))
+    return pool, problems
+
+
+@settings(max_examples=120, deadline=None)
+@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees,
+       st.booleans(), st.sampled_from((1, 24, svm.SOLVE_TERMS)))
+def test_lockstep_smo_equals_scalar_solver(batch, C, d, dense, solve_terms):
+    # solve_terms < SOLVE_TERMS splits the batch into several chunks
+    pool, problems = batch
+    X = to_csr(pool, N_IDS)
+    K = svm._poly(X @ X.T, d)
+    kern = (svm._kernel_matrix(X, d, svm.GRAM_LIMIT, None) if dense
+            else svm._kernel_matrix(X, d, 0, 2))
+    expected, capped = [], None
+    for idx, y in problems:
+        try:
+            expected.append(reference_smo(K[np.ix_(idx, idx)], y, C, KKT_TOL,
+                                          100 * len(y)))
+        except ConvergenceError as exc:
+            capped = capped or exc
+    with mock.patch.object(svm, "SOLVE_TERMS", solve_terms):
+        if capped is not None:
+            with pytest.raises(ConvergenceError) as info:
+                list(svm._smo(kern, problems, C, KKT_TOL))
+            assert info.value.dual_value == capped.dual_value
+            return
+        # problems are yielded as they converge, each once
+        solved = {}
+        for p, alpha, grad, n_iter in svm._smo(kern, problems, C, KKT_TOL):
+            assert p not in solved
+            solved[p] = alpha, grad, n_iter
+    assert sorted(solved) == list(range(len(problems)))
+    for p, (ref_alpha, ref_grad, ref_iter) in enumerate(expected):
+        alpha, grad, n_iter = solved[p]
+        assert alpha.tolist() == ref_alpha.tolist()
+        assert grad.tolist() == ref_grad.tolist()
+        assert n_iter == ref_iter
+
+
+def pair_problems(ds, model):
+    """The two-class problem of every label pair with examples on both
+    sides, in pair order."""
+    fvs = vectors(model, ds)
+    for a, b in combinations(model.labels, 2):
+        pair = ([(fv, 1) for fv, ex in zip(fvs, ds) if ex.label == a]
+                + [(fv, -1) for fv, ex in zip(fvs, ds) if ex.label == b])
+        if len({lab for _, lab in pair}) == 2:
+            yield pair
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora, modes, degrees, st.data())
+def test_capped_pair_raises_as_when_trained_alone(ds, mode, d, data):
+    model = train_pairwise(ds, mode, d=d)
+    # a cap equal to a pair's iteration count raises: the cap is tested
+    # before convergence; one more lets that pair converge
+    counts = {m.info["iterations"] for m in model.models.values()}
+    max_iter = data.draw(st.sampled_from(
+        sorted({1} | counts | {n + 1 for n in counts})))
+    expected = None
+    for pair in pair_problems(ds, model):
+        fvs = [fv for fv, _ in pair]
+        X = to_csr(fvs, max([1] + [fv.ids[-1] + 1 for fv in fvs if fv.ids]))
+        y = np.array([lab for _, lab in pair], dtype=float)
+        try:
+            reference_smo(svm._poly(X @ X.T, d), y, 1.0, KKT_TOL, max_iter)
+        except ConvergenceError as exc:
+            expected = exc
+            break
+    if expected is None:
+        capped = train_pairwise(ds, mode, d=d, max_iter=max_iter)
+        assert capped.to_dict() == model.to_dict()
+    else:
+        with pytest.raises(ConvergenceError) as info:
+            train_pairwise(ds, mode, d=d, max_iter=max_iter)
+        assert info.value.dual_value == expected.dual_value
+        assert str(info.value) == str(expected)
+
+
+def test_iteration_cap_of_one_raises_for_first_pair():
+    # every pair is capped; pair (a, b) is the largest problem, so it is
+    # solved last, but it is the first pair and the one that raises. Its
+    # dual value after one step is 1.0, that of the other two 2/3.
+    ds = Dataset([Example(lab, "", toks) for lab, toks in (
+        ("a", ("t0", "t1")), ("a", ("t1",)), ("a", ("t2",)),
+        ("b", ("t1", "t3")), ("b", ("t3",)), ("b", ("t4",)), ("c", ("t5",)))])
+    model = train_pairwise(ds, FeatureSet.FS3)
+    first = next(pair_problems(ds, model))
+    with pytest.raises(ConvergenceError) as alone:
+        train_binary_svm(first, max_iter=1)
+    with pytest.raises(ConvergenceError) as info:
+        train_pairwise(ds, FeatureSet.FS3, max_iter=1)
+    assert info.value.dual_value == alone.value.dual_value == 1.0
