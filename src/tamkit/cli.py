@@ -88,12 +88,7 @@ class ExperimentConfig:
     def resolve(self):
         if self.feature_set is None and self.method is not None:
             self.feature_set = 2 if self.method == "knn" else 1
-        if self.method == "knn" and self.feature_set != 2:
-            raise ConfigError(
-                "knn supports feature-set 2 only (sentence-final string "
-                "similarity is undefined for token features)")
-        if self.method == "svm" and self.d not in (1, 2):
-            raise ConfigError("svm kernel degree must be 1 or 2")
+        self.spec().check(self.feature_set)
         if self.command == "cv" and self.folds < 2:
             raise ConfigError("cross-validation needs at least 2 folds")
         if self.k < 1:

@@ -99,14 +99,14 @@ class Dataset:
         """Distinct labels in lexicographic order."""
         return sorted(self.label_counts)
 
-    def majority_label(self) -> str:
-        """Most frequent label; ties broken lexicographically."""
-        if not self.examples:
-            raise ValueError("empty dataset has no majority label")
-        return min(self.label_counts, key=lambda lab: (-self.label_counts[lab], lab))
-
     def subset(self, indices) -> "Dataset":
         return Dataset(self.examples[i] for i in indices)
+
+
+def best_label(votes, label_counts) -> str:
+    """The label with the most ``votes``; ties break by global training
+    frequency (``label_counts``, a Counter), then by label text."""
+    return min(votes, key=lambda lab: (-votes[lab], -label_counts[lab], lab))
 
 
 def parse_corpus(text: str) -> Dataset:

@@ -13,15 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Dataset
-from .features import (
-    DEFAULT_MAX_NGRAM,
-    Feature,
-    FeatureSet,
-    FeatureVector,
-    Vocabulary,
-    extract,
-)
+from .corpus import Dataset, best_label
+from .features import Feature, FeatureSet, FeatureVector, Vocabulary, extract
 
 
 @dataclass(frozen=True)
@@ -35,32 +28,27 @@ class Decision:
 
 
 class DecisionListModel:
-    def __init__(self, vocab: Vocabulary, mode: FeatureSet, counts, label_counts,
-                 max_n: int = DEFAULT_MAX_NGRAM):
+    def __init__(self, vocab: Vocabulary, mode: FeatureSet, counts, label_counts):
         self.vocab = vocab
         self.mode = FeatureSet(mode)
         # counts[fid] maps label -> co-occurrence count; totals are per-feature sums
         self.counts: tuple[dict[str, int], ...] = tuple(dict(c) for c in counts)
         self.totals: tuple[int, ...] = tuple(sum(c.values()) for c in self.counts)
         self.label_counts = Counter(label_counts)
-        self.max_n = max_n
 
     def conditional(self, fid: int, label: str) -> float:
         """p(label | feature), the occurrence rate among examples with the feature."""
         return self.counts[fid].get(label, 0) / self.totals[fid]
 
-    def predict(self, example, tokenizer=None) -> str:
-        fv = extract(example, self.mode, self.vocab, frozen=True,
-                     tokenizer=tokenizer, max_n=self.max_n)
-        return decide(self, fv).label
+    def predict(self, example) -> str:
+        return decide(self, extract(example, self.mode, self.vocab)).label
 
-    def predict_batch(self, examples, tokenizer=None) -> list[str]:
-        return [self.predict(ex, tokenizer) for ex in examples]
+    def predict_batch(self, examples) -> list[str]:
+        return [self.predict(ex) for ex in examples]
 
     def to_dict(self) -> dict:
         return {
             "mode": int(self.mode),
-            "max_n": self.max_n,
             "vocab": self.vocab.to_list(),
             "counts": [sorted(c.items()) for c in self.counts],
             "label_counts": sorted(self.label_counts.items()),
@@ -73,27 +61,19 @@ class DecisionListModel:
             FeatureSet(payload["mode"]),
             [dict(c) for c in payload["counts"]],
             dict(payload["label_counts"]),
-            payload["max_n"],
         )
 
 
-def train_declist(dataset: Dataset, mode: FeatureSet, tokenizer=None,
-                  max_n: int = DEFAULT_MAX_NGRAM) -> DecisionListModel:
+def train_declist(dataset: Dataset, mode: FeatureSet) -> DecisionListModel:
     """Count (feature, label) co-occurrences over the extracted features."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    vocab = Vocabulary.from_dataset(dataset, mode, tokenizer, max_n)
+    vocab = Vocabulary.from_dataset(dataset, mode)
     counts: list[dict[str, int]] = [{} for _ in range(len(vocab))]
     for ex in dataset:
-        fv = extract(ex, mode, vocab, frozen=True, tokenizer=tokenizer, max_n=max_n)
-        for fid in fv.ids:
+        for fid in extract(ex, mode, vocab).ids:
             counts[fid][ex.label] = counts[fid].get(ex.label, 0) + 1
-    return DecisionListModel(vocab, mode, counts, dataset.label_counts, max_n)
-
-
-def _best_label(counts: dict[str, int], label_counts: Counter) -> str:
-    # count desc, then global frequency desc, then lexicographic
-    return min(counts, key=lambda lab: (-counts[lab], -label_counts[lab], lab))
+    return DecisionListModel(vocab, mode, counts, dataset.label_counts)
 
 
 def decide(model: DecisionListModel, fv: FeatureVector) -> Decision:
@@ -131,11 +111,10 @@ def decide(model: DecisionListModel, fv: FeatureVector) -> Decision:
             best_fid, best_cnt, best_tot, best_feat = fid, top, tot, feat
     if best_feat is None:
         n = sum(model.label_counts.values())
-        label = min(model.label_counts, key=lambda lab: (-model.label_counts[lab], lab))
+        label = best_label(model.label_counts, model.label_counts)
         return Decision(label, None, model.label_counts[label] / n, True)
-    cnt_map = model.counts[best_fid]
-    top_labels = {lab: c for lab, c in cnt_map.items() if c == best_cnt}
-    label = _best_label(top_labels, model.label_counts)
+    # the feature's most frequent labels all have count best_cnt
+    label = best_label(model.counts[best_fid], model.label_counts)
     return Decision(label, best_feat, best_cnt / best_tot, False)
 
 

@@ -17,7 +17,7 @@ from scipy.stats import binom
 
 from .corpus import Dataset, FoldPlan, split_folds
 from .declist import train_declist
-from .features import DEFAULT_MAX_NGRAM, Feature, FeatureSet, example_features
+from .features import Feature, FeatureSet, example_features
 from .knn import train_knn
 from .maxent import train_maxent
 from .svm import train_pairwise
@@ -39,6 +39,16 @@ class LearnerSpec:
     C: float = 1.0
     tol: float = 1e-4
     max_iters: int = 1000
+
+    def check(self, mode) -> None:
+        """Raise ConfigError if this learner cannot run on feature set
+        ``mode``: k-NN needs feature set 2, the SVM kernel degree 1 or 2."""
+        if self.method == "knn" and mode != FeatureSet.FS2:
+            raise ConfigError(
+                "knn supports feature-set 2 only (sentence-final string "
+                "similarity is undefined for token features)")
+        if self.method == "svm" and self.d not in (1, 2):
+            raise ConfigError("svm kernel degree must be 1 or 2")
 
     def describe(self) -> str:
         if self.method == "knn":
@@ -67,30 +77,20 @@ def baseline_classify(sentence: str) -> str:
 METHODS = ("knn", "dlist", "maxent", "svm", "baseline")
 
 
-def fit(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet,
-        tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM):
-    """Train one model per the spec. The k-nearest neighborhood method is
-    restricted to feature-set 2: its similarity is undefined for token
-    features."""
+def fit(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet):
+    """Train one model per the spec, after ``spec.check(mode)``."""
     mode = FeatureSet(mode)
+    spec.check(mode)
     if spec.method == "baseline":
         return BaselineModel()
     if spec.method == "knn":
-        if mode != FeatureSet.FS2:
-            raise ConfigError(
-                "knn supports feature-set 2 only (sentence-final string "
-                "similarity is undefined for token features)")
         return train_knn(dataset, spec.k)
     if spec.method == "dlist":
-        return train_declist(dataset, mode, tokenizer, max_n)
+        return train_declist(dataset, mode)
     if spec.method == "maxent":
-        return train_maxent(dataset, mode, tol=spec.tol, max_iters=spec.max_iters,
-                            tokenizer=tokenizer, max_n=max_n)
+        return train_maxent(dataset, mode, tol=spec.tol, max_iters=spec.max_iters)
     if spec.method == "svm":
-        if spec.d not in (1, 2):
-            raise ConfigError("svm kernel degree must be 1 or 2")
-        return train_pairwise(dataset, mode, C=spec.C, d=spec.d,
-                              tokenizer=tokenizer, max_n=max_n)
+        return train_pairwise(dataset, mode, C=spec.C, d=spec.d)
     raise ConfigError(f"unknown method {spec.method!r}")
 
 
@@ -117,26 +117,24 @@ class PrecisionReport:
 
 
 def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
-                   mode: FeatureSet, tokenizer=None,
-                   max_n: int = DEFAULT_MAX_NGRAM) -> PrecisionReport:
+                   mode: FeatureSet) -> PrecisionReport:
     """Open evaluation: for each fold, train on the complement and predict
-    the fold. Each fold's vocabulary is rebuilt from its training portion."""
+    the fold. Each fold's vocabulary is rebuilt from its training portion,
+    and its model is freed before the next fold trains."""
     if len(plan.assignment) != len(dataset):
         raise ConfigError("fold plan does not match dataset size")
     predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
     fold_results = []
     for fold in range(plan.n_folds):
         train_idx, test_idx = plan.fold_indices(fold)
-        model = fit(spec, dataset.subset(train_idx), mode, tokenizer, max_n)
-        fold_results.append(_score(model, dataset, test_idx, predictions))
+        fold_results.append(_score(fit(spec, dataset.subset(train_idx), mode),
+                                   dataset, test_idx, predictions))
     return PrecisionReport(tuple(fold_results), tuple(predictions), closed=False)
 
 
-def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet,
-                tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM) -> PrecisionReport:
+def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> PrecisionReport:
     """Closed evaluation: train on the full dataset and test on it."""
-    model = fit(spec, dataset, mode, tokenizer, max_n)
-    return evaluate_model(model, dataset, closed=True)
+    return evaluate_model(fit(spec, dataset, mode), dataset, closed=True)
 
 
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
@@ -211,8 +209,7 @@ def compare_predictions(report_a: PrecisionReport, report_b: PrecisionReport):
     return a_only, b_only
 
 
-def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01,
-                       tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM
+def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01
                        ) -> list[tuple[Feature, int]]:
     """Features over-represented in ``flip_set`` relative to ``all_set``.
 
@@ -232,10 +229,10 @@ def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01,
     n, total = len(flip), len(full)
     flip_counts: Counter = Counter()
     for ex in flip:
-        flip_counts.update(example_features(ex, mode, tokenizer, max_n))
+        flip_counts.update(example_features(ex, mode))
     full_counts: Counter = Counter()
     for ex in full:
-        full_counts.update(example_features(ex, mode, tokenizer, max_n))
+        full_counts.update(example_features(ex, mode))
     selected = []
     for feat, x in flip_counts.items():
         rate = full_counts[feat] / total
@@ -258,8 +255,7 @@ def category_distribution(dataset: Dataset) -> list[tuple[str, float]]:
 
 
 def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
-                      mode: FeatureSet, folds: int = 10, seed: int = 0,
-                      tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM
+                      mode: FeatureSet, folds: int = 10, seed: int = 0
                       ) -> PrecisionReport:
     """Train on one corpus, evaluate on another.
 
@@ -267,7 +263,7 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
     cross-validation instead: the overlap is split into folds and, for each
     fold, every training copy of the tested examples is withheld before
     training. Disjoint test examples are scored by a single model trained on
-    the full training data.
+    the full training data. Each model is freed before the next one trains.
     """
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test datasets must be non-empty")
@@ -278,8 +274,8 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
     predictions: list[tuple[int, str, str] | None] = [None] * len(test)
     fold_results = []
     if disjoint_idx:
-        model = fit(spec, train, mode, tokenizer, max_n)
-        fold_results.append(_score(model, test, disjoint_idx, predictions))
+        fold_results.append(_score(fit(spec, train, mode), test, disjoint_idx,
+                                   predictions))
     if overlap_idx:
         overlap = [test[i] for i in overlap_idx]
         n_folds = min(folds, len(overlap))
@@ -292,6 +288,6 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
         for group in groups:
             withheld = {test[i] for i in group}
             reduced = Dataset(ex for ex in train if ex not in withheld)
-            model = fit(spec, reduced, mode, tokenizer, max_n)
-            fold_results.append(_score(model, test, group, predictions))
+            fold_results.append(_score(fit(spec, reduced, mode), test, group,
+                                       predictions))
     return PrecisionReport(tuple(fold_results), tuple(predictions), closed=False)

@@ -2,15 +2,16 @@
 
 Three feature sets are supported:
 
-* feature-set 2: the 1- to 10-gram character strings at the end of the
-  sentence (Unicode scalar values, punctuation included);
-* feature-set 3: the bag of tokens (pre-supplied morphemes when the example
-  carries them, otherwise a whitespace split);
+* feature-set 2: the 1- to ``MAX_NGRAM``-gram (10) character strings at
+  the end of the sentence (Unicode scalar values, punctuation included);
+* feature-set 3: the bag of tokens (the corpus's pre-supplied morphemes when
+  the example carries them, otherwise a whitespace split);
 * feature-set 1: the union of the two.
 
-Features are interned into a :class:`Vocabulary` that maps them to dense
-contiguous ids. Vectors are binary (presence only), so the inner product of
-two vectors is the size of their id-set intersection.
+A :class:`Vocabulary`, built complete from a training set, maps features to
+dense contiguous ids and never changes afterwards; extraction against it
+drops features it does not know. Vectors are binary (presence only), so the
+inner product of two vectors is the size of their id-set intersection.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.sparse import csr_matrix
 SUFFIX = "suffix"
 TOKEN = "token"
 
-DEFAULT_MAX_NGRAM = 10
+MAX_NGRAM = 10  # longest sentence-final character n-gram
 
 
 class FeatureSet(IntEnum):
@@ -46,42 +47,35 @@ class Feature:
         if not self.text:
             raise ValueError("feature text must be non-empty")
 
-    @property
-    def n(self) -> int | None:
-        """Character length for suffix features, None for token features."""
-        return len(self.text) if self.kind == SUFFIX else None
-
     def sort_key(self):
         return (self.kind, self.text)
 
 
 def tokenize(sentence: str) -> list[str]:
-    """Default tokenizer: split on Unicode whitespace, dropping empties."""
+    """Tokens of an example without pre-supplied ones: split on Unicode
+    whitespace, dropping empties."""
     return sentence.split()
 
 
-def suffix_ngrams(sentence: str, max_n: int = DEFAULT_MAX_NGRAM) -> set[Feature]:
-    """All sentence-final character n-grams with 1 <= n <= min(max_n, length)."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+def suffix_ngrams(sentence: str) -> set[Feature]:
+    """All sentence-final character n-grams with 1 <= n <= min(MAX_NGRAM, length)."""
     return {
         Feature(SUFFIX, sentence[-n:])
-        for n in range(1, min(max_n, len(sentence)) + 1)
+        for n in range(1, min(MAX_NGRAM, len(sentence)) + 1)
     }
 
 
-def example_features(example, mode: FeatureSet, tokenizer=None,
-                     max_n: int = DEFAULT_MAX_NGRAM) -> set[Feature]:
+def example_features(example, mode: FeatureSet) -> set[Feature]:
     """The raw (un-interned) feature set of one example under a feature set."""
     mode = FeatureSet(mode)
     feats: set[Feature] = set()
     if mode in (FeatureSet.FS1, FeatureSet.FS2):
-        feats |= suffix_ngrams(example.sentence, max_n)
+        feats |= suffix_ngrams(example.sentence)
     if mode in (FeatureSet.FS1, FeatureSet.FS3):
         if example.tokens is not None:
             tokens = example.tokens
         else:
-            tokens = (tokenizer or tokenize)(example.sentence)
+            tokens = tokenize(example.sentence)
         feats |= {Feature(TOKEN, tok) for tok in tokens}
     return feats
 
@@ -89,52 +83,28 @@ def example_features(example, mode: FeatureSet, tokenizer=None,
 class Vocabulary:
     """Bijective feature <-> dense id map; ids are contiguous from 0.
 
-    Construction is single-writer; once frozen the vocabulary is immutable
-    and freely shareable.
+    The ids follow the order of ``features``, repeats dropped. The vocabulary
+    never changes after construction, so it is freely shareable.
     """
 
     def __init__(self, features=()):
-        self._ids: dict[Feature, int] = {}
-        self._features: list[Feature] = []
-        self._frozen = False
-        for feat in features:
-            self.intern(feat)
+        self._features: list[Feature] = list(dict.fromkeys(features))
+        self._ids = {feat: fid for fid, feat in enumerate(self._features)}
 
     @classmethod
-    def from_dataset(cls, dataset, mode: FeatureSet, tokenizer=None,
-                     max_n: int = DEFAULT_MAX_NGRAM) -> "Vocabulary":
-        """Canonical training vocabulary: every feature in the dataset,
-        interned in sorted order (invariant to example order), then frozen."""
+    def from_dataset(cls, dataset, mode: FeatureSet) -> "Vocabulary":
+        """Canonical training vocabulary: every feature in the dataset, in
+        sorted order (invariant to example order)."""
         feats: set[Feature] = set()
         for ex in dataset:
-            feats |= example_features(ex, mode, tokenizer, max_n)
-        vocab = cls(sorted(feats, key=Feature.sort_key))
-        vocab.freeze()
-        return vocab
+            feats |= example_features(ex, mode)
+        return cls(sorted(feats, key=Feature.sort_key))
 
     def __len__(self):
         return len(self._features)
 
     def __iter__(self):
         return iter(self._features)
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self):
-        self._frozen = True
-
-    def intern(self, feature: Feature) -> int:
-        fid = self._ids.get(feature)
-        if fid is not None:
-            return fid
-        if self._frozen:
-            raise RuntimeError("cannot intern into a frozen vocabulary")
-        fid = len(self._features)
-        self._ids[feature] = fid
-        self._features.append(feature)
-        return fid
 
     def lookup(self, feature: Feature) -> int | None:
         return self._ids.get(feature)
@@ -147,9 +117,7 @@ class Vocabulary:
 
     @classmethod
     def from_list(cls, items) -> "Vocabulary":
-        vocab = cls(Feature(kind, text) for kind, text in items)
-        vocab.freeze()
-        return vocab
+        return cls(Feature(kind, text) for kind, text in items)
 
 
 class FeatureVector:
@@ -168,9 +136,6 @@ class FeatureVector:
     def __len__(self):
         return len(self.ids)
 
-    def __contains__(self, fid):
-        return fid in self._idset
-
     def __eq__(self, other):
         return isinstance(other, FeatureVector) and self.ids == other.ids
 
@@ -181,20 +146,11 @@ class FeatureVector:
         return f"FeatureVector({list(self.ids)})"
 
 
-def extract(example, mode: FeatureSet, vocab: Vocabulary, frozen: bool = False,
-            tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM) -> FeatureVector:
-    """Feature vector of an example against a vocabulary.
-
-    With ``frozen=True`` (prediction time) unseen features are silently
-    dropped; otherwise they are interned into ``vocab``.
-    """
-    feats = example_features(example, mode, tokenizer, max_n)
-    if frozen:
-        ids = [fid for f in feats if (fid := vocab.lookup(f)) is not None]
-    else:
-        # sorted interning keeps assigned ids independent of hash seeds
-        ids = [vocab.intern(f) for f in sorted(feats, key=Feature.sort_key)]
-    return FeatureVector(ids)
+def extract(example, mode: FeatureSet, vocab: Vocabulary) -> FeatureVector:
+    """Feature vector of an example against a vocabulary; features the
+    vocabulary does not know are silently dropped."""
+    feats = example_features(example, mode)
+    return FeatureVector(fid for f in feats if (fid := vocab.lookup(f)) is not None)
 
 
 def to_csr(vectors, n_cols: int) -> csr_matrix:

@@ -1,10 +1,10 @@
 """k-nearest neighborhood classifier over sentence-final string match.
 
 Similarity between two sentences is the length of their longest common
-character suffix, capped at 10 to mirror the 1- to 10-gram feature range.
-Classification takes the k most similar training sentences, additionally
-admits every example tied with the k-th similarity, and returns the
-majority label of that voting set. This only applies to feature-set 2;
+character suffix, capped at ``MAX_NGRAM`` (10) to mirror the 1- to 10-gram
+feature range. Classification takes the k most similar training sentences,
+additionally admits every example tied with the k-th similarity, and returns
+the majority label of that voting set. This only applies to feature-set 2;
 no similarity is defined over token bags.
 """
 
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .corpus import Dataset
+from .corpus import Dataset, best_label
+from .features import MAX_NGRAM
 
-SIMILARITY_CAP = 10
+SIMILARITY_CAP = MAX_NGRAM
 
 
 def similarity(a: str, b: str) -> int:
@@ -80,4 +81,4 @@ def classify_knn(model: KnnModel, sentence: str) -> str:
     votes = Counter(
         lab for sim, lab in zip(sims, model.labels) if sim >= kth
     )
-    return min(votes, key=lambda lab: (-votes[lab], -model.label_counts[lab], lab))
+    return best_label(votes, model.label_counts)

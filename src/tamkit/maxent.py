@@ -26,15 +26,8 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import Dataset
-from .features import (
-    DEFAULT_MAX_NGRAM,
-    FeatureSet,
-    FeatureVector,
-    Vocabulary,
-    extract,
-    to_csr,
-)
+from .corpus import Dataset, best_label
+from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
 
 logger = logging.getLogger(__name__)
 
@@ -43,27 +36,23 @@ WEIGHT_CLAMP = 30.0
 
 class MaxEntModel:
     def __init__(self, vocab: Vocabulary, mode: FeatureSet, labels, weights,
-                 label_counts, info=None, max_n: int = DEFAULT_MAX_NGRAM):
+                 label_counts, info=None):
         self.vocab = vocab
         self.mode = FeatureSet(mode)
         self.labels: tuple[str, ...] = tuple(labels)
         self.weights = np.asarray(weights, dtype=np.float64)  # (|vocab|, |labels|)
         self.label_counts = Counter(label_counts)
         self.info = dict(info or {})
-        self.max_n = max_n
 
-    def predict(self, example, tokenizer=None) -> str:
-        fv = extract(example, self.mode, self.vocab, frozen=True,
-                     tokenizer=tokenizer, max_n=self.max_n)
-        return classify_maxent(self, fv)[0]
+    def predict(self, example) -> str:
+        return classify_maxent(self, extract(example, self.mode, self.vocab))[0]
 
-    def predict_batch(self, examples, tokenizer=None) -> list[str]:
-        return [self.predict(ex, tokenizer) for ex in examples]
+    def predict_batch(self, examples) -> list[str]:
+        return [self.predict(ex) for ex in examples]
 
     def to_dict(self) -> dict:
         return {
             "mode": int(self.mode),
-            "max_n": self.max_n,
             "labels": list(self.labels),
             "label_counts": sorted(self.label_counts.items()),
             "vocab": self.vocab.to_list(),
@@ -83,7 +72,6 @@ class MaxEntModel:
             payload["labels"],
             weights,
             dict(payload["label_counts"]),
-            max_n=payload["max_n"],
         )
 
 
@@ -95,26 +83,21 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def train_maxent(dataset: Dataset, mode: FeatureSet, tol: float = 1e-4,
-                 max_iters: int = 1000, prior_variance: float | None = None,
-                 tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM) -> MaxEntModel:
-    """Fit the conditional exponential model by iterative scaling.
-
-    ``tol`` bounds the final per-pair count residual at tol * N. With
-    ``prior_variance`` set, a Gaussian penalty is applied instead (clamped
-    gradient ascent); constraints are then deliberately not met exactly.
-    """
+                 max_iters: int = 1000) -> MaxEntModel:
+    """Fit the conditional exponential model by generalized iterative
+    scaling, until the largest per-pair count residual is at most tol * N
+    or ``max_iters`` passes have run."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = len(dataset)
-    vocab = Vocabulary.from_dataset(dataset, mode, tokenizer, max_n)
+    vocab = Vocabulary.from_dataset(dataset, mode)
     labels = tuple(sorted(dataset.label_counts))
     label_index = {lab: i for i, lab in enumerate(labels)}
     n_feat, n_lab = len(vocab), len(labels)
 
-    fvs = [extract(ex, mode, vocab, frozen=True, tokenizer=tokenizer, max_n=max_n)
-           for ex in dataset]
+    fvs = [extract(ex, mode, vocab) for ex in dataset]
     # canonical accumulation order: float sums, and therefore the fitted
     # weights, are bit-identical under any permutation of the dataset
     order = sorted(range(n), key=lambda i: (fvs[i].ids, dataset[i].label))
@@ -132,33 +115,24 @@ def train_maxent(dataset: Dataset, mode: FeatureSet, tol: float = 1e-4,
             "final_residual": 0.0, "clamped": False}
     if n_feat == 0 or cmax == 0:
         # no constraints: the entropy maximum is the uniform conditional
-        return MaxEntModel(vocab, mode, labels, weights, dataset.label_counts,
-                           info, max_n)
+        return MaxEntModel(vocab, mode, labels, weights, dataset.label_counts, info)
 
     unseen = empirical == 0.0
-    step = 1.0 / cmax if prior_variance is None else 1.0 / (cmax * n)
+    step = 1.0 / cmax
     residual = np.inf
     it = 0
     for it in range(1, max_iters + 1):
         probs = _softmax_rows(X @ weights)
         expected = X.T @ probs
-        if prior_variance is None:
-            residual = float(np.abs(empirical - expected).max())
-            if residual <= tol * n:
-                it -= 1
-                break
-            with np.errstate(divide="ignore"):
-                update = np.log(np.maximum(empirical, 1e-300)) - np.log(
-                    np.maximum(expected, 1e-300))
-            update[unseen] = -np.inf
-            weights = weights + update * step
-        else:
-            grad = empirical - expected - weights / prior_variance
-            residual = float(np.abs(grad).max())
-            if residual <= tol * n:
-                it -= 1
-                break
-            weights = weights + grad * step
+        residual = float(np.abs(empirical - expected).max())
+        if residual <= tol * n:
+            it -= 1
+            break
+        with np.errstate(divide="ignore"):
+            update = np.log(np.maximum(empirical, 1e-300)) - np.log(
+                np.maximum(expected, 1e-300))
+        update[unseen] = -np.inf
+        weights = weights + update * step
         np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP, out=weights)
     converged = residual <= tol * n
     clamped = bool(np.any(np.abs(weights) >= WEIGHT_CLAMP))
@@ -173,7 +147,7 @@ def train_maxent(dataset: Dataset, mode: FeatureSet, tol: float = 1e-4,
         "final_residual": residual,
         "clamped": clamped,
     }
-    return MaxEntModel(vocab, mode, labels, weights, dataset.label_counts, info, max_n)
+    return MaxEntModel(vocab, mode, labels, weights, dataset.label_counts, info)
 
 
 def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[str, float]]:
@@ -190,17 +164,17 @@ def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[st
         scores = np.zeros(len(model.labels))
     probs = _softmax_rows(scores[None, :])[0]
     top = probs.max()
-    candidates = [lab for lab, p in zip(model.labels, probs) if p == top]
-    label = min(candidates, key=lambda lab: (-model.label_counts[lab], lab))
+    # every most probable label is a candidate with one vote
+    candidates = {lab: 1 for lab, p in zip(model.labels, probs) if p == top}
+    label = best_label(candidates, model.label_counts)
     return label, dict(zip(model.labels, probs.tolist()))
 
 
-def expectation_residual(model: MaxEntModel, dataset: Dataset, tokenizer=None) -> float:
+def expectation_residual(model: MaxEntModel, dataset: Dataset) -> float:
     """Largest |empirical - expected| feature-expectation rate over all
     (feature, label) pairs, measured on ``dataset``."""
     n = len(dataset)
-    fvs = [extract(ex, model.mode, model.vocab, frozen=True, tokenizer=tokenizer,
-                   max_n=model.max_n) for ex in dataset]
+    fvs = [extract(ex, model.mode, model.vocab) for ex in dataset]
     X = to_csr(fvs, model.weights.shape[0])
     label_index = {lab: i for i, lab in enumerate(model.labels)}
     onehot = np.zeros((n, len(model.labels)))

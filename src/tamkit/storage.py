@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from .declist import DecisionListModel
+from .features import MAX_NGRAM
 from .knn import KnnModel
 from .maxent import MaxEntModel
 from .svm import PairwiseModel
@@ -45,8 +46,14 @@ def load_model(path):
     method = document.get("method")
     if not isinstance(method, str) or method not in _CLASSES:
         raise ValueError(f"{path}: unknown model method {method!r}")
+    payload = document.get("payload")
+    # older files record the suffix length; one other than MAX_NGRAM means
+    # the model was trained on features this version does not extract
+    if isinstance(payload, dict) and payload.get("max_n", MAX_NGRAM) != MAX_NGRAM:
+        raise ValueError(f"{path}: {method} model uses suffix n-grams up to "
+                         f"{payload['max_n']!r}, not {MAX_NGRAM}")
     try:
-        return _CLASSES[method].from_dict(document["payload"])
+        return _CLASSES[method].from_dict(payload)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed {method} model payload "
                          f"({type(exc).__name__}: {exc})") from exc

@@ -47,15 +47,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import Dataset
-from .features import (
-    DEFAULT_MAX_NGRAM,
-    FeatureSet,
-    FeatureVector,
-    Vocabulary,
-    extract,
-    to_csr,
-)
+from .corpus import Dataset, best_label
+from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
 
 KKT_TOL = 1e-3
 UPDATE_EPS = 1e-12     # floor for the two-variable quadratic coefficient
@@ -499,11 +492,8 @@ class _Stacked:
         self.block_rows = max(1, BLOCK_TERMS // max(1, self.cols.size))
         self.pos = np.array([label_index[a] for a, _ in model.models], dtype=np.intp)
         self.neg = np.array([label_index[b] for _, b in model.models], dtype=np.intp)
-        # votes of the degenerate pairs, the same for every example
-        self.fixed_votes = np.zeros(len(model.labels), dtype=np.int64)
-        for winner in model.degenerate.values():
-            self.fixed_votes[label_index[winner]] += 1
-        # label indices in tie-break order: global frequency, then label text
+        # label indices in the tie-break order of corpus.best_label: global
+        # frequency, then label text
         self.rank = np.array(sorted(
             range(len(model.labels)),
             key=lambda k: (-model.label_counts[model.labels[k]], model.labels[k])),
@@ -513,25 +503,22 @@ class _Stacked:
 class PairwiseModel:
     """One binary classifier per unordered label pair, combined by voting."""
 
-    def __init__(self, labels, models, degenerate, label_counts, vocab: Vocabulary,
-                 mode: FeatureSet, C: float, d: int, max_n: int = DEFAULT_MAX_NGRAM):
+    def __init__(self, labels, models, label_counts, vocab: Vocabulary,
+                 mode: FeatureSet, C: float, d: int):
         self.labels: tuple[str, ...] = tuple(labels)
         # models[(a, b)] decides a (positive side) vs b; pairs sorted a < b
         self.models: dict[tuple[str, str], BinarySvmModel] = dict(models)
-        # degenerate[(a, b)] is the only label of the pair seen in training
-        self.degenerate: dict[tuple[str, str], str] = dict(degenerate)
         self.label_counts = Counter(label_counts)
         self.vocab = vocab
         self.mode = FeatureSet(mode)
         self.C = float(C)
         self.d = int(d)
-        self.max_n = max_n
         self._stacked: _Stacked | None = None  # built by the first prediction
 
-    def predict(self, example, tokenizer=None) -> str:
-        return self.predict_batch([example], tokenizer)[0]
+    def predict(self, example) -> str:
+        return self.predict_batch([example])[0]
 
-    def predict_batch(self, examples, tokenizer=None) -> list[str]:
+    def predict_batch(self, examples) -> list[str]:
         """Labels of ``examples``, equal to ``classify_pairwise`` on each.
 
         Examples are encoded and scored in blocks sized so that a block's
@@ -541,13 +528,12 @@ class PairwiseModel:
         n_labels = len(self.labels)
         labels: list[str] = []
         for start in range(0, len(examples), st.block_rows):
-            block = [extract(ex, self.mode, self.vocab, frozen=True,
-                             tokenizer=tokenizer, max_n=self.max_n)
+            block = [extract(ex, self.mode, self.vocab)
                      for ex in examples[start:start + st.block_rows]]
             winners = np.where(self.decision_values(block) >= 0, st.pos, st.neg)
             flat = (np.arange(len(block))[:, None] * n_labels + winners).ravel()
-            votes = np.bincount(flat, minlength=len(block) * n_labels)
-            votes = votes.reshape(len(block), n_labels) + st.fixed_votes
+            votes = np.bincount(flat, minlength=len(block) * n_labels).reshape(
+                len(block), n_labels)
             # argmax takes the first maximum, so rank order breaks vote ties
             best = st.rank[votes[:, st.rank].argmax(axis=1)]
             labels += [self.labels[k] for k in best]
@@ -579,78 +565,63 @@ class PairwiseModel:
     def to_dict(self) -> dict:
         return {
             "mode": int(self.mode),
-            "max_n": self.max_n,
             "C": self.C,
             "d": self.d,
             "labels": list(self.labels),
             "label_counts": sorted(self.label_counts.items()),
             "vocab": self.vocab.to_list(),
             "models": [[a, b, m.to_dict()] for (a, b), m in sorted(self.models.items())],
-            "degenerate": [[a, b, w] for (a, b), w in sorted(self.degenerate.items())],
         }
 
     @classmethod
     def from_dict(cls, payload) -> "PairwiseModel":
+        """Model from its ``to_dict`` payload. Older files may also list
+        pairs with one side absent from training; they are ignored. Each
+        voted for its present side, which adds one vote to every present
+        label and so cannot change a winner."""
         return cls(
             payload["labels"],
             {(a, b): BinarySvmModel.from_dict(m) for a, b, m in payload["models"]},
-            {(a, b): w for a, b, w in payload["degenerate"]},
             dict(payload["label_counts"]),
             Vocabulary.from_list(payload["vocab"]),
             FeatureSet(payload["mode"]),
             payload["C"],
             payload["d"],
-            payload["max_n"],
         )
 
 
 def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 1,
-                   labels=None, tokenizer=None, max_n: int = DEFAULT_MAX_NGRAM,
                    gram_limit: int = GRAM_LIMIT, cache_rows: int | None = None,
                    kkt_tol: float = KKT_TOL,
                    max_iter: int | None = None) -> PairwiseModel:
-    """Train one binary model per unordered label pair.
+    """Train one binary model per unordered pair of the labels in
+    ``dataset``, so both sides of every pair have training examples.
 
     The kernel is built once over the whole dataset (dense up to
     ``gram_limit`` examples, a row cache above it), and one lockstep solver
     runs every pair's problem on it. Each pair model is identical to
     ``train_binary_svm`` on the pair alone. If a pair reaches its iteration
     cap, the first such pair in pair order raises ConvergenceError.
-
-    ``labels`` may name labels beyond those present in ``dataset`` (e.g. the
-    full inventory of a cross-validation parent); a pair whose one side has
-    no training examples is recorded as degenerate and votes for the side
-    that is present.
     """
     if len(dataset) == 0:
         raise TrainingError("cannot train on an empty dataset")
-    all_labels = sorted(set(labels or ()) | set(dataset.label_counts))
-    if len(all_labels) < 2:
+    labels = dataset.labels
+    if len(labels) < 2:
         raise TrainingError("pairwise training needs at least 2 labels")
     if C <= 0:
         raise TrainingError("C must be positive")
-    vocab = Vocabulary.from_dataset(dataset, mode, tokenizer, max_n)
-    fvs = [extract(ex, mode, vocab, frozen=True, tokenizer=tokenizer, max_n=max_n)
-           for ex in dataset]
+    vocab = Vocabulary.from_dataset(dataset, mode)
+    fvs = [extract(ex, mode, vocab) for ex in dataset]
     kern = _kernel_matrix(to_csr(fvs, max(len(vocab), 1)), d, gram_limit,
                           cache_rows)
     by_label: dict[str, list[int]] = {}
     for idx, ex in enumerate(dataset):
         by_label.setdefault(ex.label, []).append(idx)
 
-    pairs = []
-    problems = []
-    degenerate = {}
-    for a, b in combinations(all_labels, 2):
-        a_idx = by_label.get(a, [])
-        b_idx = by_label.get(b, [])
-        if not a_idx and not b_idx:
-            continue
-        if not a_idx or not b_idx:
-            degenerate[(a, b)] = a if a_idx else b
-            continue
-        pairs.append((a, b))
-        problems.append((a_idx + b_idx, [1.0] * len(a_idx) + [-1.0] * len(b_idx)))
+    pairs = list(combinations(labels, 2))
+    problems = [(by_label[a] + by_label[b],
+                 [1.0] * len(by_label[a]) + [-1.0] * len(by_label[b]))
+                for a, b in pairs]
     # each pair is finished as soon as it converges, so that the solver's
     # arrays and the pair models are not all alive at once
     finished = [None] * len(problems)
@@ -659,8 +630,8 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
         finished[p] = _finish(kern, np.array(idx), np.array(y),
                               [fvs[i] for i in idx], alpha, grad, n_iter, C, d)
     models = dict(zip(pairs, finished))
-    return PairwiseModel(all_labels, models, degenerate, dataset.label_counts,
-                         vocab, mode, C, d, max_n)
+    return PairwiseModel(labels, models, dataset.label_counts, vocab, mode,
+                         C, d)
 
 
 def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:
@@ -670,6 +641,4 @@ def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:
     for (a, b), m in model.models.items():
         _, sign = decide(m, fv)
         votes[a if sign > 0 else b] += 1
-    for pair, winner in model.degenerate.items():
-        votes[winner] += 1
-    return min(model.labels, key=lambda lab: (-votes[lab], -model.label_counts[lab], lab))
+    return best_label(votes, model.label_counts)

@@ -95,7 +95,7 @@ def test_criterion_05_maxent_constraints():
     ds = Dataset([Example("A", "", ("f",)), Example("A", "", ("f",)),
                   Example("B", "", ("f",))])
     model = train_maxent(ds, FeatureSet.FS3)
-    fv = extract(ds[0], FeatureSet.FS3, model.vocab, frozen=True)
+    fv = extract(ds[0], FeatureSet.FS3, model.vocab)
     _, dist = classify_maxent(model, fv)
     assert abs(dist["A"] - 2 / 3) <= 1e-3
     elapsed = time.perf_counter() - start
@@ -114,7 +114,7 @@ def test_criterion_06_decision_list_brute_force_equivalence():
         queries = [ds[rng.randrange(len(ds))] for _ in range(8)]
         queries.append(Example("?", "zzz", ("never-seen",)))
         for q in queries:
-            fv = extract(q, mode, model.vocab, frozen=True)
+            fv = extract(q, mode, model.vocab)
             assert classify_declist(model, fv) == oracle_decide(model, fv)
             checked += 1
     print(f"\ncriterion 6 PASS: 100 corpora, {checked} queries, "

@@ -206,6 +206,50 @@ class TestModelFiles:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(path) in err and method in err
 
+    def _train_svm_file(self, corpus_file, tmp_path):
+        path = tmp_path / "model.json"
+        assert main(["train", "--input", str(corpus_file), "--method", "svm",
+                     "--features", "1", "--out", str(path)]) == 0
+        return path, json.loads(path.read_text(encoding="utf-8"))
+
+    def _predictions(self, corpus_file, model_path, out):
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(model_path), "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines()
+                if '"prediction"' in line]
+
+    def test_other_suffix_length_is_data_error(self, tmp_path, corpus_file,
+                                                capsys):
+        _, document = self._train_svm_file(corpus_file, tmp_path)
+        document["payload"]["max_n"] = 5
+        path = tmp_path / "n5.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("ghost", [False, True])
+    def test_older_svm_file_loads_and_predicts(self, tmp_path, corpus_file,
+                                               ghost):
+        # older svm files carry "max_n" and "degenerate" (pairs with one side
+        # absent from training, each voting for its present side)
+        path, document = self._train_svm_file(corpus_file, tmp_path)
+        payload = document["payload"]
+        payload["max_n"] = 10
+        payload["degenerate"] = []
+        if ghost:
+            payload["degenerate"] = [[lab, "ghost", lab]
+                                     for lab in payload["labels"]]
+            payload["labels"] = sorted(payload["labels"] + ["ghost"])
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(document), encoding="utf-8")
+        expected = self._predictions(corpus_file, path, tmp_path / "a.jsonl")
+        assert self._predictions(corpus_file, older,
+                                 tmp_path / "b.jsonl") == expected
+
 
 class TestAnalyze:
     def test_sign_test_and_effective_features(self, tmp_path):

@@ -76,7 +76,7 @@ class TestClassify:
         ])
         model = train_declist(ds, FeatureSet.FS3)
         fv = extract(_token_example("?", ["f1", "f2"]), FeatureSet.FS3,
-                     model.vocab, frozen=True)
+                     model.vocab)
         record = decide(model, fv)
         assert record.label == "B"
         assert record.feature.text == "f2"
@@ -87,8 +87,7 @@ class TestClassify:
         ds = Dataset([_token_example("A", ["f"]), _token_example("A", ["f"]),
                       _token_example("B", ["f"])])
         model = train_declist(ds, FeatureSet.FS3)
-        fv = extract(_token_example("?", ["f"]), FeatureSet.FS3, model.vocab,
-                     frozen=True)
+        fv = extract(_token_example("?", ["f"]), FeatureSet.FS3, model.vocab)
         assert classify_declist(model, fv) == "A"
 
     def test_unknown_context_falls_back(self):
@@ -105,13 +104,13 @@ class TestClassify:
     def test_adding_unrelated_feature_never_changes_decision(self):
         ds = random_token_corpus(random.Random(7), max_examples=40)
         model = train_declist(ds, FeatureSet.FS3)
-        fv = extract(ds[0], FeatureSet.FS3, model.vocab, frozen=True)
+        fv = extract(ds[0], FeatureSet.FS3, model.vocab)
         before = classify_declist(model, fv)
         # graft a new feature (not present in fv) onto the model
         grafted = DecisionListModel(
             model.vocab, model.mode,
             list(model.counts) + [{"Z": 5}],
-            model.label_counts, model.max_n)
+            model.label_counts)
         assert classify_declist(grafted, fv) == before
 
     def test_matches_brute_force_on_random_corpora(self):
@@ -123,7 +122,7 @@ class TestClassify:
             queries = [ds[rng.randrange(len(ds))] for _ in range(5)]
             queries.append(_token_example("?", ["never-seen"]))
             for q in queries:
-                fv = extract(q, mode, model.vocab, frozen=True)
+                fv = extract(q, mode, model.vocab)
                 assert classify_declist(model, fv) == oracle_decide(model, fv)
 
 
@@ -132,6 +131,6 @@ def test_serialization_round_trip():
     model = train_declist(ds, FeatureSet.FS1)
     again = DecisionListModel.from_dict(model.to_dict())
     for ex in ds:
-        fv_a = extract(ex, model.mode, model.vocab, frozen=True)
-        fv_b = extract(ex, again.mode, again.vocab, frozen=True)
+        fv_a = extract(ex, model.mode, model.vocab)
+        fv_b = extract(ex, again.mode, again.vocab)
         assert classify_declist(model, fv_a) == classify_declist(again, fv_b)

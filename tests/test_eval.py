@@ -1,8 +1,10 @@
 import random
+import weakref
 
 import pytest
 
 from synth import domain_corpus, random_token_corpus, table1_corpus
+from tamkit import evaluate
 from tamkit.corpus import Dataset, Example, split_folds
 from tamkit.evaluate import (
     ConfigError,
@@ -154,6 +156,41 @@ class _ConstModel:
 
     def predict_batch(self, examples):
         return [self.label for _ in examples]
+
+
+class TestModelLifetime:
+    """Each fold's model is freed before the next model trains, so two
+    fold models are never alive at once."""
+
+    @pytest.fixture
+    def alive_at_fit(self, monkeypatch):
+        """Patch ``evaluate.fit``; each call appends how many of the models
+        returned so far are still alive."""
+        alive, made = [], []
+
+        def fake_fit(spec, dataset, mode):
+            alive.append(sum(ref() is not None for ref in made))
+            model = _ConstModel(dataset[0].label)
+            made.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(evaluate, "fit", fake_fit)
+        return alive
+
+    corpus = Dataset(Example("AB"[i % 2], f"s{i}", (f"t{i % 3}",))
+                     for i in range(12))
+
+    def test_cross_validate(self, alive_at_fit):
+        plan = split_folds(self.corpus, 4, seed=0)
+        cross_validate(LearnerSpec("dlist"), self.corpus, plan, FeatureSet.FS3)
+        assert alive_at_fit == [0, 0, 0, 0]
+
+    def test_cross_domain_eval(self, alive_at_fit):
+        # six overlapping test examples in three folds, plus a disjoint one
+        test = Dataset(list(self.corpus)[:6] + [Example("A", "new", ("t9",))])
+        cross_domain_eval(self.corpus, test, LearnerSpec("dlist"),
+                          FeatureSet.FS3, folds=3)
+        assert alive_at_fit == [0, 0, 0, 0]
 
 
 class TestEffectiveFeatures:

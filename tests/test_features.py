@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from tamkit.corpus import Example
 from tamkit.features import (
     SUFFIX,
@@ -37,9 +35,6 @@ class TestSuffixNgrams:
         assert feats == {Feature(SUFFIX, "い"), Feature(SUFFIX, "ない"),
                          Feature(SUFFIX, "しない")}
 
-    def test_truncation_by_max_n(self):
-        assert suffix_ngrams("ab", max_n=1) == {Feature(SUFFIX, "b")}
-
     def test_twelve_chars_gives_ten(self):
         feats = suffix_ngrams("abcdefghijkl")
         assert len(feats) == 10
@@ -47,10 +42,6 @@ class TestSuffixNgrams:
 
     def test_empty_sentence(self):
         assert suffix_ngrams("") == set()
-
-    def test_bad_max_n(self):
-        with pytest.raises(ValueError):
-            suffix_ngrams("abc", max_n=0)
 
     def test_count_is_min_ten_length(self):
         rng = random.Random(3)
@@ -62,62 +53,64 @@ class TestSuffixNgrams:
 
 class TestVocabulary:
     def test_contiguous_bijective(self):
-        vocab = Vocabulary()
-        a = vocab.intern(Feature(SUFFIX, "x"))
-        b = vocab.intern(Feature(TOKEN, "x"))
-        assert (a, b) == (0, 1)
-        assert vocab.intern(Feature(SUFFIX, "x")) == 0
+        vocab = Vocabulary([Feature(SUFFIX, "x"), Feature(TOKEN, "x"),
+                            Feature(SUFFIX, "x")])
+        assert vocab.lookup(Feature(SUFFIX, "x")) == 0
+        assert vocab.lookup(Feature(TOKEN, "x")) == 1
         assert vocab.feature(0) == Feature(SUFFIX, "x")
+        assert vocab.feature(1) == Feature(TOKEN, "x")
         assert len(vocab) == 2
+        assert vocab.lookup(Feature(TOKEN, "y")) is None
 
     def test_suffix_token_never_collide(self):
-        vocab = Vocabulary()
-        assert vocab.intern(Feature(SUFFIX, "abc")) != vocab.intern(Feature(TOKEN, "abc"))
-
-    def test_frozen_rejects_new(self):
-        vocab = Vocabulary([Feature(TOKEN, "a")])
-        vocab.freeze()
-        with pytest.raises(RuntimeError):
-            vocab.intern(Feature(TOKEN, "b"))
+        vocab = Vocabulary([Feature(SUFFIX, "abc"), Feature(TOKEN, "abc")])
+        assert len(vocab) == 2
+        assert vocab.lookup(Feature(SUFFIX, "abc")) != vocab.lookup(Feature(TOKEN, "abc"))
 
     def test_serialization_round_trip(self):
         vocab = Vocabulary([Feature(SUFFIX, "a"), Feature(TOKEN, "a")])
         again = Vocabulary.from_list(vocab.to_list())
         assert list(again) == list(vocab)
-        assert again.frozen
+        assert [again.lookup(f) for f in vocab] == [0, 1]
 
 
 class TestExtract:
     def test_fs1_is_union_of_fs2_fs3(self):
         ex = Example("x", "今日 走る", ("今日", "走る"))
-        vocab = Vocabulary()
+        vocab = Vocabulary(example_features(ex, FeatureSet.FS1))
         fv1 = extract(ex, FeatureSet.FS1, vocab)
-        fv2 = extract(ex, FeatureSet.FS2, vocab, frozen=True)
-        fv3 = extract(ex, FeatureSet.FS3, vocab, frozen=True)
+        fv2 = extract(ex, FeatureSet.FS2, vocab)
+        fv3 = extract(ex, FeatureSet.FS3, vocab)
+        assert len(fv1) == len(vocab)
         assert set(fv1.ids) == set(fv2.ids) | set(fv3.ids)
 
     def test_empty_sentence_empty_vector(self):
         ex = Example("x", "", ())
-        vocab = Vocabulary()
+        vocab = Vocabulary([Feature(SUFFIX, "a"), Feature(TOKEN, "a")])
         for mode in FeatureSet:
             assert len(extract(ex, mode, vocab)) == 0
 
     def test_frozen_never_grows_vocab(self):
         train = Example("x", "abc def", None)
-        vocab = Vocabulary()
-        extract(train, FeatureSet.FS1, vocab)
+        vocab = Vocabulary(example_features(train, FeatureSet.FS1))
         before = len(vocab)
         held_out = Example("y", "totally unseen words", None)
-        fv = extract(held_out, FeatureSet.FS1, vocab, frozen=True)
+        fv = extract(held_out, FeatureSet.FS1, vocab)
         assert len(vocab) == before
-        assert all(fid < before for fid in fv.ids)
+        assert len(fv) == 0
+        shared = Example("y", "xyz def", None)  # shares the token and suffixes
+        assert extract(shared, FeatureSet.FS1, vocab).ids == tuple(sorted(
+            vocab.lookup(f) for f in (Feature(TOKEN, "def"), Feature(SUFFIX, "f"),
+                                      Feature(SUFFIX, "ef"), Feature(SUFFIX, "def"),
+                                      Feature(SUFFIX, " def"))))
+        assert len(vocab) == before
 
     def test_identical_text_distinct_kinds(self):
         # token text equal to a suffix string must stay a distinct feature
         ex = Example("x", "ab", ("ab",))
-        vocab = Vocabulary()
+        vocab = Vocabulary.from_dataset([ex], FeatureSet.FS1)
         fv = extract(ex, FeatureSet.FS1, vocab)
-        assert len(fv) == 3  # suffixes "b", "ab" plus token "ab"
+        assert len(vocab) == len(fv) == 3  # suffixes "b", "ab" plus token "ab"
 
     def test_canonical_vocab_ignores_order(self):
         from tamkit.corpus import Dataset

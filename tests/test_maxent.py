@@ -19,7 +19,7 @@ def _token_example(label, tokens):
 
 
 def _fv(model, tokens):
-    return extract(_token_example("?", tokens), model.mode, model.vocab, frozen=True)
+    return extract(_token_example("?", tokens), model.mode, model.vocab)
 
 
 class TestClosedForms:
@@ -81,7 +81,7 @@ class TestConstraints:
         model = train_maxent(ds, FeatureSet.FS1)
         for ex in list(ds)[:10]:
             _, dist = classify_maxent(
-                model, extract(ex, model.mode, model.vocab, frozen=True))
+                model, extract(ex, model.mode, model.vocab))
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
 
     def test_entropy_is_maximal_among_feasible(self):
@@ -168,14 +168,6 @@ class TestTrainingControls:
         model = train_maxent(ds, FeatureSet.FS3)
         assert np.all(np.isfinite(model.weights))
         assert np.abs(model.weights).max() <= 30.0
-
-    def test_gaussian_prior_shrinks_weights(self):
-        ds = Dataset([_token_example("A", ["fa"]), _token_example("B", ["fb"])] * 3)
-        plain = train_maxent(ds, FeatureSet.FS3)
-        shrunk = train_maxent(ds, FeatureSet.FS3, prior_variance=1.0,
-                              max_iters=3000)
-        assert np.abs(shrunk.weights).max() < np.abs(plain.weights).max()
-        assert classify_maxent(shrunk, _fv(shrunk, ["fa"]))[0] == "A"
 
     def test_rejects_empty_dataset_and_bad_tol(self):
         with pytest.raises(ValueError):

@@ -247,7 +247,7 @@ class TestPairwise:
         assert len(model.models) == 1
         binary = model.models[("a", "b")]
         for ex in ds:
-            fv = extract(ex, FeatureSet.FS3, model.vocab, frozen=True)
+            fv = extract(ex, FeatureSet.FS3, model.vocab)
             _, sign = decide(binary, fv)
             assert classify_pairwise(model, fv) == ("a" if sign > 0 else "b")
 
@@ -272,7 +272,7 @@ class TestPairwise:
             ("a", "c"): pair_model(9, 2),
         }
         pw = PairwiseModel(
-            ["a", "b", "c"], models, {}, {"a": 1, "b": 1, "c": 5},
+            ["a", "b", "c"], models, {"a": 1, "b": 1, "c": 5},
             vocab=None, mode=FeatureSet.FS3, C=1.0, d=1)
         query = FeatureVector([0, 1, 2])
         votes = {}
@@ -286,25 +286,19 @@ class TestPairwise:
         ds = _uniform_corpus(["a", "b", "c", "d"])
         model = train_pairwise(ds, FeatureSet.FS3)
         n = len(model.labels)
-        assert len(model.models) + len(model.degenerate) == n * (n - 1) // 2
+        assert len(model.models) == n * (n - 1) // 2
 
     def test_voting_invariant_under_classifier_order(self):
         ds = random_token_corpus(random.Random(41), max_examples=40, n_labels=3)
         model = train_pairwise(ds, FeatureSet.FS3)
-        fv = extract(ds[0], FeatureSet.FS3, model.vocab, frozen=True)
+        fv = extract(ds[0], FeatureSet.FS3, model.vocab)
         expected = classify_pairwise(model, fv)
         for order in permutations(model.models.keys()):
             shuffled = PairwiseModel(
                 model.labels, {k: model.models[k] for k in order},
-                model.degenerate, model.label_counts, model.vocab,
+                model.label_counts, model.vocab,
                 model.mode, model.C, model.d)
             assert classify_pairwise(shuffled, fv) == expected
-
-    def test_degenerate_pair_votes_for_present_class(self):
-        ds = _uniform_corpus(["a", "b"], n_each=2)
-        model = train_pairwise(ds, FeatureSet.FS3, labels=["a", "b", "ghost"])
-        assert model.degenerate == {("a", "ghost"): "a", ("b", "ghost"): "b"}
-        assert len(model.models) == 1
 
     def test_fewer_than_two_labels_rejected(self):
         with pytest.raises(TrainingError):

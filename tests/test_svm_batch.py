@@ -41,7 +41,7 @@ degrees = st.sampled_from((1, 2))
 
 
 def vectors(model, queries):
-    return [extract(ex, model.mode, model.vocab, frozen=True) for ex in queries]
+    return [extract(ex, model.mode, model.vocab) for ex in queries]
 
 
 def assert_batch_matches_reference(model, queries):
@@ -74,19 +74,18 @@ def test_loaded_model_batch_equals_per_example(ds, mode, d, unseen):
 @st.composite
 def hand_built_models(draw):
     """Pair models with arbitrary support sets (possibly empty), multipliers
-    and biases, over a small token vocabulary; some pairs are degenerate
-    (a fixed vote), possibly all of them."""
+    and biases, over a small token vocabulary; some pairs have no classifier
+    (no vote), possibly all of them."""
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=2, unique=True))
     labels.sort()
     vocab = Vocabulary.from_dataset(
         Dataset(Example("a", "", (tok,)) for tok in TOKENS), FeatureSet.FS3)
     d = draw(degrees)
     id_sets = st.lists(st.integers(0, len(vocab) - 1), max_size=4)
-    models, degenerate = {}, {}
+    models = {}
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
             if draw(st.booleans()) and draw(st.booleans()):
-                degenerate[(a, b)] = draw(st.sampled_from((a, b)))
                 continue
             n_sv = draw(st.integers(0, 12))
             models[(a, b)] = BinarySvmModel(
@@ -96,7 +95,7 @@ def hand_built_models(draw):
                 b=draw(st.sampled_from((0.0, -0.5, 0.5)) | st.floats(-2.0, 2.0)),
                 C=1.0, d=d)
     counts = {lab: draw(st.integers(1, 3)) for lab in labels}
-    return PairwiseModel(labels, models, degenerate, counts, vocab,
+    return PairwiseModel(labels, models, counts, vocab,
                          FeatureSet.FS3, C=1.0, d=d)
 
 
@@ -138,7 +137,7 @@ def test_decision_values_sum_in_stored_order():
         [rng.choice((1, -1)) for _ in range(n_sv)],
         [rng.random() for _ in range(n_sv)],
         b=rng.uniform(-1, 1), C=1.0, d=2)
-    model = PairwiseModel(["a", "b"], {("a", "b"): binary}, {}, {"a": 1, "b": 1},
+    model = PairwiseModel(["a", "b"], {("a", "b"): binary}, {"a": 1, "b": 1},
                           vocab, FeatureSet.FS3, C=1.0, d=2)
     queries = [Example("a", "", tuple(rng.sample(TOKENS, rng.randint(0, 5))))
                for _ in range(50)]
@@ -148,7 +147,7 @@ def test_decision_values_sum_in_stored_order():
 def test_pair_degree_must_match_model_degree():
     vocab = Vocabulary.from_list([["token", "t0"]])
     binary = BinarySvmModel([FeatureVector([0])], [1], [1.0], b=0.0, C=1.0, d=2)
-    model = PairwiseModel(["a", "b"], {("a", "b"): binary}, {}, {"a": 1, "b": 1},
+    model = PairwiseModel(["a", "b"], {("a", "b"): binary}, {"a": 1, "b": 1},
                           vocab, FeatureSet.FS3, C=1.0, d=1)
     with pytest.raises(ValueError):
         model.predict_batch([Example("a", "", ("t0",))])
