@@ -227,7 +227,6 @@ def _cmd_eval(config: ExperimentConfig) -> int:
                                 closed=False)
     else:
         report = closed_test(config.spec(), dataset, FeatureSet(config.feature_set))
-    report.config = config.to_dict()
     _emit(report_lines(report, config), config.out)
     print(_summary_line(config, report), file=sys.stderr)
     return EXIT_OK
@@ -240,7 +239,6 @@ def _cmd_cv(config: ExperimentConfig) -> int:
         return _cmd_cv_all(config, dataset, plan)
     report = cross_validate(config.spec(), dataset, plan,
                             FeatureSet(config.feature_set))
-    report.config = config.to_dict()
     _emit(report_lines(report, config), config.out)
     print(_summary_line(config, report), file=sys.stderr)
     return EXIT_OK
@@ -287,7 +285,6 @@ def _cmd_cross_domain(config: ExperimentConfig) -> int:
     report = cross_domain_eval(train_ds, test_ds, config.spec(),
                                FeatureSet(config.feature_set),
                                folds=config.folds, seed=config.seed)
-    report.config = config.to_dict()
     _emit(report_lines(report, config), config.out)
     print(_summary_line(config, report), file=sys.stderr)
     return EXIT_OK

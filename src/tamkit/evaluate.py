@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.stats import binom
 
@@ -37,8 +37,6 @@ class LearnerSpec:
     k: int = 3
     d: int = 1
     C: float = 1.0
-    tol: float = 1e-4
-    max_iters: int = 1000
 
     def check(self, mode) -> None:
         """Raise ConfigError if this learner cannot run on feature set
@@ -88,7 +86,7 @@ def fit(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet):
     if spec.method == "dlist":
         return train_declist(dataset, mode)
     if spec.method == "maxent":
-        return train_maxent(dataset, mode, tol=spec.tol, max_iters=spec.max_iters)
+        return train_maxent(dataset, mode)
     if spec.method == "svm":
         return train_pairwise(dataset, mode, C=spec.C, d=spec.d)
     raise ConfigError(f"unknown method {spec.method!r}")
@@ -101,7 +99,6 @@ class PrecisionReport:
     fold_results: tuple[tuple[int, int], ...]  # (correct, total) per fold
     predictions: tuple[tuple[int, str, str], ...]  # (index, gold, predicted)
     closed: bool
-    config: dict = field(default_factory=dict)
 
     @property
     def correct(self) -> int:
@@ -165,7 +162,10 @@ class SignTestResult:
 
 
 def _sign_p_exact(k: int, n: int) -> float:
-    tail = sum(math.comb(n, t) for t in range(k, n + 1))
+    c = tail = math.comb(n, k)
+    for t in range(k, n):  # C(n, t + 1) from C(n, t)
+        c = c * (n - t) // (t + 1)
+        tail += c
     return min(1.0, 2.0 * tail / 2 ** n)
 
 

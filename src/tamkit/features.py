@@ -8,16 +8,19 @@ Three feature sets are supported:
   the example carries them, otherwise a whitespace split);
 * feature-set 1: the union of the two.
 
-A :class:`Vocabulary`, built complete from a training set, maps features to
-dense contiguous ids and never changes afterwards; extraction against it
-drops features it does not know. Vectors are binary (presence only), so the
+Features are plain ``(kind, text)`` tuples, ordered by kind, then text, as
+in a training :class:`Vocabulary`; those read from model files are checked
+in :meth:`Vocabulary.from_list`, those built here are valid by construction.
+A vocabulary, built complete from a training set, maps features to dense
+contiguous ids and never changes afterwards; extraction against it drops
+features it does not know. Vectors are binary (presence only), so the
 inner product of two vectors is the size of their id-set intersection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,21 +37,11 @@ class FeatureSet(IntEnum):
     FS3 = 3  # tokens only
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     """A namespaced feature atom; suffix and token kinds never collide."""
 
     kind: str
     text: str
-
-    def __post_init__(self):
-        if self.kind not in (SUFFIX, TOKEN):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        if not self.text:
-            raise ValueError("feature text must be non-empty")
-
-    def sort_key(self):
-        return (self.kind, self.text)
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -98,7 +91,7 @@ class Vocabulary:
         feats: set[Feature] = set()
         for ex in dataset:
             feats |= example_features(ex, mode)
-        return cls(sorted(feats, key=Feature.sort_key))
+        return cls(sorted(feats))
 
     def __len__(self):
         return len(self._features)
@@ -117,21 +110,31 @@ class Vocabulary:
 
     @classmethod
     def from_list(cls, items) -> "Vocabulary":
-        return cls(Feature(kind, text) for kind, text in items)
+        """Inverse of :meth:`to_list`. Model files are the one source of
+        features from outside the program, so each entry is checked here."""
+        for item in items:
+            if not (isinstance(item, (list, tuple)) and len(item) == 2
+                    and item[0] in (SUFFIX, TOKEN)
+                    and isinstance(item[1], str) and item[1]):
+                raise ValueError(f"vocabulary entry {item!r} is not a [kind, text] "
+                                 "pair of kind suffix or token and non-empty text")
+        vocab = cls(Feature(*item) for item in items)
+        if len(vocab) != len(items):  # ids are list positions: a repeat shifts them
+            raise ValueError("vocabulary entries repeat")
+        return vocab
 
 
 class FeatureVector:
     """Sorted, duplicate-free set of feature ids (binary-valued)."""
 
-    __slots__ = ("ids", "_idset")
+    __slots__ = ("ids",)
 
     def __init__(self, ids=()):
         self.ids: tuple[int, ...] = tuple(sorted(set(ids)))
-        self._idset = frozenset(self.ids)
 
     def dot(self, other: "FeatureVector") -> int:
         """Inner product of two binary vectors: |intersection of id sets|."""
-        return len(self._idset & other._idset)
+        return len(set(self.ids).intersection(other.ids))
 
     def __len__(self):
         return len(self.ids)

@@ -30,7 +30,7 @@ def similarity(a: str, b: str) -> int:
 class KnnModel:
     """Training sentences with labels; immutable after construction."""
 
-    def __init__(self, sentences, labels, k: int, label_counts=None):
+    def __init__(self, sentences, labels, k: int):
         self.sentences = tuple(sentences)
         self.labels = tuple(labels)
         if k < 1:
@@ -40,7 +40,7 @@ class KnnModel:
         if len(self.sentences) != len(self.labels):
             raise ValueError("sentences and labels must align")
         self.k = k
-        self.label_counts = Counter(label_counts) if label_counts else Counter(self.labels)
+        self.label_counts = Counter(self.labels)
 
     def predict(self, example) -> str:
         return classify_knn(self, example.sentence)
@@ -67,7 +67,6 @@ def train_knn(dataset: Dataset, k: int) -> KnnModel:
         (ex.sentence for ex in dataset),
         (ex.label for ex in dataset),
         k,
-        dataset.label_counts,
     )
 
 

@@ -54,6 +54,6 @@ def load_model(path):
                          f"{payload['max_n']!r}, not {MAX_NGRAM}")
     try:
         return _CLASSES[method].from_dict(payload)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {method} model payload "
                          f"({type(exc).__name__}: {exc})") from exc

@@ -231,6 +231,30 @@ class TestModelFiles:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("mode", 7),
+        ("vocab", ["bogus", "x"]),
+        ("vocab", ["suffix", ""]),
+        ("vocab", ["token"]),
+    ])
+    def test_malformed_dlist_payload_is_data_error(self, tmp_path, corpus_file,
+                                                   capsys, field, value):
+        path = tmp_path / "model.json"
+        assert main(["train", "--input", str(corpus_file), "--method", "dlist",
+                     "--features", "1", "--out", str(path)]) == 0
+        document = json.loads(path.read_text(encoding="utf-8"))
+        if field == "mode":
+            document["payload"]["mode"] = value
+        else:
+            document["payload"]["vocab"][0] = value
+        path.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: malformed dlist model payload (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("ghost", [False, True])
     def test_older_svm_file_loads_and_predicts(self, tmp_path, corpus_file,
                                                ghost):

@@ -1,3 +1,4 @@
+import math
 import random
 import weakref
 
@@ -70,6 +71,16 @@ class TestSignTest:
         worst = max(abs(_sign_p_exact(k, n) - _sign_p_normal(k, n))
                     for k in range(500, n + 1))
         assert worst <= 0.005
+
+    def test_exact_tail_equals_comb_sum(self):
+        def comb_sum_p(k, n):
+            tail = sum(math.comb(n, t) for t in range(k, n + 1))
+            return min(1.0, 2.0 * tail / 2 ** n)
+
+        pairs = [(k, n) for n in range(1, 200) for k in range(n + 1)]
+        pairs += [(k, n) for n in (999, 1000) for k in (500, 501, 530, 600, 999, n)]
+        for k, n in pairs:
+            assert _sign_p_exact(k, n) == comb_sum_p(k, n), (k, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

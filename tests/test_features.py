@@ -1,6 +1,10 @@
 import random
 
-from tamkit.corpus import Example
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tamkit.corpus import Dataset, Example
 from tamkit.features import (
     SUFFIX,
     TOKEN,
@@ -73,6 +77,32 @@ class TestVocabulary:
         assert list(again) == list(vocab)
         assert [again.lookup(f) for f in vocab] == [0, 1]
 
+    @pytest.mark.parametrize("entry", [
+        ["bogus", "x"], ["Suffix", "x"], [None, "x"],  # unknown kind
+        ["suffix", ""], ["token", 3], ["token", None], ["token", ["a"]],  # text
+        ["token"], ["token", "a", "b"], "ab", None, 5,  # not a pair
+    ])
+    def test_from_list_rejects_malformed_entry(self, entry):
+        with pytest.raises(ValueError):
+            Vocabulary.from_list([["suffix", "a"], entry])
+
+    def test_from_list_rejects_repeated_entry(self):
+        # ids are list positions: a repeat would shift every later id
+        with pytest.raises(ValueError):
+            Vocabulary.from_list([["suffix", "a"], ["token", "b"], ["suffix", "a"]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.builds(Example, st.just("x"),
+                              st.text(alphabet="ab c\u3042", max_size=12),
+                              st.none() | st.lists(st.text(alphabet="ab\u3042",
+                                                           min_size=1, max_size=3),
+                                                   max_size=3).map(tuple)),
+                    max_size=8),
+           st.sampled_from(tuple(FeatureSet)))
+    def test_dataset_order_is_kind_then_text(self, examples, mode):
+        vocab = Vocabulary.from_dataset(Dataset(examples), mode)
+        assert list(vocab) == sorted(vocab, key=lambda f: (f.kind, f.text))
+
 
 class TestExtract:
     def test_fs1_is_union_of_fs2_fs3(self):
@@ -113,7 +143,6 @@ class TestExtract:
         assert len(vocab) == len(fv) == 3  # suffixes "b", "ab" plus token "ab"
 
     def test_canonical_vocab_ignores_order(self):
-        from tamkit.corpus import Dataset
         a = Dataset([Example("x", "abc"), Example("y", "xyz")])
         b = Dataset([Example("y", "xyz"), Example("x", "abc")])
         va = Vocabulary.from_dataset(a, FeatureSet.FS2)

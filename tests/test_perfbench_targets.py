@@ -1,0 +1,27 @@
+"""The benchmark's tracer wraps tamkit functions by name, so a change in
+``src/`` that drops or renames one of them must fail here, not only under
+``perfbench/run.py --trace 1``."""
+
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_wrap_target_resolves_and_unwraps(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    spans = importlib.import_module("spans")
+
+    def bound():
+        return [getattr(importlib.import_module(module), attr)
+                for module, attr, _, _ in layers.FUNCTIONS]
+
+    originals = bound()
+    tracer = spans.Tracer()
+    layers.install(tracer)  # LookupError if a target has left src/
+    try:
+        assert all(now is not then for now, then in zip(bound(), originals))
+    finally:
+        tracer.uninstall()
+    assert all(now is then for now, then in zip(bound(), originals))
