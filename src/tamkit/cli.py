@@ -22,13 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .corpus import CorpusError, Dataset, load_corpus, split_folds
 from .evaluate import (
     BaselineModel,
     ConfigError,
     LearnerSpec,
+    METHODS,
     PrecisionReport,
     SignTestResult,
     category_distribution,
@@ -63,71 +63,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully resolved experiment parameters, embedded in every report."""
+def _spec(args) -> LearnerSpec:
+    return LearnerSpec(args.method, k=args.k, d=args.d, C=args.C)
 
-    command: str
-    method: str | None = None
-    feature_set: int | None = None
-    k: int = 3
-    d: int = 1
-    C: float = 1.0
-    folds: int = 10
-    seed: int = 0
-    level: float = 0.01
-    input: str | None = None
-    train_path: str | None = None
-    test_path: str | None = None
-    model_path: str | None = None
-    out: str | None = None
-    report_a: str | None = None
-    report_b: str | None = None
-    run_all: bool = False
 
-    def resolve(self):
-        if self.feature_set is None and self.method is not None:
-            self.feature_set = 2 if self.method == "knn" else 1
-        self.spec().check(self.feature_set)
-        if self.command == "cv" and self.folds < 2:
-            raise ConfigError("cross-validation needs at least 2 folds")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        return self
+def _resolve(args) -> None:
+    """Check what argparse cannot express, before any file is read, and
+    fill in the feature-set default. Raises ConfigError."""
+    if hasattr(args, "k"):  # a command that runs a learner
+        if args.method is not None and args.features is None:
+            args.features = 2 if args.method == "knn" else 1
+        _spec(args).check(args.features)
+    if args.command == "cv" and args.folds < 2:
+        raise ConfigError("cross-validation needs at least 2 folds")
+    if args.command == "analyze" and not 0.0 < args.level < 1.0:
+        raise ConfigError("--level must be in (0, 1)")
 
-    def spec(self) -> LearnerSpec:
-        return LearnerSpec(method=self.method, k=self.k, d=self.d, C=self.C)
 
-    def to_dict(self) -> dict:
-        d = {
-            "command": self.command,
-            "method": self.method,
-            "feature_set": self.feature_set,
-            "seed": self.seed,
-        }
-        if self.method == "knn":
-            d["k"] = self.k
-        if self.method == "svm":
-            d["d"] = self.d
-            d["C"] = self.C
-        if self.command in ("cv", "cross-domain"):
-            d["folds"] = self.folds
-        if self.input is not None:
-            d["input"] = self.input
-        if self.train_path is not None:
-            d["train"] = self.train_path
-        if self.test_path is not None:
-            d["test"] = self.test_path
-        if self.model_path is not None:
-            d["model"] = self.model_path
-        return d
+def _config(args) -> dict:
+    """The resolved configuration that a report embeds."""
+    config = {"command": args.command, "method": args.method,
+              "feature_set": args.features, "seed": args.seed}
+    if args.method == "knn":
+        config["k"] = args.k
+    if args.method == "svm":
+        config["d"] = args.d
+        config["C"] = args.C
+    if args.command in ("cv", "cross-domain"):
+        config["folds"] = args.folds
+    for key in ("input", "train", "test", "model"):
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
+    return config
 
 
 def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
-def report_lines(report: PrecisionReport, config: ExperimentConfig) -> list[str]:
+def report_lines(report: PrecisionReport, config: dict) -> list[str]:
     lines = []
     for fold, (correct, total) in enumerate(report.fold_results):
         lines.append(_json_line(
@@ -142,7 +116,7 @@ def report_lines(report: PrecisionReport, config: ExperimentConfig) -> list[str]
         "correct": report.correct,
         "total": report.total,
         "closed": report.closed,
-        "config": config.to_dict(),
+        "config": config,
     }))
     return lines
 
@@ -193,55 +167,47 @@ def load_report_predictions(path) -> PrecisionReport:
     return PrecisionReport(tuple(folds), tuple(predictions), closed)
 
 
-def _summary_line(config: ExperimentConfig, report: PrecisionReport) -> str:
+def _report(args, report: PrecisionReport) -> int:
+    """Write ``report`` and print its one-line summary to stderr."""
+    _emit(report_lines(report, _config(args)), args.out)
     kind = "closed" if report.closed else "open"
-    spec = config.spec()
-    return (f"{config.command} {spec.describe()} feature-set {config.feature_set}: "
-            f"{kind} precision {report.precision:.4f} "
-            f"({report.correct}/{report.total})")
-
-
-def _cmd_train(config: ExperimentConfig) -> int:
-    dataset = load_corpus(config.input)
-    model = _fit_for_config(config, dataset)
-    save_model(config.out, model)
-    print(f"trained {config.spec().describe()} feature-set {config.feature_set} "
-          f"on {len(dataset)} examples -> {config.out}")
+    print(f"{args.command} {_spec(args).describe()} feature-set {args.features}: "
+          f"{kind} precision {report.precision:.4f} "
+          f"({report.correct}/{report.total})", file=sys.stderr)
     return EXIT_OK
 
 
-def _fit_for_config(config: ExperimentConfig, dataset: Dataset):
-    return fit(config.spec(), dataset, FeatureSet(config.feature_set))
+def _cmd_train(args) -> int:
+    dataset = load_corpus(args.input)
+    spec = _spec(args)
+    save_model(args.out, fit(spec, dataset, FeatureSet(args.features)))
+    print(f"trained {spec.describe()} feature-set {args.features} "
+          f"on {len(dataset)} examples -> {args.out}")
+    return EXIT_OK
 
 
-def _cmd_eval(config: ExperimentConfig) -> int:
-    dataset = load_corpus(config.input)
-    if config.model_path:
-        model = load_model(config.model_path)
-        config.method = model_method(model)
+def _cmd_eval(args) -> int:
+    dataset = load_corpus(args.input)
+    if args.model:
+        model = load_model(args.model)
+        args.method = model_method(model)
         mode = getattr(model, "mode", None)
-        config.feature_set = int(mode) if mode is not None else 2
+        args.features = int(mode) if mode is not None else 2
         report = evaluate_model(model, dataset, closed=False)
-    elif config.method == "baseline":
-        report = evaluate_model(_fit_for_config(config, dataset), dataset,
-                                closed=False)
+    elif args.method == "baseline":
+        report = evaluate_model(BaselineModel(), dataset, closed=False)
     else:
-        report = closed_test(config.spec(), dataset, FeatureSet(config.feature_set))
-    _emit(report_lines(report, config), config.out)
-    print(_summary_line(config, report), file=sys.stderr)
-    return EXIT_OK
+        report = closed_test(_spec(args), dataset, FeatureSet(args.features))
+    return _report(args, report)
 
 
-def _cmd_cv(config: ExperimentConfig) -> int:
-    dataset = load_corpus(config.input)
-    plan = split_folds(dataset, config.folds, config.seed)
-    if config.run_all:
-        return _cmd_cv_all(config, dataset, plan)
-    report = cross_validate(config.spec(), dataset, plan,
-                            FeatureSet(config.feature_set))
-    _emit(report_lines(report, config), config.out)
-    print(_summary_line(config, report), file=sys.stderr)
-    return EXIT_OK
+def _cmd_cv(args) -> int:
+    dataset = load_corpus(args.input)
+    plan = split_folds(dataset, args.folds, args.seed)
+    if args.run_all:
+        return _cmd_cv_all(args, dataset, plan)
+    return _report(args, cross_validate(_spec(args), dataset, plan,
+                                        FeatureSet(args.features)))
 
 
 def _grid_rows():
@@ -253,7 +219,7 @@ def _grid_rows():
     return rows
 
 
-def _cmd_cv_all(config: ExperimentConfig, dataset: Dataset, plan) -> int:
+def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     """Run the whole method-by-feature-set grid and print an aligned matrix
     of open (closed) precisions."""
     cells: dict[tuple[str, int], str] = {}
@@ -273,45 +239,42 @@ def _cmd_cv_all(config: ExperimentConfig, dataset: Dataset, plan) -> int:
             row.append(f"{cells.get((spec.describe(), fs), '--- ( --- )'):>20}")
         lines.append(" ".join(row))
     lines.append(f"baseline = {baseline_rep.precision * 100:.2f}%")
-    lines.append(f"(folds={config.folds}, seed={config.seed}, "
+    lines.append(f"(folds={args.folds}, seed={args.seed}, "
                  f"n={len(dataset)}, open closed)")
-    _emit(lines, config.out)
+    _emit(lines, args.out)
     return EXIT_OK
 
 
-def _cmd_cross_domain(config: ExperimentConfig) -> int:
-    train_ds = load_corpus(config.train_path)
-    test_ds = load_corpus(config.test_path)
-    report = cross_domain_eval(train_ds, test_ds, config.spec(),
-                               FeatureSet(config.feature_set),
-                               folds=config.folds, seed=config.seed)
-    _emit(report_lines(report, config), config.out)
-    print(_summary_line(config, report), file=sys.stderr)
-    return EXIT_OK
+def _cmd_cross_domain(args) -> int:
+    train_ds = load_corpus(args.train)
+    test_ds = load_corpus(args.test)
+    return _report(args, cross_domain_eval(train_ds, test_ds, _spec(args),
+                                           FeatureSet(args.features),
+                                           folds=args.folds, seed=args.seed))
 
 
-def _cmd_analyze(config: ExperimentConfig) -> int:
-    dataset = load_corpus(config.input)
-    report_a = load_report_predictions(config.report_a)
-    report_b = load_report_predictions(config.report_b)
-    _check_report_corpus(report_a, config.report_a, dataset, config.input)
-    _check_report_corpus(report_b, config.report_b, dataset, config.input)
+def _cmd_analyze(args) -> int:
+    dataset = load_corpus(args.input)
+    report_a = load_report_predictions(args.report_a)
+    report_b = load_report_predictions(args.report_b)
+    _check_report_corpus(report_a, args.report_a, dataset, args.input)
+    _check_report_corpus(report_b, args.report_b, dataset, args.input)
     a_only, b_only = compare_predictions(report_a, report_b)
     if a_only or b_only:
-        test = sign_test(len(a_only), len(b_only), config.level)
+        test = sign_test(len(a_only), len(b_only), args.level)
     else:
         # the two runs never disagree: no evidence either way
         test = SignTestResult(0, 0, 1.0, None)
     flips = [dataset[i] for i in b_only]  # wrong under A, correct under B
     feats = effective_features(flips, dataset.examples,
-                               FeatureSet(config.feature_set), config.level)
+                               FeatureSet(args.features), args.level)
     lines = [_json_line({
         "record": "sign_test",
         "a_only_correct": test.n_plus,
         "b_only_correct": test.n_minus,
         "p_value": test.p_value,
         "significant_at": test.significant_at,
-        "config": config.to_dict(),
+        "config": _config(args),
     })]
     for feat, count in feats:
         lines.append(_json_line({
@@ -320,7 +283,7 @@ def _cmd_analyze(config: ExperimentConfig) -> int:
             "kind": feat.kind,
             "feature": feat.text,
         }))
-    _emit(lines, config.out)
+    _emit(lines, args.out)
     verdict = (f"significant at {test.significant_at}" if test.significant_at
                else "not significant")
     print(f"sign test: {test.n_plus} vs {test.n_minus}, "
@@ -344,8 +307,8 @@ def _check_report_corpus(report: PrecisionReport, report_path, dataset: Dataset,
                              f"({dataset[index].label!r})")
 
 
-def _cmd_distribution(config: ExperimentConfig) -> int:
-    dataset = load_corpus(config.input)
+def _cmd_distribution(args) -> int:
+    dataset = load_corpus(args.input)
     lines = []
     for label, rate in category_distribution(dataset):
         lines.append(_json_line({
@@ -354,7 +317,7 @@ def _cmd_distribution(config: ExperimentConfig) -> int:
             "count": dataset.label_counts[label],
             "rate": rate,
         }))
-    _emit(lines, config.out)
+    _emit(lines, args.out)
     return EXIT_OK
 
 
@@ -373,43 +336,46 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, method=True, corpus=True):
+    def learner_command(name, summary, corpus=True):
+        p = sub.add_parser(name, help=summary)
         if corpus:
             p.add_argument("--input", "-i", required=True, help="corpus file")
-        if method:
-            p.add_argument("--method", choices=("knn", "dlist", "maxent", "svm",
-                                                "baseline"))
-            p.add_argument("--features", type=int, choices=(1, 2, 3), default=None,
-                           help="feature set (default: 2 for knn, else 1)")
-            p.add_argument("--k", type=int, default=3, help="knn neighborhood size")
-            p.add_argument("--d", type=int, default=1, help="svm kernel degree")
-            p.add_argument("--C", type=float, default=1.0, help="svm box constant")
-        p.add_argument("--out", "-o", help="output file (default: stdout)")
+        p.add_argument("--features", type=int, choices=(1, 2, 3), default=None,
+                       help="feature set (default: 2 for knn, else 1)")
+        p.add_argument("--k", type=int, default=3, help="knn neighborhood size")
+        p.add_argument("--d", type=int, default=1, help="svm kernel degree")
+        p.add_argument("--C", type=float, default=1.0, help="svm box constant")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", "-o", required=name == "train",
+                       help="model file" if name == "train"
+                       else "output file (default: stdout)")
+        return p
 
-    p = sub.add_parser("train", help="fit a model and save it")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p = learner_command("train", "fit a model and save it")
+    p.add_argument("--method", required=True,
+                   choices=tuple(m for m in METHODS if m != "baseline"))
 
-    p = sub.add_parser("eval", help="evaluate on a corpus (closed test, "
-                                    "or a saved model / the baseline)")
-    add_common(p)
-    p.add_argument("--model", dest="model_path", help="saved model to evaluate")
-    p.add_argument("--seed", type=int, default=0)
+    p = learner_command("eval", "evaluate on a corpus (closed test, "
+                                "or a saved model / the baseline)")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--method", choices=METHODS)
+    which.add_argument("--model", help="saved model to evaluate")
 
-    p = sub.add_parser("cv", help="k-fold cross-validation")
-    add_common(p)
+    p = learner_command("cv", "k-fold cross-validation")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--method", choices=METHODS)
+    which.add_argument("--all", action="store_true", dest="run_all",
+                       help="run the full method/feature-set grid and print "
+                            "a matrix")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--all", action="store_true", dest="run_all",
-                   help="run the full method/feature-set grid and print a matrix")
 
-    p = sub.add_parser("cross-domain", help="train on one corpus, test on another")
-    add_common(p, corpus=False)
-    p.add_argument("--train", dest="train_path", required=True)
-    p.add_argument("--test", dest="test_path", required=True)
+    p = learner_command("cross-domain", "train on one corpus, test on another",
+                        corpus=False)
+    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--train", required=True)
+    p.add_argument("--test", required=True)
     p.add_argument("--folds", type=int, default=10,
                    help="folds for the overlapping part")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="sign test and effective features "
                                        "between two reports")
@@ -420,6 +386,9 @@ def build_parser() -> _Parser:
                    help="feature set for the effective-feature scan")
     p.add_argument("--level", type=float, default=0.01)
     p.add_argument("--out", "-o")
+    # analyze draws nothing at random; its report's config record names no
+    # learner and seed 0
+    p.set_defaults(method=None, seed=0)
 
     p = sub.add_parser("distribution", help="category occurrence rates")
     p.add_argument("--input", "-i", required=True)
@@ -428,38 +397,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def config_from_args(args) -> ExperimentConfig:
-    config = ExperimentConfig(command=args.command)
-    for name in ("method", "k", "d", "C", "folds", "seed", "level", "input",
-                 "train_path", "test_path", "model_path", "out", "report_a",
-                 "report_b", "run_all"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if getattr(args, "features", None) is not None:
-        config.feature_set = args.features
-    if args.command == "analyze":
-        config.feature_set = args.features
-    return config
-
-
-def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
-    config.resolve()
-    if config.command in ("train", "eval", "cv", "cross-domain"):
-        if config.method is None and not config.model_path and not config.run_all:
-            raise UsageError("--method is required (or --model for eval)")
-        if config.command == "train" and not config.out:
-            raise UsageError("train requires --out for the model file")
-        if config.command == "train" and config.method == "baseline":
-            raise UsageError("the baseline has nothing to train")
-    return _COMMANDS[config.command](config)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return run(config_from_args(args))
+        _resolve(args)
+        return _COMMANDS[args.command](args)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,12 +56,13 @@ class DecisionListModel:
 
     @classmethod
     def from_dict(cls, payload) -> "DecisionListModel":
-        return cls(
-            Vocabulary.from_list(payload["vocab"]),
-            FeatureSet(payload["mode"]),
-            [dict(c) for c in payload["counts"]],
-            dict(payload["label_counts"]),
-        )
+        vocab = Vocabulary.from_list(payload["vocab"])
+        counts = [dict(c) for c in payload["counts"]]
+        if len(counts) != len(vocab):
+            raise ValueError(f"{len(counts)} count rows for {len(vocab)} "
+                             f"vocabulary entries")
+        return cls(vocab, FeatureSet(payload["mode"]), counts,
+                   dict(payload["label_counts"]))
 
 
 def train_declist(dataset: Dataset, mode: FeatureSet) -> DecisionListModel:
@@ -88,7 +89,7 @@ def decide(model: DecisionListModel, fv: FeatureVector) -> Decision:
     best_tot = 1
     best_feat: Feature | None = None
     for fid in fv.ids:
-        if fid >= len(model.totals) or not model.counts[fid]:
+        if not model.counts[fid]:
             continue
         cnt_map = model.counts[fid]
         tot = model.totals[fid]

@@ -40,13 +40,18 @@ class LearnerSpec:
 
     def check(self, mode) -> None:
         """Raise ConfigError if this learner cannot run on feature set
-        ``mode``: k-NN needs feature set 2, the SVM kernel degree 1 or 2."""
+        ``mode``: k must be at least 1, k-NN needs feature set 2, and the
+        SVM a kernel degree of 1 or 2 and a positive, finite C."""
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         if self.method == "knn" and mode != FeatureSet.FS2:
             raise ConfigError(
                 "knn supports feature-set 2 only (sentence-final string "
                 "similarity is undefined for token features)")
         if self.method == "svm" and self.d not in (1, 2):
             raise ConfigError("svm kernel degree must be 1 or 2")
+        if self.method == "svm" and not (self.C > 0 and math.isfinite(self.C)):
+            raise ConfigError("svm box constant C must be positive and finite")
 
     def describe(self) -> str:
         if self.method == "knn":

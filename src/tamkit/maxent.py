@@ -61,18 +61,19 @@ class MaxEntModel:
 
     @classmethod
     def from_dict(cls, payload) -> "MaxEntModel":
+        vocab = Vocabulary.from_list(payload["vocab"])
+        labels = payload["labels"]
         weights = np.array(
             [[float(w) for w in row] for row in payload["weights"]], dtype=np.float64
         )
         if weights.size == 0:
-            weights = weights.reshape(0, len(payload["labels"]))
-        return cls(
-            Vocabulary.from_list(payload["vocab"]),
-            FeatureSet(payload["mode"]),
-            payload["labels"],
-            weights,
-            dict(payload["label_counts"]),
-        )
+            weights = weights.reshape(0, len(labels))
+        if weights.shape != (len(vocab), len(labels)):
+            raise ValueError(f"weights have shape {weights.shape}, not "
+                             f"{(len(vocab), len(labels))}: one row per "
+                             f"vocabulary entry, one column per label")
+        return cls(vocab, FeatureSet(payload["mode"]), labels, weights,
+                   dict(payload["label_counts"]))
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -157,9 +158,8 @@ def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[st
     An empty vector scores every label equally (the model has no bias
     weights), which yields the uniform distribution.
     """
-    ids = [fid for fid in fv.ids if fid < model.weights.shape[0]]
-    if ids:
-        scores = model.weights[ids].sum(axis=0)
+    if fv.ids:
+        scores = model.weights[list(fv.ids)].sum(axis=0)
     else:
         scores = np.zeros(len(model.labels))
     probs = _softmax_rows(scores[None, :])[0]

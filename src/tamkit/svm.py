@@ -6,7 +6,7 @@ The dual problem
     subject to 0 <= a_i <= C,  sum_i a_i y_i = 0
 
 is solved by two-variable analytic coordinate updates on the maximal
-KKT-violating pair, stopping when the violation drops below ``kkt_tol``.
+KKT-violating pair, stopping when the violation drops below ``KKT_TOL``.
 The kernel is K(x, y) = (x.y + 1)^d; for binary vectors x.y is the size of
 the feature-id intersection. The decision bias is
 
@@ -42,6 +42,7 @@ the per-example reference.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, OrderedDict
 from itertools import combinations
 
@@ -394,8 +395,7 @@ class BinarySvmModel:
 
 
 def train_binary_svm(examples, C: float = 1.0, d: int = 1,
-                     kkt_tol: float = KKT_TOL, max_iter: int | None = None,
-                     gram_limit: int = GRAM_LIMIT,
+                     max_iter: int | None = None, gram_limit: int = GRAM_LIMIT,
                      cache_rows: int | None = None) -> BinarySvmModel:
     """Solve the dual for a two-class problem.
 
@@ -412,13 +412,13 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1,
         raise TrainingError("labels must be +1 or -1")
     if not ((y > 0).any() and (y < 0).any()):
         raise TrainingError("both classes must be present")
-    if C <= 0:
-        raise TrainingError("C must be positive")
+    if not (C > 0 and math.isfinite(C)):
+        raise TrainingError("C must be positive and finite")
 
     n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
     kern = _kernel_matrix(to_csr(vectors, n_cols), d, gram_limit, cache_rows)
     idx = np.arange(l)
-    [(_, alpha, grad, n_iter)] = _smo(kern, [(idx, y)], C, kkt_tol, max_iter)
+    [(_, alpha, grad, n_iter)] = _smo(kern, [(idx, y)], C, KKT_TOL, max_iter)
     return _finish(kern, idx, y, vectors, alpha, grad, n_iter, C, d)
 
 
@@ -592,7 +592,6 @@ class PairwiseModel:
 
 def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 1,
                    gram_limit: int = GRAM_LIMIT, cache_rows: int | None = None,
-                   kkt_tol: float = KKT_TOL,
                    max_iter: int | None = None) -> PairwiseModel:
     """Train one binary model per unordered pair of the labels in
     ``dataset``, so both sides of every pair have training examples.
@@ -608,8 +607,8 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
     labels = dataset.labels
     if len(labels) < 2:
         raise TrainingError("pairwise training needs at least 2 labels")
-    if C <= 0:
-        raise TrainingError("C must be positive")
+    if not (C > 0 and math.isfinite(C)):
+        raise TrainingError("C must be positive and finite")
     vocab = Vocabulary.from_dataset(dataset, mode)
     fvs = [extract(ex, mode, vocab) for ex in dataset]
     kern = _kernel_matrix(to_csr(fvs, max(len(vocab), 1)), d, gram_limit,
@@ -625,7 +624,7 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
     # each pair is finished as soon as it converges, so that the solver's
     # arrays and the pair models are not all alive at once
     finished = [None] * len(problems)
-    for p, alpha, grad, n_iter in _smo(kern, problems, C, kkt_tol, max_iter):
+    for p, alpha, grad, n_iter in _smo(kern, problems, C, KKT_TOL, max_iter):
         idx, y = problems[p]
         finished[p] = _finish(kern, np.array(idx), np.array(y),
                               [fvs[i] for i in idx], alpha, grad, n_iter, C, d)

@@ -74,6 +74,109 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--input", "absent.tsv", "--method", "dlist"],
+    ["train", "--input", "absent.tsv", "--out", "m.json"],
+    ["train", "--input", "absent.tsv", "--method", "baseline", "--out", "m.json"],
+    ["cross-domain", "--train", "absent.tsv", "--test", "absent.tsv"],
+    ["eval", "--input", "absent.tsv"],
+    ["eval", "--input", "absent.tsv", "--model", "m.json", "--method", "svm"],
+    ["cv", "--input", "absent.tsv"],
+    ["cv", "--input", "absent.tsv", "--all", "--method", "svm"],
+])
+def test_parse_time_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cv", "--method", "dlist", "--k", "0"], "k must be >= 1"),
+    (["cv", "--all", "--k", "0"], "k must be >= 1"),
+    (["eval", "--method", "knn", "--features", "1"], "feature-set 2"),
+    (["eval", "--method", "svm", "--d", "3"], "degree must be 1 or 2"),
+    (["eval", "--method", "svm", "--C", "0"], "C must be positive and finite"),
+    (["eval", "--method", "svm", "--C", "-1"], "C must be positive and finite"),
+    (["eval", "--method", "svm", "--C", "nan"], "C must be positive and finite"),
+    (["eval", "--method", "svm", "--C", "inf"], "C must be positive and finite"),
+    (["train", "--method", "svm", "--C", "nan", "--out", "m.json"],
+     "C must be positive and finite"),
+    (["cv", "--method", "dlist", "--folds", "1"], "at least 2 folds"),
+])
+def test_bad_settings_are_rejected_before_reading(tmp_path, capsys, argv,
+                                                  message):
+    missing = tmp_path / "absent.tsv"
+    assert main(argv + ["--input", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
+def test_bad_analyze_level_is_usage_error(tmp_path, capsys, level):
+    missing = str(tmp_path / "absent")
+    assert main(["analyze", "--input", missing, "--report-a", missing,
+                 "--report-b", missing, "--level", level]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: --level must be in (0, 1)\n"
+
+
+def _config_record(path, first=False):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return json.loads(lines[0 if first else -1])["config"]
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--method", "maxent", "--features", "2"],
+     {"method": "maxent", "feature_set": 2, "seed": 0}),
+    (["--method", "knn", "--k", "5"],
+     {"method": "knn", "feature_set": 2, "seed": 0, "k": 5}),
+    (["--method", "baseline", "--seed", "3"],
+     {"method": "baseline", "feature_set": 1, "seed": 3}),
+])
+def test_eval_config_record(corpus_file, tmp_path, flags, expected):
+    out = tmp_path / "r.jsonl"
+    assert main(["eval", "--input", str(corpus_file), "--out", str(out)]
+                + flags) == 0
+    assert _config_record(out) == {"command": "eval",
+                                   "input": str(corpus_file), **expected}
+
+
+def test_eval_model_config_record(corpus_file, tmp_path):
+    model = tmp_path / "m.json"
+    assert main(["train", "--input", str(corpus_file), "--method", "svm",
+                 "--features", "3", "--out", str(model)]) == 0
+    out = tmp_path / "r.jsonl"
+    assert main(["eval", "--input", str(corpus_file), "--model", str(model),
+                 "--out", str(out)]) == 0
+    assert _config_record(out) == {"command": "eval", "method": "svm",
+                                   "feature_set": 3, "seed": 0, "d": 1,
+                                   "C": 1.0, "input": str(corpus_file),
+                                   "model": str(model)}
+
+
+def test_cv_and_analyze_config_records(corpus_file, tmp_path):
+    report_a, report_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["cv", "--input", str(corpus_file), "--method", "svm",
+                 "--C", "2", "--folds", "3", "--seed", "5",
+                 "--out", str(report_a)]) == 0
+    assert _config_record(report_a) == {
+        "command": "cv", "method": "svm", "feature_set": 1, "seed": 5,
+        "d": 1, "C": 2.0, "folds": 3, "input": str(corpus_file)}
+    assert main(["eval", "--input", str(corpus_file), "--method", "baseline",
+                 "--out", str(report_b)]) == 0
+    out = tmp_path / "analysis.jsonl"
+    assert main(["analyze", "--input", str(corpus_file), "--report-a",
+                 str(report_a), "--report-b", str(report_b),
+                 "--out", str(out)]) == 0
+    assert _config_record(out, first=True) == {
+        "command": "analyze", "method": None, "feature_set": 3, "seed": 0,
+        "input": str(corpus_file)}
+
+
 def test_cross_domain_accepts_its_flags(corpus_file, tmp_path):
     out = tmp_path / "r.jsonl"
     code = main(["cross-domain", "--train", str(corpus_file), "--test",
@@ -253,6 +356,38 @@ class TestModelFiles:
                      str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: malformed dlist model payload (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("method, table, change", [
+        ("maxent", "weights", "remove row"),
+        ("maxent", "weights", "add row"),
+        ("maxent", "weights", "remove column"),
+        ("dlist", "counts", "remove row"),
+        ("dlist", "counts", "add row"),
+    ])
+    def test_table_must_fit_the_vocabulary(self, tmp_path, corpus_file, capsys,
+                                           method, table, change):
+        # a table off by one row would score each feature with its
+        # neighbour's row
+        path = tmp_path / "model.json"
+        assert main(["train", "--input", str(corpus_file), "--method", method,
+                     "--out", str(path)]) == 0
+        document = json.loads(path.read_text(encoding="utf-8"))
+        rows = document["payload"][table]
+        if change == "remove row":
+            del rows[0]
+        elif change == "add row":
+            rows.append(rows[-1])
+        else:
+            for row in rows:
+                del row[-1]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"data error: {path}: malformed {method} model payload (")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("ghost", [False, True])

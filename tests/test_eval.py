@@ -130,6 +130,18 @@ class TestCrossValidate:
         with pytest.raises(ConfigError):
             cross_validate(LearnerSpec("knn"), ds, plan, FeatureSet.FS3)
 
+    @pytest.mark.parametrize("spec, mode, message", [
+        (LearnerSpec("dlist", k=0), FeatureSet.FS1, "k must be >= 1"),
+        (LearnerSpec("knn"), FeatureSet.FS3, "knn supports feature-set 2 only"),
+        (LearnerSpec("svm", d=3), FeatureSet.FS1, "degree must be 1 or 2"),
+        (LearnerSpec("svm", C=0.0), FeatureSet.FS1, "C must be positive"),
+        (LearnerSpec("svm", C=math.nan), FeatureSet.FS1, "C must be positive"),
+        (LearnerSpec("svm", C=math.inf), FeatureSet.FS1, "and finite"),
+    ])
+    def test_fit_checks_every_learner_rule(self, spec, mode, message):
+        with pytest.raises(ConfigError, match=message):
+            evaluate.fit(spec, _suffix_corpus(), mode)
+
     def test_leave_one_out_is_seed_independent(self):
         ds = random_token_corpus(random.Random(3), max_examples=20, n_labels=2)
         spec = LearnerSpec("dlist")

@@ -182,6 +182,14 @@ class TestBinaryTraining:
         with pytest.raises(TrainingError):
             train_binary_svm([(FeatureVector([0]), 2), (FeatureVector([1]), -1)])
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf")])
+    def test_box_constant_must_be_positive_and_finite(self, C):
+        examples = [(FeatureVector([0]), 1), (FeatureVector([1]), -1)]
+        with pytest.raises(TrainingError, match="C must be positive and finite"):
+            train_binary_svm(examples, C=C)
+        with pytest.raises(TrainingError, match="C must be positive and finite"):
+            train_pairwise(_uniform_corpus(["a", "b"]), FeatureSet.FS3, C=C)
+
     def test_iteration_cap_raises_with_dual_value(self):
         examples = [
             (FeatureVector([0]), 1), (FeatureVector([0]), -1),
