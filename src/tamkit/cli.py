@@ -69,10 +69,20 @@ def _spec(args) -> LearnerSpec:
 
 def _resolve(args) -> None:
     """Check what argparse cannot express, before any file is read, and
-    fill in the feature-set default. Raises ConfigError."""
-    if hasattr(args, "k"):  # a command that runs a learner
+    fill in the learner defaults. Raises ConfigError."""
+    if getattr(args, "run_all", False):
+        given = [f"--{flag}" for flag in ("features", "k", "d", "C")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"cv --all runs a fixed grid of learners and "
+                              f"feature sets; it takes no {', '.join(given)}")
+    elif hasattr(args, "k"):  # a command that runs a learner
         if args.method is not None and args.features is None:
             args.features = 2 if args.method == "knn" else 1
+        defaults = LearnerSpec(args.method)
+        for flag in ("k", "d", "C"):
+            if getattr(args, flag) is None:
+                setattr(args, flag, getattr(defaults, flag))
         _spec(args).check(args.features)
     if args.command == "cv" and args.folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
@@ -342,9 +352,9 @@ def build_parser() -> _Parser:
             p.add_argument("--input", "-i", required=True, help="corpus file")
         p.add_argument("--features", type=int, choices=(1, 2, 3), default=None,
                        help="feature set (default: 2 for knn, else 1)")
-        p.add_argument("--k", type=int, default=3, help="knn neighborhood size")
-        p.add_argument("--d", type=int, default=1, help="svm kernel degree")
-        p.add_argument("--C", type=float, default=1.0, help="svm box constant")
+        p.add_argument("--k", type=int, help="knn neighborhood size (default: 3)")
+        p.add_argument("--d", type=int, help="svm kernel degree (default: 1)")
+        p.add_argument("--C", type=float, help="svm box constant (default: 1.0)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", "-o", required=name == "train",
                        help="model file" if name == "train"
@@ -366,7 +376,7 @@ def build_parser() -> _Parser:
     which.add_argument("--method", choices=METHODS)
     which.add_argument("--all", action="store_true", dest="run_all",
                        help="run the full method/feature-set grid and print "
-                            "a matrix")
+                            "a matrix (takes no --features, --k, --d or --C)")
     p.add_argument("--folds", type=int, default=10)
 
     p = learner_command("cross-domain", "train on one corpus, test on another",

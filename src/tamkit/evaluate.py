@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-from scipy.stats import binom
+from fractions import Fraction
 
 from .corpus import Dataset, FoldPlan, split_folds
 from .declist import train_declist
@@ -214,14 +213,35 @@ def compare_predictions(report_a: PrecisionReport, report_b: PrecisionReport):
     return a_only, b_only
 
 
+def _binom_tail_below(x: int, n: int, c: int, N: int, level: float) -> bool:
+    """Whether P(X >= x) < level exactly, for X ~ Binomial(n, c / N) with
+    1 <= x <= n and 0 < c <= N.
+
+    The tail is sum_{t >= x} C(n, t) c^t (N - c)^(n - t) / N^n, summed in
+    integers and compared with ``Fraction(level)``.
+    """
+    if level <= 0.5 and x * N <= n * c:
+        # x <= n c / N, so x is at most the median of X and P(X >= x) >= 1/2
+        return False
+    q = N - c
+    coef = q_pow = 1  # C(n, t) and q^(n - t), from t = n down
+    tail = 1  # sum_{s >= t} C(n, s) c^(s - t) q^(n - s)
+    for t in range(n - 1, x - 1, -1):  # C(n, t) from C(n, t + 1)
+        coef = coef * (t + 1) // (n - t)
+        q_pow *= q
+        tail = tail * c + coef * q_pow
+    bound = Fraction(level)
+    return tail * c ** x * bound.denominator < bound.numerator * N ** n
+
+
 def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01
                        ) -> list[tuple[Feature, int]]:
     """Features over-represented in ``flip_set`` relative to ``all_set``.
 
-    For each feature, a one-sided binomial test checks whether its
+    For each feature, an exact one-sided binomial test checks whether its
     occurrence count among the flip examples exceeds what its overall rate
-    predicts; features with p < level are returned sorted by flip-set
-    frequency (descending), then feature text.
+    predicts; features with p < level (p == level is not selected) are
+    returned sorted by flip-set frequency (descending), then feature text.
     """
     flip = list(flip_set)
     full = list(all_set)
@@ -238,12 +258,8 @@ def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01
     full_counts: Counter = Counter()
     for ex in full:
         full_counts.update(example_features(ex, mode))
-    selected = []
-    for feat, x in flip_counts.items():
-        rate = full_counts[feat] / total
-        p = float(binom.sf(x - 1, n, rate))  # P(X >= x)
-        if p < level:
-            selected.append((feat, x))
+    selected = [(feat, x) for feat, x in flip_counts.items()
+                if _binom_tail_below(x, n, full_counts[feat], total, level)]
     selected.sort(key=lambda item: (-item[1], item[0].text, item[0].kind))
     return selected
 

@@ -383,11 +383,28 @@ class BinarySvmModel:
         }
 
     @classmethod
-    def from_dict(cls, payload) -> "BinarySvmModel":
+    def from_dict(cls, payload, n_features: int) -> "BinarySvmModel":
+        """Model from its ``to_dict`` payload, read from a model file whose
+        vocabulary has ``n_features`` entries. Raises ValueError unless every
+        support vector has a label of -1 or +1, a multiplier, and feature
+        ids that are integers in [0, n_features)."""
+        sv_ids, y, alpha = payload["sv_ids"], payload["y"], payload["alpha"]
+        if not len(sv_ids) == len(y) == len(alpha):
+            raise ValueError(f"{len(sv_ids)} support vectors, {len(y)} labels "
+                             f"and {len(alpha)} multipliers")
+        for ids in sv_ids:
+            for i in ids:
+                if not (isinstance(i, int) and not isinstance(i, bool)
+                        and 0 <= i < n_features):
+                    raise ValueError(f"support-vector feature id {i!r} is not "
+                                     f"an integer in [0, {n_features})")
+        for v in y:
+            if v not in (-1, 1):
+                raise ValueError(f"support-vector label {v!r} is not -1 or +1")
         return cls(
-            (FeatureVector(ids) for ids in payload["sv_ids"]),
-            payload["y"],
-            payload["alpha"],
+            (FeatureVector(ids) for ids in sv_ids),
+            y,
+            alpha,
             payload["b"],
             payload["C"],
             payload["d"],
@@ -579,11 +596,13 @@ class PairwiseModel:
         pairs with one side absent from training; they are ignored. Each
         voted for its present side, which adds one vote to every present
         label and so cannot change a winner."""
+        vocab = Vocabulary.from_list(payload["vocab"])
         return cls(
             payload["labels"],
-            {(a, b): BinarySvmModel.from_dict(m) for a, b, m in payload["models"]},
+            {(a, b): BinarySvmModel.from_dict(m, len(vocab))
+             for a, b, m in payload["models"]},
             dict(payload["label_counts"]),
-            Vocabulary.from_list(payload["vocab"]),
+            vocab,
             FeatureSet(payload["mode"]),
             payload["C"],
             payload["d"],

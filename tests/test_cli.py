@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ from synth import random_token_corpus, table1_corpus
 from tamkit.cli import main
 from tamkit.corpus import Dataset, Example, serialize_corpus
 from tamkit.storage import load_model, save_model
+import tamkit
 
 import random
 
@@ -94,7 +99,7 @@ def test_parse_time_usage_errors(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["cv", "--method", "dlist", "--k", "0"], "k must be >= 1"),
-    (["cv", "--all", "--k", "0"], "k must be >= 1"),
+    (["eval", "--method", "knn", "--k", "0"], "k must be >= 1"),
     (["eval", "--method", "knn", "--features", "1"], "feature-set 2"),
     (["eval", "--method", "svm", "--d", "3"], "degree must be 1 or 2"),
     (["eval", "--method", "svm", "--C", "0"], "C must be positive and finite"),
@@ -113,6 +118,19 @@ def test_bad_settings_are_rejected_before_reading(tmp_path, capsys, argv,
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--features", "1"], ["--k", "0"],
+                                   ["--k", "3"], ["--d", "2"], ["--C", "5"],
+                                   ["--C", "nan", "--features", "3"]])
+def test_cv_all_rejects_learner_flags(tmp_path, capsys, flags):
+    # the grid fixes every learner and feature set, so these flags would be
+    # silently ignored
+    missing = tmp_path / "absent.tsv"
+    assert main(["cv", "--all", "--input", str(missing)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cv --all ") and err.count("\n") == 1
+    assert all(flag in err for flag in flags[::2])
 
 
 @pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
@@ -143,6 +161,21 @@ def test_eval_config_record(corpus_file, tmp_path, flags, expected):
                 + flags) == 0
     assert _config_record(out) == {"command": "eval",
                                    "input": str(corpus_file), **expected}
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["cv", "--method", "svm", "--folds", "3"], '"C": 1.0, "command": "cv", "d": 1, '),
+    (["cv", "--method", "knn", "--folds", "3"], '"k": 3, '),
+    (["eval", "--method", "svm"], '"C": 1.0, "command": "eval", "d": 1, '),
+    (["cross-domain", "--method", "svm", "--folds", "3"],
+     '"C": 1.0, "command": "cross-domain", "d": 1, '),
+])
+def test_learner_defaults_in_config_records(corpus_file, tmp_path, argv, values):
+    corpus = (["--train", str(corpus_file), "--test", str(corpus_file)]
+              if argv[0] == "cross-domain" else ["--input", str(corpus_file)])
+    out = tmp_path / "r.jsonl"
+    assert main(argv + corpus + ["--out", str(out)]) == 0
+    assert values in out.read_text(encoding="utf-8").splitlines()[-1]
 
 
 def test_eval_model_config_record(corpus_file, tmp_path):
@@ -390,6 +423,36 @@ class TestModelFiles:
             f"data error: {path}: malformed {method} model payload (")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["negative id", "id past vocabulary",
+                                      "float id", "label 3", "short alpha",
+                                      "short sv_ids"])
+    def test_malformed_svm_payload_is_data_error(self, tmp_path, corpus_file,
+                                                 capsys, case):
+        # a negative id corrupted the heap in the sparse-matrix build, and a
+        # label of 3 changed predictions without any error
+        path, document = self._train_svm_file(corpus_file, tmp_path)
+        payload = document["payload"]
+        pair = payload["models"][0][2]
+        if case == "negative id":
+            pair["sv_ids"][0].append(-1)
+        elif case == "id past vocabulary":
+            pair["sv_ids"][0].append(len(payload["vocab"]))
+        elif case == "float id":
+            pair["sv_ids"][0].append(1.5)
+        elif case == "label 3":
+            pair["y"][0] = 3.0
+        elif case == "short alpha":
+            del pair["alpha"][-1]
+        else:
+            del pair["sv_ids"][-1]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: malformed svm model payload (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("ghost", [False, True])
     def test_older_svm_file_loads_and_predicts(self, tmp_path, corpus_file,
                                                ghost):
@@ -507,3 +570,14 @@ def test_cv_all_grid(tmp_path):
     assert "svm (d=2)" in table
     assert "baseline =" in table
     assert table.count("%") >= 2 * (5 + 3 * 4) + 1  # open+closed per grid cell
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats would add about 0.5 s and 50 MB to every tamkit process
+    src = str(Path(tamkit.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tamkit.cli; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

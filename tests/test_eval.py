@@ -1,8 +1,13 @@
 import math
 import random
 import weakref
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
 from synth import domain_corpus, random_token_corpus, table1_corpus
 from tamkit import evaluate
@@ -20,7 +25,7 @@ from tamkit.evaluate import (
     evaluate_model,
     sign_test,
 )
-from tamkit.evaluate import _sign_p_exact, _sign_p_normal
+from tamkit.evaluate import _binom_tail_below, _sign_p_exact, _sign_p_normal
 from tamkit.features import FeatureSet
 
 
@@ -242,6 +247,99 @@ class TestEffectiveFeatures:
         with pytest.raises(ValueError):
             effective_features([Example("x", "other")],
                                [Example("x", "s")], FeatureSet.FS2)
+
+
+def _tail(x, n, c, N):
+    """P(X >= x) for X ~ Binomial(n, c / N), as an exact fraction."""
+    return sum(Fraction(math.comb(n, t) * c ** t * (N - c) ** (n - t), N ** n)
+               for t in range(x, n + 1))
+
+
+def _near(p, level):
+    # a float tail this close to the level may fall on either side of it
+    return abs(p - level) <= 1e-9 * level
+
+
+LEVELS = (0.001, 0.01, 0.05, 0.3, 0.7)
+
+
+class TestBinomialTail:
+    def test_matches_scipy_on_a_grid(self):
+        compared = 0
+        for N in (1, 3, 10, 97, 1000):
+            for c in sorted({1, max(1, N // 3), max(1, N - 1), N}):
+                for n in (1, 4, 25, 120):
+                    xs = np.arange(1, n + 1)
+                    ps = binom.sf(xs - 1, n, c / N)
+                    for x, p in zip(xs.tolist(), ps.tolist()):
+                        for level in LEVELS:
+                            if _near(p, level):
+                                continue
+                            assert _binom_tail_below(x, n, c, N, level) == (
+                                p < level), (x, n, c, N, level, p)
+                            compared += 1
+        assert compared > 10_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scipy(self, data):
+        N = data.draw(st.integers(1, 3000))
+        n = data.draw(st.integers(1, min(N, 400)))
+        c = data.draw(st.integers(1, N))
+        x = data.draw(st.integers(1, min(n, c)))
+        level = data.draw(st.sampled_from(LEVELS)
+                          | st.floats(1e-6, 1.0, exclude_max=True))
+        p = float(binom.sf(x - 1, n, c / N))
+        if not _near(p, level):
+            assert _binom_tail_below(x, n, c, N, level) == (p < level)
+
+    @pytest.mark.parametrize("level", LEVELS + (0.999,))
+    def test_feature_in_every_example_is_never_selected(self, level):
+        # c == N: the feature occurs with probability 1, so p == 1
+        for n in (1, 5, 40):
+            for x in range(1, n + 1):
+                assert not _binom_tail_below(x, n, 50, 50, level)
+
+    def test_every_flip_has_the_feature(self):
+        # x == n: p = (c / N)^n
+        assert _tail(3, 3, 1, 10) == Fraction(1, 1000)
+        assert _binom_tail_below(3, 3, 1, 10, 0.0011)
+        assert not _binom_tail_below(3, 3, 1, 10, 0.0009)
+        assert _binom_tail_below(40, 40, 9, 10, 0.02)  # 0.9^40 = 0.0148
+        assert not _binom_tail_below(40, 40, 9, 10, 0.01)
+
+    def test_p_equal_to_level_is_not_selected(self):
+        # P(X >= 3) = 1/8 for X ~ Binomial(3, 1/2); 0.125 is exact in binary
+        assert not _binom_tail_below(3, 3, 1, 2, 0.125)
+        assert _binom_tail_below(3, 3, 1, 2, math.nextafter(0.125, 1.0))
+
+    @pytest.mark.parametrize("x, n, c, N", [(3, 10, 6, 20), (1, 4, 1, 4),
+                                            (50, 100, 30, 60), (2, 2, 1, 1)])
+    def test_count_at_the_mean(self, x, n, c, N):
+        # x N == n c: x is the mean, so p >= 1/2
+        assert x * N == n * c and _tail(x, n, c, N) >= Fraction(1, 2)
+        for level in LEVELS:
+            assert _binom_tail_below(x, n, c, N, level) == (
+                _tail(x, n, c, N) < Fraction(level))
+
+    def test_large_level_reaches_below_the_mean(self):
+        # P(X >= 5) = 638/1024 for X ~ Binomial(10, 1/2): x is at the mean,
+        # yet p < 0.7, so the median shortcut must not apply above 1/2
+        assert _tail(5, 10, 1, 2) == Fraction(638, 1024)
+        assert _binom_tail_below(5, 10, 1, 2, 0.7)
+        assert not _binom_tail_below(5, 10, 1, 2, 0.6)
+        assert _binom_tail_below(4, 10, 1, 2, 0.9)  # 848/1024 = 0.828
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_exact_sum(self, data):
+        N = data.draw(st.integers(1, 200))
+        n = data.draw(st.integers(1, 60))
+        c = data.draw(st.integers(1, N))
+        x = data.draw(st.integers(1, n))
+        level = data.draw(st.floats(1e-6, 1.0, exclude_max=True))
+        assert _binom_tail_below(x, n, c, N, level) == (
+            _tail(x, n, c, N) < Fraction(level))
 
 
 class TestCategoryDistribution:
