@@ -1,11 +1,12 @@
 """Decision-list classifier.
 
-For a context, the single feature whose strongest label has the highest
-conditional occurrence rate decides the output: pick
-f_max = argmax_f max_a p(a|f) over the features present, then return
-argmax_a p(a|f_max). Probability ties break toward the feature with the
-larger raw training count, then lexicographic feature text; label ties
-break by global label frequency, then lexicographically.
+Each training feature is a rule, and the rules are ranked once per model:
+by the conditional occurrence rate of the feature's strongest label,
+max_a p(a|f), highest first; ties go to the feature with the larger raw
+training count, then the lexicographically smaller feature text, then
+kind. For a context, the first rule whose feature is present decides, and
+the output is argmax_a p(a|f) for that feature; label ties break by global
+label frequency, then lexicographically.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ class DecisionListModel:
         self.counts: tuple[dict[str, int], ...] = tuple(dict(c) for c in counts)
         self.totals: tuple[int, ...] = tuple(sum(c.values()) for c in self.counts)
         self.label_counts = Counter(label_counts)
+        # Rules in rank order. Float ratios rank exactly: two different
+        # ratios with denominators below 2^26 differ by more than 2^-52, so
+        # they never round to the same double, and equal ratios round alike.
+        rules = sorted(
+            (-max(c.values()) / tot, -tot, feat.text, feat.kind, fid)
+            for fid, (c, tot, feat) in enumerate(zip(self.counts, self.totals,
+                                                     vocab)) if c)
+        # rank[fid] is the rule's position; a feature without counts is no
+        # rule and ranks last
+        self.rank: list[int] = [len(rules)] * len(self.counts)
+        for pos, rule in enumerate(rules):
+            self.rank[rule[-1]] = pos
 
     def conditional(self, fid: int, label: str) -> float:
         """p(label | feature), the occurrence rate among examples with the feature."""
@@ -78,45 +91,20 @@ def train_declist(dataset: Dataset, mode: FeatureSet) -> DecisionListModel:
 
 
 def decide(model: DecisionListModel, fv: FeatureVector) -> Decision:
-    """Full decision record for a feature vector.
+    """Full decision record for a feature vector: the first rule in the
+    model's ranking whose feature is in the vector decides.
 
     Falls back to the global majority label (flagged) when the vector shares
-    no feature with the model. Probability comparisons are exact (integer
-    cross-multiplication), so tie handling does not depend on float rounding.
+    no rule with the model.
     """
-    best_fid = -1
-    best_cnt = 0   # count of the winning label under the best feature
-    best_tot = 1
-    best_feat: Feature | None = None
-    for fid in fv.ids:
-        if not model.counts[fid]:
-            continue
-        cnt_map = model.counts[fid]
-        tot = model.totals[fid]
-        top = max(cnt_map.values())
-        feat = model.vocab.feature(fid)
-        if best_feat is None:
-            better = True
-        else:
-            lhs = top * best_tot
-            rhs = best_cnt * tot
-            if lhs != rhs:
-                better = lhs > rhs
-            elif tot != best_tot:
-                better = tot > best_tot
-            elif feat.text != best_feat.text:
-                better = feat.text < best_feat.text
-            else:
-                better = feat.kind < best_feat.kind
-        if better:
-            best_fid, best_cnt, best_tot, best_feat = fid, top, tot, feat
-    if best_feat is None:
+    fid = min(fv.ids, key=model.rank.__getitem__, default=None)
+    if fid is None or not model.counts[fid]:
         n = sum(model.label_counts.values())
         label = best_label(model.label_counts, model.label_counts)
         return Decision(label, None, model.label_counts[label] / n, True)
-    # the feature's most frequent labels all have count best_cnt
-    label = best_label(model.counts[best_fid], model.label_counts)
-    return Decision(label, best_feat, best_cnt / best_tot, False)
+    label = best_label(model.counts[fid], model.label_counts)
+    return Decision(label, model.vocab.feature(fid),
+                    model.counts[fid][label] / model.totals[fid], False)
 
 
 def classify_declist(model: DecisionListModel, fv: FeatureVector) -> str:

@@ -165,24 +165,11 @@ class SignTestResult:
     significant_at: float | None  # the checked level when p < level, else None
 
 
-def _sign_p_exact(k: int, n: int) -> float:
-    c = tail = math.comb(n, k)
-    for t in range(k, n):  # C(n, t + 1) from C(n, t)
-        c = c * (n - t) // (t + 1)
-        tail += c
-    return min(1.0, 2.0 * tail / 2 ** n)
-
-
-def _sign_p_normal(k: int, n: int) -> float:
-    z = (k - 0.5 - n / 2.0) / math.sqrt(n / 4.0)  # continuity corrected
-    return min(1.0, math.erfc(z / math.sqrt(2.0)))
-
-
 def sign_test(n_plus: int, n_minus: int, level: float = 0.01) -> SignTestResult:
     """Two-sided sign test of H0: wins are a fair coin.
 
-    Ties must already be excluded from the counts. Exact binomial for
-    n <= 1000, normal approximation with continuity correction above.
+    Ties must already be excluded from the counts. The p-value is the
+    exact binomial tail for every n, correctly rounded.
     """
     n = n_plus + n_minus
     if n < 1:
@@ -190,7 +177,7 @@ def sign_test(n_plus: int, n_minus: int, level: float = 0.01) -> SignTestResult:
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     k = max(n_plus, n_minus)
-    p = _sign_p_exact(k, n) if n <= 1000 else _sign_p_normal(k, n)
+    p = min(1.0, 2 * _binom_tail(k, n, 1, 2) / 2 ** n)
     return SignTestResult(n_plus, n_minus, p, level if p < level else None)
 
 
@@ -213,16 +200,9 @@ def compare_predictions(report_a: PrecisionReport, report_b: PrecisionReport):
     return a_only, b_only
 
 
-def _binom_tail_below(x: int, n: int, c: int, N: int, level: float) -> bool:
-    """Whether P(X >= x) < level exactly, for X ~ Binomial(n, c / N) with
-    1 <= x <= n and 0 < c <= N.
-
-    The tail is sum_{t >= x} C(n, t) c^t (N - c)^(n - t) / N^n, summed in
-    integers and compared with ``Fraction(level)``.
-    """
-    if level <= 0.5 and x * N <= n * c:
-        # x <= n c / N, so x is at most the median of X and P(X >= x) >= 1/2
-        return False
+def _binom_tail(x: int, n: int, c: int, N: int) -> int:
+    """N^n P(X >= x) for X ~ Binomial(n, c / N), 0 <= x <= n: the integer
+    sum_{t >= x} C(n, t) c^t (N - c)^(n - t)."""
     q = N - c
     coef = q_pow = 1  # C(n, t) and q^(n - t), from t = n down
     tail = 1  # sum_{s >= t} C(n, s) c^(s - t) q^(n - s)
@@ -230,8 +210,18 @@ def _binom_tail_below(x: int, n: int, c: int, N: int, level: float) -> bool:
         coef = coef * (t + 1) // (n - t)
         q_pow *= q
         tail = tail * c + coef * q_pow
+    return tail * c ** x
+
+
+def _binom_tail_below(x: int, n: int, c: int, N: int, level: float) -> bool:
+    """Whether P(X >= x) < level exactly, for X ~ Binomial(n, c / N) with
+    1 <= x <= n and 0 < c <= N, comparing the integer tail with
+    ``Fraction(level)``."""
+    if level <= 0.5 and x * N <= n * c:
+        # x <= n c / N, so x is at most the median of X and P(X >= x) >= 1/2
+        return False
     bound = Fraction(level)
-    return tail * c ** x * bound.denominator < bound.numerator * N ** n
+    return _binom_tail(x, n, c, N) * bound.denominator < bound.numerator * N ** n
 
 
 def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01

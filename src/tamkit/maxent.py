@@ -158,10 +158,7 @@ def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[st
     An empty vector scores every label equally (the model has no bias
     weights), which yields the uniform distribution.
     """
-    if fv.ids:
-        scores = model.weights[list(fv.ids)].sum(axis=0)
-    else:
-        scores = np.zeros(len(model.labels))
+    scores = model.weights[list(fv.ids)].sum(axis=0)
     probs = _softmax_rows(scores[None, :])[0]
     top = probs.max()
     # every most probable label is a candidate with one vote

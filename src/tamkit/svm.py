@@ -31,12 +31,12 @@ multipliers, gradient and iteration count are bit-identical to it, and a
 pair model is identical to one trained on the pair alone. That scalar
 solver is kept in ``tests/svm_reference.py`` as the oracle.
 
-``PairwiseModel.predict_batch`` stacks the distinct support vectors of all
-pairs into one sparse matrix and, per block of test rows, computes every
-kernel value with one product. Each pair then sums its terms left to right
-in stored support-vector order, so every raw decision value is
-bit-identical to ``decide``, and a value of exactly 0 votes for the
-positive side in both paths. ``decide`` and ``classify_pairwise`` stay as
+A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
+one sparse matrix when it is built, and ``predict_batch``, per block of
+test rows, computes every kernel value with one product. Each pair then
+sums its terms left to right in stored support-vector order, so every raw
+decision value is bit-identical to ``decide``, and a value of exactly 0
+votes for the positive side in both paths. ``decide`` and ``classify_pairwise`` stay as
 the per-example reference.
 """
 
@@ -386,8 +386,9 @@ class BinarySvmModel:
     def from_dict(cls, payload, n_features: int) -> "BinarySvmModel":
         """Model from its ``to_dict`` payload, read from a model file whose
         vocabulary has ``n_features`` entries. Raises ValueError unless every
-        support vector has a label of -1 or +1, a multiplier, and feature
-        ids that are integers in [0, n_features)."""
+        support vector has a label of -1 or +1, a finite multiplier, and
+        feature ids that are integers in [0, n_features), and the bias is
+        finite."""
         sv_ids, y, alpha = payload["sv_ids"], payload["y"], payload["alpha"]
         if not len(sv_ids) == len(y) == len(alpha):
             raise ValueError(f"{len(sv_ids)} support vectors, {len(y)} labels "
@@ -401,6 +402,8 @@ class BinarySvmModel:
         for v in y:
             if v not in (-1, 1):
                 raise ValueError(f"support-vector label {v!r} is not -1 or +1")
+        if not all(math.isfinite(v) for v in (*alpha, payload["b"])):
+            raise ValueError("support-vector multipliers and the bias must be finite")
         return cls(
             (FeatureVector(ids) for ids in sv_ids),
             y,
@@ -530,7 +533,7 @@ class PairwiseModel:
         self.mode = FeatureSet(mode)
         self.C = float(C)
         self.d = int(d)
-        self._stacked: _Stacked | None = None  # built by the first prediction
+        self._stacked = _Stacked(self)
 
     def predict(self, example) -> str:
         return self.predict_batch([example])[0]
@@ -541,7 +544,7 @@ class PairwiseModel:
         Examples are encoded and scored in blocks sized so that a block's
         rows times padded support-vector terms stay near ``BLOCK_TERMS``.
         """
-        st = self._stack()
+        st = self._stacked
         n_labels = len(self.labels)
         labels: list[str] = []
         for start in range(0, len(examples), st.block_rows):
@@ -565,7 +568,7 @@ class PairwiseModel:
         support-vector order, as ``decide`` does, so every value is
         bit-identical to ``decide(m, fv)[0]``.
         """
-        st = self._stack()
+        st = self._stacked
         # ids beyond the last support-vector column cannot meet any of them
         width = max([st.n_cols] + [fv.ids[-1] + 1 for fv in fvs if fv.ids])
         K = _poly(to_csr(fvs, width)[:, :st.n_cols] @ st.sv_t, st.d)
@@ -573,11 +576,6 @@ class PairwiseModel:
         terms *= st.coef
         # cumsum adds sequentially; a pairwise-summing reduction would not
         return np.cumsum(terms, axis=2, out=terms)[:, :, -1] + st.bias
-
-    def _stack(self) -> _Stacked:
-        if self._stacked is None:
-            self._stacked = _Stacked(self)
-        return self._stacked
 
     def to_dict(self) -> dict:
         return {

@@ -425,15 +425,27 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("case", ["negative id", "id past vocabulary",
                                       "float id", "label 3", "short alpha",
-                                      "short sv_ids"])
+                                      "short sv_ids", "ghost pair label",
+                                      "pair degree", "nan alpha",
+                                      "infinite b"])
     def test_malformed_svm_payload_is_data_error(self, tmp_path, corpus_file,
                                                  capsys, case):
-        # a negative id corrupted the heap in the sparse-matrix build, and a
-        # label of 3 changed predictions without any error
+        # a negative id corrupted the heap in the sparse-matrix build, a
+        # label of 3 or a NaN multiplier changed predictions without any
+        # error, and a pair label outside the model's labels raised a
+        # KeyError traceback
         path, document = self._train_svm_file(corpus_file, tmp_path)
         payload = document["payload"]
         pair = payload["models"][0][2]
-        if case == "negative id":
+        if case == "ghost pair label":
+            payload["models"][0][0] = "ghost"
+        elif case == "pair degree":
+            pair["d"] = payload["d"] + 1
+        elif case == "nan alpha":
+            pair["alpha"][0] = float("nan")
+        elif case == "infinite b":
+            pair["b"] = float("inf")
+        elif case == "negative id":
             pair["sv_ids"][0].append(-1)
         elif case == "id past vocabulary":
             pair["sv_ids"][0].append(len(payload["vocab"]))

@@ -2,20 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import random_token_corpus
 from tamkit.corpus import Dataset, Example
 from tamkit.declist import DecisionListModel, classify_declist, decide, train_declist
-from tamkit.features import FeatureSet, FeatureVector, extract
+from tamkit.features import (SUFFIX, TOKEN, Feature, FeatureSet, FeatureVector,
+                             Vocabulary, extract)
 
 
 def _token_example(label, tokens):
     return Example(label, " ".join(tokens), tuple(tokens))
 
 
-def oracle_decide(model, fv):
-    """Exhaustive scan of every (feature-in-fv, label) pair with exact
-    rational probabilities and the documented tie chain."""
+def oracle_rule(model, fv):
+    """The id of the deciding feature of ``fv`` (None if there is none), by
+    exhaustive scan with exact rational probabilities and the documented
+    tie chain."""
     candidates = []
     for fid in fv.ids:
         if fid < len(model.totals) and model.counts[fid]:
@@ -23,11 +27,16 @@ def oracle_decide(model, fv):
             tot = model.totals[fid]
             maxp = max(Fraction(c, tot) for c in model.counts[fid].values())
             candidates.append((-maxp, -tot, feat.text, feat.kind, fid))
-    if not candidates:
+    return min(candidates)[4] if candidates else None
+
+
+def oracle_decide(model, fv):
+    """Exhaustive scan of every (feature-in-fv, label) pair with exact
+    rational probabilities and the documented tie chain."""
+    fid = oracle_rule(model, fv)
+    if fid is None:
         return min(model.label_counts,
                    key=lambda lab: (-model.label_counts[lab], lab))
-    candidates.sort()
-    fid = candidates[0][4]
     tot = model.totals[fid]
     ranked = sorted(model.counts[fid].items(),
                     key=lambda kv: (-Fraction(kv[1], tot),
@@ -134,3 +143,46 @@ def test_serialization_round_trip():
         fv_a = extract(ex, model.mode, model.vocab)
         fv_b = extract(ex, again.mode, again.vocab)
         assert classify_declist(model, fv_a) == classify_declist(again, fv_b)
+
+
+LABELS = ("A", "B", "C")
+
+
+@st.composite
+def count_tables(draw):
+    """A hand-built model and a query. Its features are two texts, each
+    under both kinds, in drawn id order. Its count rows repeat a few shapes:
+    empty rows; the near-equal top ratios (n - 1) / n < (2n - 1) / (2n + 1)
+    < n / (n + 1), with totals up to 10^6 and the middle one the largest;
+    and one ratio at two totals. So every link of the tie chain is
+    reached."""
+    n = draw(st.integers(2, 100) | st.integers(10 ** 5, (10 ** 6 - 1) // 2))
+    base = draw(st.dictionaries(st.sampled_from(LABELS), st.integers(1, 5),
+                                min_size=2))
+    shapes = [{}, {"B": n - 1, "C": 1}, {"B": 2 * n - 1, "C": 2},
+              {"A": n, "B": 1}, base, {lab: 3 * c for lab, c in base.items()}]
+    feats = draw(st.permutations([Feature(kind, text) for kind in (SUFFIX, TOKEN)
+                                  for text in "xy"]))
+    counts = [dict(draw(st.sampled_from(shapes))) for _ in feats]
+    label_counts = {lab: draw(st.integers(1, 3)) for lab in LABELS}
+    model = DecisionListModel(Vocabulary(feats), FeatureSet.FS1, counts,
+                              label_counts)
+    fv = FeatureVector(draw(st.sets(st.integers(0, len(feats) - 1), min_size=2)))
+    return model, fv
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_tables())
+def test_ranked_rules_match_exact_oracle(table):
+    model, fv = table
+    record = decide(model, fv)
+    fid = oracle_rule(model, fv)
+    assert record.fallback == (fid is None)
+    assert record.feature == (None if fid is None else model.vocab.feature(fid))
+    assert record.label == oracle_decide(model, fv)
+
+
+def test_round_trip_rebuilds_rank():
+    ds = random_token_corpus(random.Random(5), max_examples=60)
+    model = train_declist(ds, FeatureSet.FS1)
+    assert DecisionListModel.from_dict(model.to_dict()).rank == model.rank

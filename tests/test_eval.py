@@ -25,7 +25,7 @@ from tamkit.evaluate import (
     evaluate_model,
     sign_test,
 )
-from tamkit.evaluate import _binom_tail_below, _sign_p_exact, _sign_p_normal
+from tamkit.evaluate import _binom_tail_below
 from tamkit.features import FeatureSet
 
 
@@ -71,11 +71,14 @@ class TestSignTest:
         for a, b in ((3, 7), (120, 80), (700, 500)):
             assert sign_test(a, b).p_value == sign_test(b, a).p_value
 
-    def test_exact_and_normal_agree_at_boundary(self):
-        n = 1000
-        worst = max(abs(_sign_p_exact(k, n) - _sign_p_normal(k, n))
-                    for k in range(500, n + 1))
-        assert worst <= 0.005
+    def test_exact_above_a_thousand_pairs(self):
+        # p is the correctly rounded exact two-sided tail for large n too
+        for n in (1001, 2000, 5000):
+            for k in sorted({(n + 1) // 2, n // 2 + 30, n // 2 + 100,
+                             n * 3 // 5, n - 1, n}):
+                tail = sum(math.comb(n, t) for t in range(k, n + 1))
+                exact = float(min(Fraction(1), Fraction(2 * tail, 2 ** n)))
+                assert sign_test(k, n - k).p_value == exact, (k, n)
 
     def test_exact_tail_equals_comb_sum(self):
         def comb_sum_p(k, n):
@@ -85,7 +88,8 @@ class TestSignTest:
         pairs = [(k, n) for n in range(1, 200) for k in range(n + 1)]
         pairs += [(k, n) for n in (999, 1000) for k in (500, 501, 530, 600, 999, n)]
         for k, n in pairs:
-            assert _sign_p_exact(k, n) == comb_sum_p(k, n), (k, n)
+            p = sign_test(k, n - k).p_value
+            assert p == comb_sum_p(max(k, n - k), n), (k, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

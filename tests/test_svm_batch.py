@@ -147,10 +147,9 @@ def test_decision_values_sum_in_stored_order():
 def test_pair_degree_must_match_model_degree():
     vocab = Vocabulary.from_list([["token", "t0"]])
     binary = BinarySvmModel([FeatureVector([0])], [1], [1.0], b=0.0, C=1.0, d=2)
-    model = PairwiseModel(["a", "b"], {("a", "b"): binary}, {"a": 1, "b": 1},
-                          vocab, FeatureSet.FS3, C=1.0, d=1)
     with pytest.raises(ValueError):
-        model.predict_batch([Example("a", "", ("t0",))])
+        PairwiseModel(["a", "b"], {("a", "b"): binary}, {"a": 1, "b": 1},
+                      vocab, FeatureSet.FS3, C=1.0, d=1)
 
 
 N_IDS = 5  # feature ids of the solver problems: few, so vectors repeat
