@@ -109,6 +109,29 @@ def best_label(votes, label_counts) -> str:
     return min(votes, key=lambda lab: (-votes[lab], -label_counts[lab], lab))
 
 
+def is_label(value) -> bool:
+    """Whether ``value``, read from a model file, can be a label."""
+    return isinstance(value, str) and value != ""
+
+
+def is_positive_int(value) -> bool:
+    """Whether ``value``, read from a model file, is an integer >= 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def read_label_counts(pairs) -> dict[str, int]:
+    """Label counts from the ``[label, count]`` pairs of a model file.
+    Raises ValueError unless each label is a non-empty string, listed once,
+    with a positive integer count."""
+    counts: dict[str, int] = {}
+    for label, count in pairs:
+        if not (is_label(label) and is_positive_int(count)) or label in counts:
+            raise ValueError(f"label count {[label, count]!r} is not a new "
+                             f"label with a positive integer count")
+        counts[label] = count
+    return counts
+
+
 def parse_corpus(text: str) -> Dataset:
     """Parse a corpus document into a Dataset, preserving file order."""
     examples = []

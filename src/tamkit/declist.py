@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Dataset, best_label
+from .corpus import Dataset, best_label, read_label_counts
 from .features import Feature, FeatureSet, FeatureVector, Vocabulary, extract
 
 
@@ -69,13 +69,18 @@ class DecisionListModel:
 
     @classmethod
     def from_dict(cls, payload) -> "DecisionListModel":
+        """Model from its ``to_dict`` payload. Raises ValueError unless there
+        is a count row per vocabulary entry, every count is a positive
+        integer, and some label has a count."""
         vocab = Vocabulary.from_list(payload["vocab"])
-        counts = [dict(c) for c in payload["counts"]]
+        counts = [read_label_counts(c) for c in payload["counts"]]
         if len(counts) != len(vocab):
             raise ValueError(f"{len(counts)} count rows for {len(vocab)} "
                              f"vocabulary entries")
-        return cls(vocab, FeatureSet(payload["mode"]), counts,
-                   dict(payload["label_counts"]))
+        label_counts = read_label_counts(payload["label_counts"])
+        if not label_counts:
+            raise ValueError("no label counts")
+        return cls(vocab, FeatureSet(payload["mode"]), counts, label_counts)
 
 
 def train_declist(dataset: Dataset, mode: FeatureSet) -> DecisionListModel:

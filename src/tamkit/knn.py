@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .corpus import Dataset, best_label
+from .corpus import Dataset, best_label, is_label, is_positive_int
 from .features import MAX_NGRAM
 
 SIMILARITY_CAP = MAX_NGRAM
@@ -57,7 +57,17 @@ class KnnModel:
 
     @classmethod
     def from_dict(cls, payload) -> "KnnModel":
-        return cls(payload["sentences"], payload["labels"], payload["k"])
+        """Model from its ``to_dict`` payload. Raises ValueError unless ``k``
+        is an integer >= 1, every sentence a string and every label a
+        non-empty string."""
+        k, sentences, labels = payload["k"], payload["sentences"], payload["labels"]
+        if not is_positive_int(k):
+            raise ValueError(f"k = {k!r} is not an integer >= 1")
+        if not all(isinstance(s, str) for s in sentences):
+            raise ValueError("every sentence must be a string")
+        if not all(is_label(lab) for lab in labels):
+            raise ValueError("every label must be a non-empty string")
+        return cls(sentences, labels, k)
 
 
 def train_knn(dataset: Dataset, k: int) -> KnnModel:

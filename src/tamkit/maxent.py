@@ -26,7 +26,7 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import Dataset, best_label
+from .corpus import Dataset, best_label, is_label, read_label_counts
 from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
 
 logger = logging.getLogger(__name__)
@@ -61,8 +61,14 @@ class MaxEntModel:
 
     @classmethod
     def from_dict(cls, payload) -> "MaxEntModel":
+        """Model from its ``to_dict`` payload. Raises ValueError unless the
+        labels are distinct non-empty strings and the weights a finite
+        table with a row per vocabulary entry and a column per label."""
         vocab = Vocabulary.from_list(payload["vocab"])
         labels = payload["labels"]
+        if not (all(is_label(lab) for lab in labels)
+                and len(set(labels)) == len(labels)):
+            raise ValueError("labels must be distinct non-empty strings")
         weights = np.array(
             [[float(w) for w in row] for row in payload["weights"]], dtype=np.float64
         )
@@ -72,8 +78,10 @@ class MaxEntModel:
             raise ValueError(f"weights have shape {weights.shape}, not "
                              f"{(len(vocab), len(labels))}: one row per "
                              f"vocabulary entry, one column per label")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         return cls(vocab, FeatureSet(payload["mode"]), labels, weights,
-                   dict(payload["label_counts"]))
+                   read_label_counts(payload["label_counts"]))
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:

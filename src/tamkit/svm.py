@@ -20,11 +20,13 @@ label pair, each trained only on examples of its two labels, combined by
 voting. Pairwise trainings are independent; trained models are immutable.
 
 The kernel is built once per ``train_pairwise`` call, over all of its
-examples: a dense Gram matrix up to ``GRAM_LIMIT`` examples, a row cache
-above it. One solver, ``_smo``, runs every pair's problem on that kernel
-in lockstep: padded arrays hold all problems, each round takes one step
-of every unfinished problem with a few array operations, and a problem
-leaves the arrays when it converges or reaches its iteration cap.
+examples: a dense Gram matrix up to ``GRAM_LIMIT`` examples, above it an
+LRU of ``max(CACHE_MIN_ROWS, CACHE_ENTRIES // l)`` rows. Its values are
+exact integers, so neither form can change a model. One solver, ``_smo``,
+runs every pair's problem on that kernel in lockstep: padded arrays hold
+all problems, each round takes one step of every unfinished problem with
+a few array operations, and a problem leaves the arrays when it converges
+or reaches its iteration cap.
 ``train_binary_svm`` is the same solver on one problem. Each problem does
 exactly the arithmetic of the scalar one-problem solver, so its
 multipliers, gradient and iteration count are bit-identical to it, and a
@@ -32,12 +34,12 @@ pair model is identical to one trained on the pair alone. That scalar
 solver is kept in ``tests/svm_reference.py`` as the oracle.
 
 A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
-one sparse matrix when it is built, and ``predict_batch``, per block of
-test rows, computes every kernel value with one product. Each pair then
-sums its terms left to right in stored support-vector order, so every raw
-decision value is bit-identical to ``decide``, and a value of exactly 0
-votes for the positive side in both paths. ``decide`` and ``classify_pairwise`` stay as
-the per-example reference.
+one sparse matrix, a row per vocabulary entry, when it is built, and
+``predict_batch`` computes every kernel value of a block of test rows with
+one product. Each pair then sums its terms left to right in stored
+support-vector order, so every raw decision value is bit-identical to
+``decide``, and a value of exactly 0 votes for the positive side in both
+paths. ``decide`` and ``classify_pairwise`` stay as the reference.
 """
 
 from __future__ import annotations
@@ -48,13 +50,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import Dataset, best_label
+from .corpus import Dataset, best_label, read_label_counts
 from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
 
 KKT_TOL = 1e-3
 UPDATE_EPS = 1e-12     # floor for the two-variable quadratic coefficient
 ALPHA_FLOOR = 1e-12    # multipliers at or below this are treated as zero
 GRAM_LIMIT = 4096      # precompute the full Gram matrix up to this many examples
+CACHE_ENTRIES = 8 << 20  # kernel values (64 MB) the row cache holds above it
+CACHE_MIN_ROWS = 64    # rows the row cache holds however long a row is
 BLOCK_TERMS = 1 << 15  # kernel terms per block in PairwiseModel.predict_batch
 SOLVE_TERMS = 1 << 16  # padded entries per lockstep chunk of SMO problems
 
@@ -90,16 +94,12 @@ class KernelCache:
         self._d = d
         self.capacity = max(1, capacity)
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def row(self, i: int) -> np.ndarray:
         cached = self._rows.get(i)
         if cached is not None:
             self._rows.move_to_end(i)
-            self.hits += 1
             return cached
-        self.misses += 1
         counts = self._X @ self._Xt[:, [i]]
         row = (counts.toarray().ravel() + 1.0) ** self._d
         self._rows[i] = row
@@ -142,16 +142,13 @@ def _poly(counts, d: int) -> np.ndarray:
     return K
 
 
-def _kernel_matrix(X, d: int, gram_limit: int, cache_rows: int | None):
-    """The dense Gram matrix of the rows of ``X`` up to ``gram_limit`` rows,
+def _kernel_matrix(X, d: int):
+    """The dense Gram matrix of the rows of ``X`` up to ``GRAM_LIMIT`` rows,
     a row cache above it."""
     l = X.shape[0]
-    if l <= gram_limit:
+    if l <= GRAM_LIMIT:
         return _DenseGram(_poly(X @ X.T, d))
-    if cache_rows is None:
-        # keep the cached rows around 64 MB
-        cache_rows = max(64, (8 << 20) // max(l, 1))
-    return KernelCache(X, d, cache_rows)
+    return KernelCache(X, d, max(CACHE_MIN_ROWS, CACHE_ENTRIES // l))
 
 
 def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
@@ -415,13 +412,13 @@ class BinarySvmModel:
 
 
 def train_binary_svm(examples, C: float = 1.0, d: int = 1,
-                     max_iter: int | None = None, gram_limit: int = GRAM_LIMIT,
-                     cache_rows: int | None = None) -> BinarySvmModel:
+                     max_iter: int | None = None) -> BinarySvmModel:
     """Solve the dual for a two-class problem.
 
     ``examples`` is a sequence of (FeatureVector, +-1) pairs; both classes
-    must be present. Raises ConvergenceError if the iteration cap
-    (default 100 per example) is hit first.
+    must be present. The kernel is formed as in ``train_pairwise``. Raises
+    ConvergenceError if the iteration cap (default 100 per example) is hit
+    first.
     """
     vectors = [fv for fv, _ in examples]
     y = np.array([lab for _, lab in examples], dtype=np.float64)
@@ -436,7 +433,7 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1,
         raise TrainingError("C must be positive and finite")
 
     n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
-    kern = _kernel_matrix(to_csr(vectors, n_cols), d, gram_limit, cache_rows)
+    kern = _kernel_matrix(to_csr(vectors, n_cols), d)
     idx = np.arange(l)
     [(_, alpha, grad, n_iter)] = _smo(kern, [(idx, y)], C, KKT_TOL, max_iter)
     return _finish(kern, idx, y, vectors, alpha, grad, n_iter, C, d)
@@ -479,47 +476,6 @@ def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:
     return raw, (1 if raw >= 0 else -1)
 
 
-class _Stacked:
-    """A pairwise model's classifiers laid out for batch prediction.
-
-    The distinct support vectors of all pairs form one sparse matrix. Row j
-    of ``cols`` / ``coef`` lists pair j's support-vector rows and
-    coefficients (alpha * y) in stored order, padded to the longest support
-    set with coefficient 0.0; adding the padded zero terms last leaves every
-    running sum unchanged.
-    """
-
-    def __init__(self, model: "PairwiseModel"):
-        pairs = list(model.models.values())
-        if any(m.d != model.d for m in pairs):
-            raise ValueError("every pair classifier must use the model's degree")
-        self.d = model.d
-        label_index = {lab: k for k, lab in enumerate(model.labels)}
-        rows: dict[FeatureVector, int] = {}
-        width = max([1] + [len(m.support_vectors) for m in pairs])
-        self.cols = np.zeros((len(pairs), width), dtype=np.intp)
-        self.coef = np.zeros((len(pairs), width))
-        for j, m in enumerate(pairs):
-            n_sv = len(m.support_vectors)
-            self.cols[j, :n_sv] = [rows.setdefault(sv, len(rows))
-                                   for sv in m.support_vectors]
-            self.coef[j, :n_sv] = [a * yv for yv, a in zip(m.sv_labels, m.sv_alpha)]
-        self.bias = np.array([m.b for m in pairs])
-        self.n_cols = max((sv.ids[-1] + 1 for sv in rows if sv.ids), default=1)
-        # padding points at row 0, so keep one row even with no support vectors
-        self.sv_t = to_csr(list(rows) or [FeatureVector()], self.n_cols).T.tocsr()
-        # test rows per block, so that one block's terms stay near BLOCK_TERMS
-        self.block_rows = max(1, BLOCK_TERMS // max(1, self.cols.size))
-        self.pos = np.array([label_index[a] for a, _ in model.models], dtype=np.intp)
-        self.neg = np.array([label_index[b] for _, b in model.models], dtype=np.intp)
-        # label indices in the tie-break order of corpus.best_label: global
-        # frequency, then label text
-        self.rank = np.array(sorted(
-            range(len(model.labels)),
-            key=lambda k: (-model.label_counts[model.labels[k]], model.labels[k])),
-            dtype=np.intp)
-
-
 class PairwiseModel:
     """One binary classifier per unordered label pair, combined by voting."""
 
@@ -533,7 +489,38 @@ class PairwiseModel:
         self.mode = FeatureSet(mode)
         self.C = float(C)
         self.d = int(d)
-        self._stacked = _Stacked(self)
+        # The batch layout: column c of ``_sv_t`` (a row per vocabulary entry)
+        # is the c-th distinct support vector of all pairs. Row j of ``_cols``
+        # / ``_coef`` lists pair j's columns and coefficients (alpha * y) in
+        # stored order, padded to the longest support set with coefficient
+        # 0.0, which added last leaves every running sum unchanged.
+        pairs = list(self.models.values())
+        if any(m.d != self.d for m in pairs):
+            raise ValueError("every pair classifier must use the model's degree")
+        label_index = {lab: k for k, lab in enumerate(self.labels)}
+        column: dict[FeatureVector, int] = {}
+        width = max([1] + [len(m.support_vectors) for m in pairs])
+        self._cols = np.zeros((len(pairs), width), dtype=np.intp)
+        self._coef = np.zeros((len(pairs), width))
+        for j, m in enumerate(pairs):
+            n_sv = len(m.support_vectors)
+            self._cols[j, :n_sv] = [column.setdefault(sv, len(column))
+                                    for sv in m.support_vectors]
+            self._coef[j, :n_sv] = [a * yv for yv, a in zip(m.sv_labels, m.sv_alpha)]
+        self._bias = np.array([m.b for m in pairs])
+        # padding points at column 0, so keep one even with no support vectors
+        self._sv_t = to_csr(list(column) or [FeatureVector()],
+                            max(len(vocab), 1)).T.tocsr()
+        # test rows per block, so that one block's terms stay near BLOCK_TERMS
+        self._block_rows = max(1, BLOCK_TERMS // max(1, self._cols.size))
+        self._pos = np.array([label_index[a] for a, _ in self.models], dtype=np.intp)
+        self._neg = np.array([label_index[b] for _, b in self.models], dtype=np.intp)
+        # label indices in the tie-break order of corpus.best_label: global
+        # frequency, then label text
+        self._rank = np.array(sorted(
+            range(len(self.labels)),
+            key=lambda k: (-self.label_counts[self.labels[k]], self.labels[k])),
+            dtype=np.intp)
 
     def predict(self, example) -> str:
         return self.predict_batch([example])[0]
@@ -544,38 +531,35 @@ class PairwiseModel:
         Examples are encoded and scored in blocks sized so that a block's
         rows times padded support-vector terms stay near ``BLOCK_TERMS``.
         """
-        st = self._stacked
         n_labels = len(self.labels)
         labels: list[str] = []
-        for start in range(0, len(examples), st.block_rows):
+        for start in range(0, len(examples), self._block_rows):
             block = [extract(ex, self.mode, self.vocab)
-                     for ex in examples[start:start + st.block_rows]]
-            winners = np.where(self.decision_values(block) >= 0, st.pos, st.neg)
+                     for ex in examples[start:start + self._block_rows]]
+            winners = np.where(self.decision_values(block) >= 0, self._pos, self._neg)
             flat = (np.arange(len(block))[:, None] * n_labels + winners).ravel()
             votes = np.bincount(flat, minlength=len(block) * n_labels).reshape(
                 len(block), n_labels)
             # argmax takes the first maximum, so rank order breaks vote ties
-            best = st.rank[votes[:, st.rank].argmax(axis=1)]
+            best = self._rank[votes[:, self._rank].argmax(axis=1)]
             labels += [self.labels[k] for k in best]
         return labels
 
     def decision_values(self, fvs) -> np.ndarray:
         """Raw decision value of every pair classifier (columns, in
-        ``self.models`` order) for every feature vector (rows).
+        ``self.models`` order) for every feature vector (rows), each
+        extracted against ``self.vocab``.
 
         One sparse product with the stacked support vectors gives every
         kernel value. Each pair then sums its terms left to right in stored
         support-vector order, as ``decide`` does, so every value is
         bit-identical to ``decide(m, fv)[0]``.
         """
-        st = self._stacked
-        # ids beyond the last support-vector column cannot meet any of them
-        width = max([st.n_cols] + [fv.ids[-1] + 1 for fv in fvs if fv.ids])
-        K = _poly(to_csr(fvs, width)[:, :st.n_cols] @ st.sv_t, st.d)
-        terms = K[:, st.cols]  # (rows, pairs, padded support vectors)
-        terms *= st.coef
+        K = _poly(to_csr(fvs, max(len(self.vocab), 1)) @ self._sv_t, self.d)
+        terms = K[:, self._cols]  # (rows, pairs, padded support vectors)
+        terms *= self._coef
         # cumsum adds sequentially; a pairwise-summing reduction would not
-        return np.cumsum(terms, axis=2, out=terms)[:, :, -1] + st.bias
+        return np.cumsum(terms, axis=2, out=terms)[:, :, -1] + self._bias
 
     def to_dict(self) -> dict:
         return {
@@ -599,7 +583,7 @@ class PairwiseModel:
             payload["labels"],
             {(a, b): BinarySvmModel.from_dict(m, len(vocab))
              for a, b, m in payload["models"]},
-            dict(payload["label_counts"]),
+            read_label_counts(payload["label_counts"]),
             vocab,
             FeatureSet(payload["mode"]),
             payload["C"],
@@ -608,13 +592,12 @@ class PairwiseModel:
 
 
 def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 1,
-                   gram_limit: int = GRAM_LIMIT, cache_rows: int | None = None,
                    max_iter: int | None = None) -> PairwiseModel:
     """Train one binary model per unordered pair of the labels in
     ``dataset``, so both sides of every pair have training examples.
 
     The kernel is built once over the whole dataset (dense up to
-    ``gram_limit`` examples, a row cache above it), and one lockstep solver
+    ``GRAM_LIMIT`` examples, the row cache above it), and one lockstep solver
     runs every pair's problem on it. Each pair model is identical to
     ``train_binary_svm`` on the pair alone. If a pair reaches its iteration
     cap, the first such pair in pair order raises ConvergenceError.
@@ -628,8 +611,7 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 
         raise TrainingError("C must be positive and finite")
     vocab = Vocabulary.from_dataset(dataset, mode)
     fvs = [extract(ex, mode, vocab) for ex in dataset]
-    kern = _kernel_matrix(to_csr(fvs, max(len(vocab), 1)), d, gram_limit,
-                          cache_rows)
+    kern = _kernel_matrix(to_csr(fvs, max(len(vocab), 1)), d)
     by_label: dict[str, list[int]] = {}
     for idx, ex in enumerate(dataset):
         by_label.setdefault(ex.label, []).append(idx)

@@ -1,10 +1,14 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synth import random_token_corpus, table1_corpus
 from tamkit.cli import main
@@ -465,6 +469,59 @@ class TestModelFiles:
         assert err.startswith(f"data error: {path}: malformed svm model payload (")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("method, case", [
+        ("knn", "sentence 5"), ("knn", "k 2.5"), ("knn", "k true"),
+        ("knn", "label 7"), ("knn", "empty label"),
+        ("dlist", "count 0"), ("dlist", "count -3"), ("dlist", "count 1.5"),
+        ("dlist", "repeated count label"), ("dlist", "no label counts"),
+        ("maxent", "nan weight"), ("maxent", "infinite weight"),
+        ("maxent", "repeated label"), ("maxent", "label count x"),
+        ("svm", "label count 0"),
+    ])
+    def test_malformed_payload_values_are_data_error(self, tmp_path,
+                                                     corpus_file, capsys,
+                                                     method, case):
+        # unchecked, a knn sentence 5, k = 2.5 or a dlist count of 0 raised
+        # a traceback, a "nan" weight exited 2 with a message naming no
+        # file, and a knn label 7, a dlist count of -3 or a repeated maxent
+        # label loaded and predicted with exit 0
+        path = tmp_path / "model.json"
+        assert main(["train", "--input", str(corpus_file), "--method", method,
+                     "--out", str(path)]) == 0
+        document = json.loads(path.read_text(encoding="utf-8"))
+        payload = document["payload"]
+        value = {"sentence 5": 5, "k 2.5": 2.5, "k true": True, "label 7": 7,
+                 "empty label": "", "count 0": 0, "count -3": -3,
+                 "count 1.5": 1.5, "nan weight": "nan",
+                 "infinite weight": "inf", "label count x": "x",
+                 "label count 0": 0}.get(case)
+        if case == "sentence 5":
+            payload["sentences"][0] = value
+        elif case.startswith("k "):
+            payload["k"] = value
+        elif method == "knn":
+            payload["labels"][0] = value
+        elif case.startswith("count "):
+            payload["counts"][0][0][1] = value
+        elif case == "repeated count label":
+            payload["counts"][0].append(payload["counts"][0][0])
+        elif case == "no label counts":
+            payload["label_counts"] = []
+        elif case.endswith(" weight"):
+            payload["weights"][0][0] = value
+        elif case == "repeated label":
+            payload["labels"][1] = payload["labels"][0]
+        else:
+            payload["label_counts"][0][1] = value
+        path.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"data error: {path}: malformed {method} model payload (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("ghost", [False, True])
     def test_older_svm_file_loads_and_predicts(self, tmp_path, corpus_file,
                                                ghost):
@@ -483,6 +540,58 @@ class TestModelFiles:
         expected = self._predictions(corpus_file, path, tmp_path / "a.jsonl")
         assert self._predictions(corpus_file, older,
                                  tmp_path / "b.jsonl") == expected
+
+
+@pytest.fixture(scope="module")
+def trained_documents(tmp_path_factory):
+    """A corpus file and one trained model document per method."""
+    folder = tmp_path_factory.mktemp("models")
+    corpus = folder / "corpus.tsv"
+    corpus.write_text(serialize_corpus(random_token_corpus(
+        random.Random(14), max_examples=60, n_labels=3)), encoding="utf-8")
+    documents = {}
+    for method in ("knn", "dlist", "maxent", "svm"):
+        path = folder / f"{method}.json"
+        assert main(["train", "--input", str(corpus), "--method", method,
+                     "--out", str(path)]) == 0
+        documents[method] = json.loads(path.read_text(encoding="utf-8"))
+    return corpus, documents
+
+
+PAYLOAD_VALUES = (None, True, 0, -1, 2.5, "x", "nan", "", [], {})
+
+
+# the fixtures are only read and overwritten, so they may serve every example
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(("knn", "dlist", "maxent", "svm")), st.data())
+def test_edited_model_file_is_read_or_refused(trained_documents, tmp_path,
+                                              capsys, method, data):
+    # one payload value at depth 1 to 3 replaced: the file loads and
+    # evaluates, or it is refused with one line, never a traceback
+    corpus, documents = trained_documents
+    document = copy.deepcopy(documents[method])
+    node = document["payload"]
+    for depth in (1, 2, 3):
+        key = data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if (depth == 3 or not isinstance(child, (list, dict)) or not child
+                or data.draw(st.booleans())):
+            break
+        node = child
+    node[key] = data.draw(st.sampled_from(PAYLOAD_VALUES))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    capsys.readouterr()
+    # outside pytest, a warning would print more lines to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--input", str(corpus), "--model", str(path),
+                     "--out", str(tmp_path / "report.jsonl")])
+    assert code in (0, 2)
+    assert capsys.readouterr().err.count("\n") <= 1
+    assert not caught
 
 
 class TestAnalyze:

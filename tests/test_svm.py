@@ -7,7 +7,8 @@ import pytest
 from svm_reference import kkt_feasible_bias
 from synth import random_token_corpus
 from tamkit.corpus import Dataset, Example
-from tamkit.features import FeatureSet, FeatureVector, extract
+from tamkit.features import (TOKEN, Feature, FeatureSet, FeatureVector,
+                             Vocabulary, extract)
 from tamkit.svm import (
     BinarySvmModel,
     ConvergenceError,
@@ -205,12 +206,12 @@ class TestBinaryTraining:
         with pytest.raises(ConvergenceError):
             train_binary_svm(examples, max_iter=1)
 
-    def test_cache_path_matches_dense_path(self):
+    def test_cache_path_matches_dense_path(self, request):
         rng = random.Random(4)
         vectors, y = _random_problem(rng, max_l=10)
         dense = train_binary_svm(list(zip(vectors, y)), C=1.0, d=2)
-        cached = train_binary_svm(list(zip(vectors, y)), C=1.0, d=2,
-                                  gram_limit=0, cache_rows=2)
+        request.getfixturevalue("row_cache")
+        cached = train_binary_svm(list(zip(vectors, y)), C=1.0, d=2)
         assert full_alpha(dense).tolist() == full_alpha(cached).tolist()
         assert dense.b == cached.b
 
@@ -281,7 +282,8 @@ class TestPairwise:
         }
         pw = PairwiseModel(
             ["a", "b", "c"], models, {"a": 1, "b": 1, "c": 5},
-            vocab=None, mode=FeatureSet.FS3, C=1.0, d=1)
+            vocab=Vocabulary(Feature(TOKEN, f"t{i}") for i in range(10)),
+            mode=FeatureSet.FS3, C=1.0, d=1)
         query = FeatureVector([0, 1, 2])
         votes = {}
         for (p, q), m in models.items():

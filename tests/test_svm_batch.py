@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from svm_reference import reference_smo
@@ -107,12 +107,8 @@ def test_hand_built_model_batch_equals_per_example(model, queries):
     assert_batch_matches_reference(model, queries)
 
 
-@settings(max_examples=40, deadline=None)
-@given(corpora, modes, degrees, st.sampled_from((None, 0)))
-def test_pair_models_equal_training_the_pair_alone(ds, mode, d, gram_limit):
-    # gram_limit=0 reads the fold kernel through the row cache
-    kwargs = {} if gram_limit is None else {"gram_limit": 0, "cache_rows": 2}
-    model = train_pairwise(ds, mode, d=d, **kwargs)
+def assert_pairs_equal_training_alone(ds, mode, d):
+    model = train_pairwise(ds, mode, d=d)
     fvs = vectors(model, ds)
     for (a, b), binary in model.models.items():
         pair = ([(fv, 1) for fv, ex in zip(fvs, ds) if ex.label == a]
@@ -122,6 +118,21 @@ def test_pair_models_equal_training_the_pair_alone(ds, mode, d, gram_limit):
         assert binary.b == alone.b
         assert binary.info["iterations"] == alone.info["iterations"]
         assert binary.support_vectors == alone.support_vectors
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora, modes, degrees)
+def test_pair_models_equal_training_the_pair_alone(ds, mode, d):
+    assert_pairs_equal_training_alone(ds, mode, d)
+
+
+# the fixture only sets module constants, so it may serve every example
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpora, modes, degrees)
+def test_row_cache_pair_models_equal_training_the_pair_alone(row_cache, ds,
+                                                             mode, d):
+    assert_pairs_equal_training_alone(ds, mode, d)
 
 
 def test_decision_values_sum_in_stored_order():
@@ -181,8 +192,7 @@ def test_lockstep_smo_equals_scalar_solver(batch, C, d, dense, solve_terms):
     pool, problems = batch
     X = to_csr(pool, N_IDS)
     K = svm._poly(X @ X.T, d)
-    kern = (svm._kernel_matrix(X, d, svm.GRAM_LIMIT, None) if dense
-            else svm._kernel_matrix(X, d, 0, 2))
+    kern = svm._kernel_matrix(X, d) if dense else svm.KernelCache(X, d, 2)
     expected, capped = [], None
     for idx, y in problems:
         try:
