@@ -157,6 +157,9 @@ def load_report_predictions(path) -> PrecisionReport:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: not JSON ({exc.msg} "
                                  f"at column {exc.colno})") from None
+            except RecursionError:  # the decoder recurses once per level
+                raise ValueError(f"{path}: line {lineno}: not JSON (nested "
+                                 f"too deeply)") from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path}: line {lineno}: not a JSON object")
             kind = record.get("record")

@@ -8,8 +8,8 @@ and moves the weight by log(empirical/expected)/C, where C is the largest
 per-example feature count. The fitted distribution matches the empirical
 feature expectations while maximizing conditional entropy.
 
-Iteration stops when the largest count residual falls to tol * N or at
-``max_iters``, whichever comes first; the model records which one fired.
+Iteration stops when the largest count residual falls to ``GIS_TOL`` * N
+or after ``GIS_MAX_ITERS`` passes, whichever is first; ``info`` says which.
 A pair never observed in training drives its weight to -inf, and a feature
 that perfectly predicts one label pushes weights toward +inf, so weights are
 clamped to +-30 (with a warning) instead of failing.
@@ -32,6 +32,8 @@ from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
 logger = logging.getLogger(__name__)
 
 WEIGHT_CLAMP = 30.0
+GIS_TOL = 1e-4         # stop when every count residual is at most GIS_TOL * N
+GIS_MAX_ITERS = 1000   # or after this many passes
 
 
 class MaxEntModel:
@@ -91,15 +93,12 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return probs
 
 
-def train_maxent(dataset: Dataset, mode: FeatureSet, tol: float = 1e-4,
-                 max_iters: int = 1000) -> MaxEntModel:
+def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     """Fit the conditional exponential model by generalized iterative
-    scaling, until the largest per-pair count residual is at most tol * N
-    or ``max_iters`` passes have run."""
+    scaling, until the largest per-pair count residual is at most
+    ``GIS_TOL`` * N or ``GIS_MAX_ITERS`` passes have run."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = len(dataset)
     vocab = Vocabulary.from_dataset(dataset, mode)
     labels = tuple(sorted(dataset.label_counts))
@@ -130,11 +129,11 @@ def train_maxent(dataset: Dataset, mode: FeatureSet, tol: float = 1e-4,
     step = 1.0 / cmax
     residual = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, GIS_MAX_ITERS + 1):
         probs = _softmax_rows(X @ weights)
         expected = X.T @ probs
         residual = float(np.abs(empirical - expected).max())
-        if residual <= tol * n:
+        if residual <= GIS_TOL * n:
             it -= 1
             break
         with np.errstate(divide="ignore"):
@@ -143,7 +142,7 @@ def train_maxent(dataset: Dataset, mode: FeatureSet, tol: float = 1e-4,
         update[unseen] = -np.inf
         weights = weights + update * step
         np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP, out=weights)
-    converged = residual <= tol * n
+    converged = residual <= GIS_TOL * n
     clamped = bool(np.any(np.abs(weights) >= WEIGHT_CLAMP))
     if clamped:
         logger.warning(

@@ -19,19 +19,19 @@ Multiclass data is handled pairwise: one binary classifier per unordered
 label pair, each trained only on examples of its two labels, combined by
 voting. Pairwise trainings are independent; trained models are immutable.
 
-The kernel is built once per ``train_pairwise`` call, over all of its
-examples: a dense Gram matrix up to ``GRAM_LIMIT`` examples, above it an
-LRU of ``max(CACHE_MIN_ROWS, CACHE_ENTRIES // l)`` rows. Its values are
-exact integers, so neither form can change a model. One solver, ``_smo``,
-runs every pair's problem on that kernel in lockstep: padded arrays hold
-all problems, each round takes one step of every unfinished problem with
-a few array operations, and a problem leaves the arrays when it converges
-or reaches its iteration cap.
-``train_binary_svm`` is the same solver on one problem. Each problem does
-exactly the arithmetic of the scalar one-problem solver, so its
-multipliers, gradient and iteration count are bit-identical to it, and a
-pair model is identical to one trained on the pair alone. That scalar
-solver is kept in ``tests/svm_reference.py`` as the oracle.
+One driver, ``_train``, serves ``train_pairwise`` and ``train_binary_svm``
+(one problem). It builds the kernel once over all l examples, within one
+budget of ``KERNEL_ENTRIES`` values: the dense Gram matrix when l * l fits,
+above it an LRU of ``KERNEL_ENTRIES // l`` rows. Kernel values are exact
+integers, so the kernel is exactly symmetric and neither form can change a
+model. One solver, ``_smo``, runs every problem on it in lockstep: padded
+arrays hold all problems, each round takes one step of every unfinished
+problem with a few array operations, and a problem leaves the arrays when
+it converges or reaches its iteration cap. Each problem does exactly the
+arithmetic of the scalar one-problem solver, so its multipliers, gradient
+and iteration count are bit-identical to it, and a pair model is identical
+to one trained on the pair alone. That scalar solver is kept in
+``tests/svm_reference.py`` as the oracle.
 
 A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
 one sparse matrix, a row per vocabulary entry, when it is built, and
@@ -53,12 +53,11 @@ import numpy as np
 from .corpus import Dataset, best_label, read_label_counts
 from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
 
-KKT_TOL = 1e-3
+KKT_TOL = 1e-3         # SMO stops when the maximal violation is at most this
+MAX_ITER = None        # SMO iteration cap per problem; None is 100 per example
 UPDATE_EPS = 1e-12     # floor for the two-variable quadratic coefficient
 ALPHA_FLOOR = 1e-12    # multipliers at or below this are treated as zero
-GRAM_LIMIT = 4096      # precompute the full Gram matrix up to this many examples
-CACHE_ENTRIES = 8 << 20  # kernel values (64 MB) the row cache holds above it
-CACHE_MIN_ROWS = 64    # rows the row cache holds however long a row is
+KERNEL_ENTRIES = 1 << 24  # kernel values (128 MB) held: dense Gram up to 4096 examples
 BLOCK_TERMS = 1 << 15  # kernel terms per block in PairwiseModel.predict_batch
 SOLVE_TERMS = 1 << 16  # padded entries per lockstep chunk of SMO problems
 
@@ -100,24 +99,16 @@ class KernelCache:
         if cached is not None:
             self._rows.move_to_end(i)
             return cached
-        counts = self._X @ self._Xt[:, [i]]
-        row = (counts.toarray().ravel() + 1.0) ** self._d
+        row = _poly(self._X @ self._Xt[:, [i]], self._d).ravel()
         self._rows[i] = row
         if len(self._rows) > self.capacity:
             self._rows.popitem(last=False)
         return row
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """K[rows[p], cols[p, q]] for every p and q, as a new array."""
+        """K[rows[p], cols[p, q]] for every p and q (``cols`` may be one row)."""
+        cols = np.broadcast_to(cols, (len(rows), cols.shape[-1]))
         return np.stack([self.row(r)[c] for r, c in zip(rows, cols)])
-
-    def columns(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """K[rows][:, cols] as a C-ordered array; a product with it then sums
-        in the same order whichever kernel type produced it."""
-        out = np.empty((len(rows), len(cols)))
-        for k, c in enumerate(cols):
-            out[:, k] = self.row(c)[rows]
-        return out
 
 
 class _DenseGram:
@@ -128,9 +119,6 @@ class _DenseGram:
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self._K[rows[:, None], cols]
-
-    def columns(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(self._K[np.ix_(rows, cols)])
 
 
 def _poly(counts, d: int) -> np.ndarray:
@@ -143,12 +131,12 @@ def _poly(counts, d: int) -> np.ndarray:
 
 
 def _kernel_matrix(X, d: int):
-    """The dense Gram matrix of the rows of ``X`` up to ``GRAM_LIMIT`` rows,
-    a row cache above it."""
+    """The kernel of the rows of ``X`` within ``KERNEL_ENTRIES`` values: the
+    dense Gram matrix when all l * l fit, else a cache of as many rows as fit."""
     l = X.shape[0]
-    if l <= GRAM_LIMIT:
+    if l * l <= KERNEL_ENTRIES:
         return _DenseGram(_poly(X @ X.T, d))
-    return KernelCache(X, d, max(CACHE_MIN_ROWS, CACHE_ENTRIES // l))
+    return KernelCache(X, d, KERNEL_ENTRIES // l)
 
 
 def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
@@ -156,22 +144,22 @@ def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
     return float(alpha.sum() - 0.5 * (alpha @ grad + alpha.sum()))
 
 
-def _smo(kern, problems, C: float, kkt_tol: float, max_iter: int | None = None):
+def _smo(kern, problems, C: float):
     """Maximal-violating-pair SMO on independent problems sharing one kernel.
 
     ``problems`` is a list of ``(idx, y)``: the indices of a problem's
     examples in ``kern`` and their labels (+-1.0), as sequences. ``C`` must
     be positive. Problems are sorted by size and solved in lockstep, in
     chunks of at most ``SOLVE_TERMS`` padded entries. Yields
-    ``(p, alpha, grad, iterations)`` as each problem ``p`` converges, so a
-    caller can finish it before the others. A problem that reaches its
-    iteration cap (``max_iter``, default 100 per example) first is not
-    yielded; after the last yield, the first such problem in order raises
-    ConvergenceError.
+    ``(p, alpha, grad, iterations)`` as each problem ``p`` reaches
+    ``KKT_TOL``, so a caller can finish it before the others. A problem that
+    reaches its iteration cap (``MAX_ITER``, or 100 per example when None)
+    first is not yielded; after the last yield, the first such problem in
+    order raises ConvergenceError.
     """
     C = float(C)
     sizes = [len(y) for _, y in problems]
-    caps = [100 * n if max_iter is None else max_iter for n in sizes]
+    caps = [100 * n if MAX_ITER is None else MAX_ITER for n in sizes]
     capped = {}
     order = sorted(range(len(problems)), key=sizes.__getitem__)
     start = 0
@@ -183,8 +171,7 @@ def _smo(kern, problems, C: float, kkt_tol: float, max_iter: int | None = None):
             stop += 1
         chunk = order[start:stop]
         for k, alpha, grad, n_iter in _smo_lockstep(
-                kern, [problems[p] for p in chunk], [caps[p] for p in chunk],
-                C, kkt_tol):
+                kern, [problems[p] for p in chunk], [caps[p] for p in chunk], C):
             p = chunk[k]
             if n_iter < caps[p]:
                 yield p, alpha, grad, n_iter
@@ -194,12 +181,12 @@ def _smo(kern, problems, C: float, kkt_tol: float, max_iter: int | None = None):
     if capped:
         p = min(capped)
         raise ConvergenceError(
-            f"SMO did not reach KKT tolerance {kkt_tol} in {caps[p]} iterations",
+            f"SMO did not reach KKT tolerance {KKT_TOL} in {caps[p]} iterations",
             dual_value=capped[p],
         )
 
 
-def _smo_lockstep(kern, problems, caps, C: float, kkt_tol: float):
+def _smo_lockstep(kern, problems, caps, C: float):
     """One SMO step per unfinished problem per round, on padded ``(P, L)``
     arrays; padding has label 0, so it is in neither working-set mask.
 
@@ -208,8 +195,8 @@ def _smo_lockstep(kern, problems, caps, C: float, kkt_tol: float):
     masks, the clipped two-variable update runs on Python floats, and the
     gradient update keeps the scalar operand order. A problem leaves the
     arrays, yielded as ``(k, alpha, grad, iterations)`` with ``k`` its
-    position in ``problems``, when it reaches its cap (tested first) or the
-    KKT tolerance. Products are taken in place, so that few ``(P, L)``
+    position in ``problems``, when it reaches its cap (tested first) or
+    ``KKT_TOL``. Products are taken in place, so that few ``(P, L)``
     arrays are alive.
     """
     sizes = [len(y) for _, y in problems]
@@ -227,7 +214,7 @@ def _smo_lockstep(kern, problems, caps, C: float, kkt_tol: float):
     it = 0
     while True:
         i, j, gap = _working_sets(Y, grad, up, low)
-        done = (cap[ids] <= it) | (gap <= kkt_tol)
+        done = (cap[ids] <= it) | (gap <= KKT_TOL)
         if done.any():
             for r in np.flatnonzero(done):
                 k = ids[r]
@@ -380,22 +367,17 @@ class BinarySvmModel:
         }
 
     @classmethod
-    def from_dict(cls, payload, n_features: int) -> "BinarySvmModel":
-        """Model from its ``to_dict`` payload, read from a model file whose
-        vocabulary has ``n_features`` entries. Raises ValueError unless every
+    def from_dict(cls, payload) -> "BinarySvmModel":
+        """Model from its ``to_dict`` payload. Raises ValueError unless every
         support vector has a label of -1 or +1, a finite multiplier, and
-        feature ids that are integers in [0, n_features), and the bias is
-        finite."""
+        integer feature ids, and the bias is finite. ``PairwiseModel``
+        checks the ids against its vocabulary."""
         sv_ids, y, alpha = payload["sv_ids"], payload["y"], payload["alpha"]
         if not len(sv_ids) == len(y) == len(alpha):
             raise ValueError(f"{len(sv_ids)} support vectors, {len(y)} labels "
                              f"and {len(alpha)} multipliers")
-        for ids in sv_ids:
-            for i in ids:
-                if not (isinstance(i, int) and not isinstance(i, bool)
-                        and 0 <= i < n_features):
-                    raise ValueError(f"support-vector feature id {i!r} is not "
-                                     f"an integer in [0, {n_features})")
+        if not all(type(i) is int for ids in sv_ids for i in ids):
+            raise ValueError("support-vector feature ids must be integers")
         for v in y:
             if v not in (-1, 1):
                 raise ValueError(f"support-vector label {v!r} is not -1 or +1")
@@ -411,32 +393,39 @@ class BinarySvmModel:
         )
 
 
-def train_binary_svm(examples, C: float = 1.0, d: int = 1,
-                     max_iter: int | None = None) -> BinarySvmModel:
+def train_binary_svm(examples, C: float = 1.0, d: int = 1) -> BinarySvmModel:
     """Solve the dual for a two-class problem.
 
     ``examples`` is a sequence of (FeatureVector, +-1) pairs; both classes
-    must be present. The kernel is formed as in ``train_pairwise``. Raises
-    ConvergenceError if the iteration cap (default 100 per example) is hit
-    first.
+    must be present. Trained as one problem of ``train_pairwise``. Raises
+    ConvergenceError if the iteration cap is hit first.
     """
     vectors = [fv for fv, _ in examples]
     y = np.array([lab for _, lab in examples], dtype=np.float64)
-    l = len(vectors)
-    if l == 0:
+    if len(vectors) == 0:
         raise TrainingError("no training examples")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise TrainingError("labels must be +1 or -1")
     if not ((y > 0).any() and (y < 0).any()):
         raise TrainingError("both classes must be present")
+    return _train(vectors, [(np.arange(len(y)), y)], C, d)[0]
+
+
+def _train(vectors, problems, C: float, d: int) -> list[BinarySvmModel]:
+    """The model of every problem ``(idx, y)`` over the feature vectors
+    ``vectors``, in problem order, all solved on one kernel. Each problem is
+    finished as soon as it converges, so that the solver's arrays and the
+    models are not all alive at once."""
     if not (C > 0 and math.isfinite(C)):
         raise TrainingError("C must be positive and finite")
-
     n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
     kern = _kernel_matrix(to_csr(vectors, n_cols), d)
-    idx = np.arange(l)
-    [(_, alpha, grad, n_iter)] = _smo(kern, [(idx, y)], C, KKT_TOL, max_iter)
-    return _finish(kern, idx, y, vectors, alpha, grad, n_iter, C, d)
+    models = [None] * len(problems)
+    for p, alpha, grad, n_iter in _smo(kern, problems, C):
+        idx, y = problems[p]
+        models[p] = _finish(kern, idx, y, [vectors[i] for i in idx],
+                            alpha, grad, n_iter, C, d)
+    return models
 
 
 def _finish(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
@@ -444,9 +433,11 @@ def _finish(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
     """The model of one solved problem: its examples are ``idx`` in the
     kernel, with labels ``y`` and feature vectors ``vectors``."""
     # bias-free decision value of every training example, summed over the
-    # multipliers that remain active
+    # active multipliers: K[idx][:, idx[active]] is the C-ordered transpose
+    # of one gather, exact because the kernel is symmetric
     active = np.flatnonzero(alpha > ALPHA_FLOOR)
-    u = kern.columns(idx, idx[active]) @ (alpha[active] * y[active])
+    u = np.ascontiguousarray(kern.gather(idx[active], idx).T) @ (
+        alpha[active] * y[active])
     b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
 
     info = {
@@ -477,7 +468,9 @@ def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:
 
 
 class PairwiseModel:
-    """One binary classifier per unordered label pair, combined by voting."""
+    """One binary classifier per unordered label pair, combined by voting.
+    Raises ValueError unless every pair has the model's degree and every
+    support-vector feature id is in [0, len(vocab))."""
 
     def __init__(self, labels, models, label_counts, vocab: Vocabulary,
                  mode: FeatureSet, C: float, d: int):
@@ -508,6 +501,10 @@ class PairwiseModel:
                                     for sv in m.support_vectors]
             self._coef[j, :n_sv] = [a * yv for yv, a in zip(m.sv_labels, m.sv_alpha)]
         self._bias = np.array([m.b for m in pairs])
+        for sv in column:  # ids are sorted
+            if sv.ids and (sv.ids[0] < 0 or sv.ids[-1] >= len(vocab)):
+                raise ValueError(f"support vector {sv!r} has a feature id "
+                                 f"outside [0, {len(vocab)})")
         # padding points at column 0, so keep one even with no support vectors
         self._sv_t = to_csr(list(column) or [FeatureVector()],
                             max(len(vocab), 1)).T.tocsr()
@@ -574,16 +571,22 @@ class PairwiseModel:
 
     @classmethod
     def from_dict(cls, payload) -> "PairwiseModel":
-        """Model from its ``to_dict`` payload. Older files may also list
-        pairs with one side absent from training; they are ignored. Each
-        voted for its present side, which adds one vote to every present
-        label and so cannot change a winner."""
+        """Model from its ``to_dict`` payload. Raises ValueError unless every
+        pair of labels with a training count has a classifier. Older files
+        may also list labels absent from training (without a count), and
+        pairs with one such side, which are ignored: each voted for its
+        present side, one vote for every present label, changing no winner."""
         vocab = Vocabulary.from_list(payload["vocab"])
+        models = {(a, b): BinarySvmModel.from_dict(m)
+                  for a, b, m in payload["models"]}
+        label_counts = read_label_counts(payload["label_counts"])
+        for pair in combinations(sorted(label_counts), 2):
+            if pair not in models:
+                raise ValueError(f"no classifier for the label pair {pair}")
         return cls(
             payload["labels"],
-            {(a, b): BinarySvmModel.from_dict(m, len(vocab))
-             for a, b, m in payload["models"]},
-            read_label_counts(payload["label_counts"]),
+            models,
+            label_counts,
             vocab,
             FeatureSet(payload["mode"]),
             payload["C"],
@@ -591,45 +594,35 @@ class PairwiseModel:
         )
 
 
-def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0, d: int = 1,
-                   max_iter: int | None = None) -> PairwiseModel:
+def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0,
+                   d: int = 1) -> PairwiseModel:
     """Train one binary model per unordered pair of the labels in
     ``dataset``, so both sides of every pair have training examples.
 
-    The kernel is built once over the whole dataset (dense up to
-    ``GRAM_LIMIT`` examples, the row cache above it), and one lockstep solver
-    runs every pair's problem on it. Each pair model is identical to
-    ``train_binary_svm`` on the pair alone. If a pair reaches its iteration
-    cap, the first such pair in pair order raises ConvergenceError.
+    The kernel is built once over the whole dataset within the budget of
+    ``KERNEL_ENTRIES`` values (dense up to 4096 examples, a row cache above),
+    and one lockstep solver runs every pair's problem on it. Each pair model
+    is identical to ``train_binary_svm`` on the pair alone. If a pair reaches
+    its iteration cap, the first such pair in pair order raises
+    ConvergenceError.
     """
     if len(dataset) == 0:
         raise TrainingError("cannot train on an empty dataset")
     labels = dataset.labels
     if len(labels) < 2:
         raise TrainingError("pairwise training needs at least 2 labels")
-    if not (C > 0 and math.isfinite(C)):
-        raise TrainingError("C must be positive and finite")
     vocab = Vocabulary.from_dataset(dataset, mode)
     fvs = [extract(ex, mode, vocab) for ex in dataset]
-    kern = _kernel_matrix(to_csr(fvs, max(len(vocab), 1)), d)
     by_label: dict[str, list[int]] = {}
     for idx, ex in enumerate(dataset):
         by_label.setdefault(ex.label, []).append(idx)
-
     pairs = list(combinations(labels, 2))
-    problems = [(by_label[a] + by_label[b],
-                 [1.0] * len(by_label[a]) + [-1.0] * len(by_label[b]))
+    problems = [(np.array(by_label[a] + by_label[b]),
+                 np.array([1.0] * len(by_label[a]) + [-1.0] * len(by_label[b])))
                 for a, b in pairs]
-    # each pair is finished as soon as it converges, so that the solver's
-    # arrays and the pair models are not all alive at once
-    finished = [None] * len(problems)
-    for p, alpha, grad, n_iter in _smo(kern, problems, C, KKT_TOL, max_iter):
-        idx, y = problems[p]
-        finished[p] = _finish(kern, np.array(idx), np.array(y),
-                              [fvs[i] for i in idx], alpha, grad, n_iter, C, d)
-    models = dict(zip(pairs, finished))
-    return PairwiseModel(labels, models, dataset.label_counts, vocab, mode,
-                         C, d)
+    models = _train(fvs, problems, C, d)
+    return PairwiseModel(labels, dict(zip(pairs, models)), dataset.label_counts,
+                         vocab, mode, C, d)
 
 
 def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:

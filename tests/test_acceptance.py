@@ -6,6 +6,7 @@ determinism."""
 
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tamkit.declist import classify_declist, train_declist
 from tamkit.evaluate import LearnerSpec, cross_domain_eval, cross_validate, sign_test
 from tamkit.features import FeatureSet, FeatureVector, extract
 from tamkit.knn import classify_knn, similarity, train_knn
+from tamkit import maxent
 from tamkit.maxent import classify_maxent, expectation_residual, train_maxent
 from tamkit.svm import decide, train_binary_svm
 from synth import random_token_corpus
@@ -89,7 +91,8 @@ def test_criterion_05_maxent_constraints():
     for _ in range(50):
         ds = random_token_corpus(rng, max_examples=12, n_labels=3,
                                  pool_size=6, max_tokens=3)
-        model = train_maxent(ds, FeatureSet.FS3, max_iters=20000)
+        with mock.patch.object(maxent, "GIS_MAX_ITERS", 20000):
+            model = train_maxent(ds, FeatureSet.FS3)
         worst = max(worst, expectation_residual(model, ds))
     assert worst <= 1e-3
     ds = Dataset([Example("A", "", ("f",)), Example("A", "", ("f",)),

@@ -334,6 +334,16 @@ class TestModelFiles:
         assert main(["eval", "--input", str(corpus_file), "--model",
                      str(path)]) == 2
 
+    def test_deeply_nested_model_file_is_data_error(self, tmp_path,
+                                                    corpus_file, capsys):
+        # the JSON decoder raised RecursionError, a traceback
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}: not JSON (nested too deeply)\n"
+
     @pytest.mark.parametrize("method", ["knn", "dlist", "maxent", "svm"])
     def test_empty_payload_is_data_error(self, tmp_path, corpus_file, capsys,
                                          method):
@@ -431,17 +441,22 @@ class TestModelFiles:
                                       "float id", "label 3", "short alpha",
                                       "short sv_ids", "ghost pair label",
                                       "pair degree", "nan alpha",
-                                      "infinite b"])
+                                      "infinite b", "no models",
+                                      "deleted pair"])
     def test_malformed_svm_payload_is_data_error(self, tmp_path, corpus_file,
                                                  capsys, case):
         # a negative id corrupted the heap in the sparse-matrix build, a
-        # label of 3 or a NaN multiplier changed predictions without any
-        # error, and a pair label outside the model's labels raised a
-        # KeyError traceback
+        # label of 3, a NaN multiplier or a missing pair changed predictions
+        # without any error, and a pair label outside the model's labels
+        # raised a KeyError traceback
         path, document = self._train_svm_file(corpus_file, tmp_path)
         payload = document["payload"]
         pair = payload["models"][0][2]
-        if case == "ghost pair label":
+        if case == "no models":
+            payload["models"] = []
+        elif case == "deleted pair":
+            del payload["models"][1]
+        elif case == "ghost pair label":
             payload["models"][0][0] = "ghost"
         elif case == "pair degree":
             pair["d"] = payload["d"] + 1
@@ -594,6 +609,82 @@ def test_edited_model_file_is_read_or_refused(trained_documents, tmp_path,
     assert not caught
 
 
+# the field and line separators of the corpus format, characters that
+# str.splitlines also takes for a line break (\r, \x1c), and a few of text
+CORPUS_CHARS = "ab\t\r #\x1c\u00e9"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_edited_corpus_file_is_read_or_refused(trained_documents, tmp_path,
+                                               capsys, data):
+    # one line replaced, sometimes with an invalid UTF-8 byte: each command
+    # reads the file or refuses it with one line, never a traceback
+    corpus, _ = trained_documents
+    lines = corpus.read_bytes().split(b"\n")
+    line = data.draw(st.text(alphabet=CORPUS_CHARS, max_size=12)).encode("utf-8")
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(line)))
+        line = line[:at] + b"\xff" + line[at:]
+    lines[data.draw(st.integers(0, len(lines) - 1))] = line
+    path = tmp_path / "edited.tsv"
+    path.write_bytes(b"\n".join(lines))
+    for command in (["distribution"],
+                    ["eval", "--method", "dlist", "--features", "3"]):
+        capsys.readouterr()
+        code = main(command + ["--input", str(path),
+                               "--out", str(tmp_path / "out")])
+        assert code in (0, 2)
+        assert capsys.readouterr().err.count("\n") <= 1
+
+
+@pytest.fixture(scope="module")
+def dlist_report(trained_documents, tmp_path_factory):
+    """The report of a decision-list evaluation of the trained corpus."""
+    corpus, _ = trained_documents
+    report = tmp_path_factory.mktemp("reports") / "dlist.jsonl"
+    assert main(["eval", "--input", str(corpus), "--method", "dlist",
+                 "--features", "3", "--out", str(report)]) == 0
+    return report
+
+
+REPORT_KEYS = ("record", "index", "gold", "predicted", "correct", "total",
+               "closed")
+json_leaves = (st.none() | st.booleans() | st.integers(-2, 12) | st.floats()
+               | st.sampled_from(("fold", "prediction", "summary", "A", "B", "C"))
+               | st.text(max_size=4))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+report_records = st.dictionaries(st.sampled_from(REPORT_KEYS), json_values,
+                                 max_size=5)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_edited_report_file_is_read_or_refused(trained_documents, dlist_report,
+                                               tmp_path, capsys, data):
+    # one record replaced by drawn JSON, mostly record-like, or by text that
+    # may not be JSON: analyze reads the report or refuses it with one line
+    corpus, _ = trained_documents
+    lines = dlist_report.read_text(encoding="utf-8").splitlines()
+    lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(
+        report_records.map(json.dumps) | json_values.map(json.dumps)
+        | st.text(max_size=20))
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["analyze", "--input", str(corpus), "--report-a", str(path),
+                 "--report-b", str(dlist_report),
+                 "--out", str(tmp_path / "out")])
+    assert code in (0, 2)
+    assert capsys.readouterr().err.count("\n") <= 1
+
+
 class TestAnalyze:
     def test_sign_test_and_effective_features(self, tmp_path):
         # method A sees only suffixes, method B additionally sees the flip
@@ -645,6 +736,8 @@ class TestAnalyze:
         ('{"record": "prediction", "gold": "past"}',
          "prediction record without index, predicted"),
         ('{"record": "fold", "correct": 1}', "fold record without total"),
+        pytest.param("[" * 100000, "not JSON (nested too deeply)",
+                     id="deep nesting"),
     ])
     def test_malformed_report_record_is_data_error(self, tmp_path, corpus_file,
                                                    capsys, line, problem):

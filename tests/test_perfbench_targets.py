@@ -1,6 +1,6 @@
-"""The benchmark's tracer wraps tamkit functions by name, so a change in
-``src/`` that drops or renames one of them must fail here, not only under
-``perfbench/run.py --trace 1``."""
+"""The benchmark's tracer wraps tamkit functions and methods by name, so a
+change in ``src/`` that drops or renames one of them must fail here, not
+only under ``perfbench/run.py --trace 1``."""
 
 import importlib
 from pathlib import Path
@@ -14,8 +14,12 @@ def test_every_wrap_target_resolves_and_unwraps(monkeypatch):
     spans = importlib.import_module("spans")
 
     def bound():
-        return [getattr(importlib.import_module(module), attr)
-                for module, attr, _, _ in layers.FUNCTIONS]
+        # class attributes are read from the class dict, so that a
+        # classmethod is compared as the object the tracer replaces
+        return ([getattr(importlib.import_module(module), attr)
+                 for module, attr, _, _ in layers.FUNCTIONS]
+                + [vars(getattr(importlib.import_module(module), cls))[attr]
+                   for module, cls, attr, _ in layers.METHODS])
 
     originals = bound()
     tracer = spans.Tracer()

@@ -1,11 +1,13 @@
 import random
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from svm_reference import kkt_feasible_bias
 from synth import random_token_corpus
+from tamkit import svm
 from tamkit.corpus import Dataset, Example
 from tamkit.features import (TOKEN, Feature, FeatureSet, FeatureVector,
                              Vocabulary, extract)
@@ -196,15 +198,18 @@ class TestBinaryTraining:
             (FeatureVector([0]), 1), (FeatureVector([0]), -1),
             (FeatureVector([1]), 1), (FeatureVector([1]), -1),
         ]
-        with pytest.raises(ConvergenceError) as info:
-            train_binary_svm(examples, C=1.0, d=1, max_iter=1)
+        with mock.patch.object(svm, "MAX_ITER", 1), \
+                pytest.raises(ConvergenceError) as info:
+            train_binary_svm(examples, C=1.0, d=1)
         assert isinstance(info.value.dual_value, float)
 
     def test_cap_is_tested_before_convergence(self):
         examples = [(FeatureVector([0]), 1), (FeatureVector([1]), -1)]
-        assert train_binary_svm(examples, max_iter=2).info["iterations"] == 1
-        with pytest.raises(ConvergenceError):
-            train_binary_svm(examples, max_iter=1)
+        with mock.patch.object(svm, "MAX_ITER", 2):
+            assert train_binary_svm(examples).info["iterations"] == 1
+        with mock.patch.object(svm, "MAX_ITER", 1), \
+                pytest.raises(ConvergenceError):
+            train_binary_svm(examples)
 
     def test_cache_path_matches_dense_path(self, request):
         rng = random.Random(4)

@@ -163,6 +163,18 @@ def test_pair_degree_must_match_model_degree():
                       vocab, FeatureSet.FS3, C=1.0, d=1)
 
 
+@pytest.mark.parametrize("ids", [[5], [2], [-1], [0, 2]])
+def test_support_vector_ids_must_fit_the_vocabulary(ids):
+    # unchecked, an id past the vocabulary reached the sparse-matrix build,
+    # which does not check column indices
+    vocab = Vocabulary.from_list([["token", "t0"], ["token", "t1"]])
+    binary = BinarySvmModel([FeatureVector([1]), FeatureVector(ids)], [1, -1],
+                            [1.0, 1.0], b=0.0, C=1.0, d=1)
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        PairwiseModel(["a", "b"], {("a", "b"): binary}, {"a": 1, "b": 1},
+                      vocab, FeatureSet.FS3, C=1.0, d=1)
+
+
 N_IDS = 5  # feature ids of the solver problems: few, so vectors repeat
 
 
@@ -203,12 +215,12 @@ def test_lockstep_smo_equals_scalar_solver(batch, C, d, dense, solve_terms):
     with mock.patch.object(svm, "SOLVE_TERMS", solve_terms):
         if capped is not None:
             with pytest.raises(ConvergenceError) as info:
-                list(svm._smo(kern, problems, C, KKT_TOL))
+                list(svm._smo(kern, problems, C))
             assert info.value.dual_value == capped.dual_value
             return
         # problems are yielded as they converge, each once
         solved = {}
-        for p, alpha, grad, n_iter in svm._smo(kern, problems, C, KKT_TOL):
+        for p, alpha, grad, n_iter in svm._smo(kern, problems, C):
             assert p not in solved
             solved[p] = alpha, grad, n_iter
     assert sorted(solved) == list(range(len(problems)))
@@ -249,12 +261,12 @@ def test_capped_pair_raises_as_when_trained_alone(ds, mode, d, data):
         except ConvergenceError as exc:
             expected = exc
             break
-    if expected is None:
-        capped = train_pairwise(ds, mode, d=d, max_iter=max_iter)
-        assert capped.to_dict() == model.to_dict()
-    else:
+    with mock.patch.object(svm, "MAX_ITER", max_iter):
+        if expected is None:
+            assert train_pairwise(ds, mode, d=d).to_dict() == model.to_dict()
+            return
         with pytest.raises(ConvergenceError) as info:
-            train_pairwise(ds, mode, d=d, max_iter=max_iter)
+            train_pairwise(ds, mode, d=d)
         assert info.value.dual_value == expected.dual_value
         assert str(info.value) == str(expected)
 
@@ -268,8 +280,9 @@ def test_iteration_cap_of_one_raises_for_first_pair():
         ("b", ("t1", "t3")), ("b", ("t3",)), ("b", ("t4",)), ("c", ("t5",)))])
     model = train_pairwise(ds, FeatureSet.FS3)
     first = next(pair_problems(ds, model))
-    with pytest.raises(ConvergenceError) as alone:
-        train_binary_svm(first, max_iter=1)
-    with pytest.raises(ConvergenceError) as info:
-        train_pairwise(ds, FeatureSet.FS3, max_iter=1)
+    with mock.patch.object(svm, "MAX_ITER", 1):
+        with pytest.raises(ConvergenceError) as alone:
+            train_binary_svm(first)
+        with pytest.raises(ConvergenceError) as info:
+            train_pairwise(ds, FeatureSet.FS3)
     assert info.value.dual_value == alone.value.dual_value == 1.0
