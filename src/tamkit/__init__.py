@@ -49,7 +49,7 @@ from .features import (
     suffix_ngrams,
     tokenize,
 )
-from .knn import KnnModel, classify_knn, similarity, train_knn
+from .knn import KnnModel, classify_knn, train_knn
 from .maxent import MaxEntModel, classify_maxent, train_maxent
 from .svm import (
     BinarySvmModel,

@@ -20,10 +20,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 training failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
-from .corpus import CorpusError, Dataset, load_corpus, split_folds
+from .corpus import CorpusError, Dataset, load_corpus, read_text, split_folds
 from .evaluate import (
     BaselineModel,
     ConfigError,
@@ -50,7 +51,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
 
-KNN_GRID = (1, 3, 5, 7, 9)
+# the rows of the cv --all matrix
+GRID = (*(LearnerSpec("knn", k=k) for k in (1, 3, 5, 7, 9)), LearnerSpec("dlist"),
+        LearnerSpec("maxent"), LearnerSpec("svm", d=1), LearnerSpec("svm", d=2))
 
 
 class UsageError(Exception):
@@ -147,7 +150,8 @@ _REPORT_FIELDS = {"fold": ("correct", "total"),
 def load_report_predictions(path) -> PrecisionReport:
     """Rebuild a PrecisionReport from a line-delimited report file."""
     folds, predictions, closed = [], [], False
-    with open(path, "r", encoding="utf-8") as fh:
+    # universal newlines, as a file opened in text mode splits them
+    with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -223,20 +227,11 @@ def _cmd_cv(args) -> int:
                                         FeatureSet(args.features)))
 
 
-def _grid_rows():
-    rows = [LearnerSpec("knn", k=k) for k in KNN_GRID]
-    rows.append(LearnerSpec("dlist"))
-    rows.append(LearnerSpec("maxent"))
-    rows.append(LearnerSpec("svm", d=1))
-    rows.append(LearnerSpec("svm", d=2))
-    return rows
-
-
 def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     """Run the whole method-by-feature-set grid and print an aligned matrix
     of open (closed) precisions."""
     cells: dict[tuple[str, int], str] = {}
-    for spec in _grid_rows():
+    for spec in GRID:
         modes = (FeatureSet.FS2,) if spec.method == "knn" else tuple(FeatureSet)
         for mode in modes:
             open_rep = cross_validate(spec, dataset, plan, mode)
@@ -246,7 +241,7 @@ def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     baseline_rep = evaluate_model(BaselineModel(), dataset, closed=False)
     lines = [f"{'method':<18} {'feature-set 1':>20} {'feature-set 2':>20} "
              f"{'feature-set 3':>20}"]
-    for spec in _grid_rows():
+    for spec in GRID:
         row = [f"{spec.describe():<18}"]
         for fs in (1, 2, 3):
             row.append(f"{cells.get((spec.describe(), fs), '--- ( --- )'):>20}")

@@ -151,18 +151,24 @@ def parse_corpus(text: str) -> Dataset:
     return Dataset(examples)
 
 
-def load_corpus(path) -> Dataset:
-    """Read and parse a corpus file; invalid UTF-8 raises CorpusError."""
+def read_text(path) -> str:
+    """A file's text; invalid UTF-8 raises ValueError naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8 ({exc})") from exc
+        raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+def load_corpus(path) -> Dataset:
+    """Read and parse a corpus file; invalid UTF-8 raises CorpusError."""
     try:
-        return parse_corpus(text)
+        return parse_corpus(read_text(path))
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8; read_text names the path
+        raise CorpusError(str(exc)) from exc
 
 
 def serialize_corpus(dataset: Dataset) -> str:

@@ -15,7 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Dataset, best_label, read_label_counts
-from .features import Feature, FeatureSet, FeatureVector, Vocabulary, extract
+from .features import (Feature, FeatureSet, FeatureVector, Vocabulary,
+                       example_features, extract, feature_label_counts)
 
 
 @dataclass(frozen=True)
@@ -84,15 +85,14 @@ class DecisionListModel:
 
 
 def train_declist(dataset: Dataset, mode: FeatureSet) -> DecisionListModel:
-    """Count (feature, label) co-occurrences over the extracted features."""
+    """Count (feature, label) co-occurrences over the training features."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    vocab = Vocabulary.from_dataset(dataset, mode)
-    counts: list[dict[str, int]] = [{} for _ in range(len(vocab))]
-    for ex in dataset:
-        for fid in extract(ex, mode, vocab).ids:
-            counts[fid][ex.label] = counts[fid].get(ex.label, 0) + 1
-    return DecisionListModel(vocab, mode, counts, dataset.label_counts)
+    table = feature_label_counts((example_features(ex, mode), ex.label)
+                                 for ex in dataset)
+    vocab = Vocabulary(sorted(table))  # as Vocabulary.from_dataset orders it
+    return DecisionListModel(vocab, mode, map(table.__getitem__, vocab),
+                             dataset.label_counts)
 
 
 def decide(model: DecisionListModel, fv: FeatureVector) -> Decision:

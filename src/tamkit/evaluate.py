@@ -242,12 +242,8 @@ def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01
     if not flip:
         return []
     n, total = len(flip), len(full)
-    flip_counts: Counter = Counter()
-    for ex in flip:
-        flip_counts.update(example_features(ex, mode))
-    full_counts: Counter = Counter()
-    for ex in full:
-        full_counts.update(example_features(ex, mode))
+    flip_counts = Counter(f for ex in flip for f in example_features(ex, mode))
+    full_counts = Counter(f for ex in full for f in example_features(ex, mode))
     selected = [(feat, x) for feat, x in flip_counts.items()
                 if _binom_tail_below(x, n, full_counts[feat], total, level)]
     selected.sort(key=lambda item: (-item[1], item[0].text, item[0].kind))

@@ -19,6 +19,7 @@ inner product of two vectors is the size of their id-set intersection.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -71,6 +72,15 @@ def example_features(example, mode: FeatureSet) -> set[Feature]:
             tokens = tokenize(example.sentence)
         feats |= {Feature(TOKEN, tok) for tok in tokens}
     return feats
+
+
+def feature_label_counts(labelled) -> dict[Feature, Counter]:
+    """Per feature, its label counts over ``(features, label)`` pairs."""
+    table: dict[Feature, Counter] = {}
+    for feats, label in labelled:
+        for feat in feats:
+            table.setdefault(feat, Counter())[label] += 1
+    return table
 
 
 class Vocabulary:

@@ -6,6 +6,13 @@ feature range. Classification takes the k most similar training sentences,
 additionally admits every example tied with the k-th similarity, and returns
 the majority label of that voting set. This only applies to feature-set 2;
 no similarity is defined over token bags.
+
+No query scans the training set. A training sentence has similarity at
+least s to a query exactly when it ends with the query's last s characters.
+So the voting set is the sentences ending with the longest query suffix (of
+at most 10) that at least k training sentences end with, or all of them if
+none does (with k >= N, all vote either way). The model keeps their label
+counts, per suffix.
 """
 
 from __future__ import annotations
@@ -13,18 +20,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .corpus import Dataset, best_label, is_label, is_positive_int
-from .features import MAX_NGRAM
-
-SIMILARITY_CAP = MAX_NGRAM
-
-
-def similarity(a: str, b: str) -> int:
-    """Length of the longest common character suffix, capped at 10."""
-    limit = min(len(a), len(b), SIMILARITY_CAP)
-    n = 0
-    while n < limit and a[-1 - n] == b[-1 - n]:
-        n += 1
-    return n
+from .features import MAX_NGRAM, feature_label_counts, suffix_ngrams
 
 
 class KnnModel:
@@ -36,11 +32,15 @@ class KnnModel:
         if k < 1:
             raise ValueError("k must be >= 1")
         if not self.sentences:
-            raise ValueError("training set must be non-empty")
+            raise ValueError("cannot train on an empty dataset")
         if len(self.sentences) != len(self.labels):
             raise ValueError("sentences and labels must align")
         self.k = k
         self.label_counts = Counter(self.labels)
+        # suffix text -> label counts of the training sentences ending with it
+        self.suffix_votes: dict[str, Counter] = {
+            feat.text: votes for feat, votes in feature_label_counts(
+                zip(map(suffix_ngrams, self.sentences), self.labels)).items()}
 
     def predict(self, example) -> str:
         return classify_knn(self, example.sentence)
@@ -71,23 +71,17 @@ class KnnModel:
 
 
 def train_knn(dataset: Dataset, k: int) -> KnnModel:
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    return KnnModel(
-        (ex.sentence for ex in dataset),
-        (ex.label for ex in dataset),
-        k,
-    )
+    return KnnModel((ex.sentence for ex in dataset), (ex.label for ex in dataset), k)
 
 
 def classify_knn(model: KnnModel, sentence: str) -> str:
     """Majority vote among the k nearest training sentences plus all
     examples tied with the k-th similarity. Vote ties break by global
     training frequency, then lexicographic label order."""
-    sims = [similarity(sentence, s) for s in model.sentences]
-    k = min(model.k, len(sims))
-    kth = sorted(sims, reverse=True)[k - 1]
-    votes = Counter(
-        lab for sim, lab in zip(sims, model.labels) if sim >= kth
-    )
+    votes = model.label_counts  # similarity 0: every training sentence
+    for n in range(min(len(sentence), MAX_NGRAM), 0, -1):
+        ending = model.suffix_votes.get(sentence[-n:])
+        if ending is not None and ending.total() >= model.k:
+            votes = ending
+            break
     return best_label(votes, model.label_counts)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from .corpus import read_text
 from .declist import DecisionListModel
 from .features import MAX_NGRAM
 from .knn import KnnModel
@@ -39,11 +40,10 @@ def save_model(path, model) -> None:
 def load_model(path):
     """Read a model file. A file that is not a well-formed model document
     raises ``ValueError`` with a one-line message naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except RecursionError:  # the decoder recurses once per level
-            raise ValueError(f"{path}: not JSON (nested too deeply)") from None
+    try:
+        document = json.loads(read_text(path))
+    except RecursionError:  # the decoder recurses once per level
+        raise ValueError(f"{path}: not JSON (nested too deeply)") from None
     if not isinstance(document, dict) or document.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} file")
     method = document.get("method")

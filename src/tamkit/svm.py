@@ -292,15 +292,13 @@ def _pair_updates(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
                 if aj < 0:
                     aj = 0.0
                     ai = diff
-            else:
-                if ai < 0:
-                    ai = 0.0
-                    aj = -diff
-            if diff > 0:
                 if ai > C:
                     ai = C
                     aj = C - diff
             else:
+                if ai < 0:
+                    ai = 0.0
+                    aj = -diff
                 if aj > C:
                     aj = C
                     ai = C + diff
@@ -316,15 +314,13 @@ def _pair_updates(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
                 if ai > C:
                     ai = C
                     aj = asum - C
-            else:
-                if aj < 0:
-                    aj = 0.0
-                    ai = asum
-            if asum > C:
                 if aj > C:
                     aj = C
                     ai = asum - C
             else:
+                if aj < 0:
+                    aj = 0.0
+                    ai = asum
                 if ai < 0:
                     ai = 0.0
                     aj = asum
@@ -433,11 +429,13 @@ def _finish(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
     """The model of one solved problem: its examples are ``idx`` in the
     kernel, with labels ``y`` and feature vectors ``vectors``."""
     # bias-free decision value of every training example, summed over the
-    # active multipliers: K[idx][:, idx[active]] is the C-ordered transpose
-    # of one gather, exact because the kernel is symmetric
+    # active multipliers: K[idx][:, idx[active]], filled C-ordered from
+    # gathers of a few active rows each (exact, as the kernel is symmetric)
     active = np.flatnonzero(alpha > ALPHA_FLOOR)
-    u = np.ascontiguousarray(kern.gather(idx[active], idx).T) @ (
-        alpha[active] * y[active])
+    cols = np.empty((len(idx), len(active)))
+    for s in range(0, len(active), 16):
+        cols[:, s:s + 16] = kern.gather(idx[active[s:s + 16]], idx).T
+    u = cols @ (alpha[active] * y[active])
     b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
 
     info = {

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from knn_reference import similarity
 from synth import domain_corpus, modality_corpus
 from test_declist import oracle_decide
 from test_svm import _random_problem, dual_grid_oracle, full_alpha, per_example_kkt
@@ -19,7 +20,7 @@ from tamkit.corpus import serialize_corpus, split_folds
 from tamkit.declist import classify_declist, train_declist
 from tamkit.evaluate import LearnerSpec, cross_domain_eval, cross_validate, sign_test
 from tamkit.features import FeatureSet, FeatureVector, extract
-from tamkit.knn import classify_knn, similarity, train_knn
+from tamkit.knn import classify_knn, train_knn
 from tamkit import maxent
 from tamkit.maxent import classify_maxent, expectation_residual, train_maxent
 from tamkit.svm import decide, train_binary_svm

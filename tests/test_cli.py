@@ -344,6 +344,20 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err == f"data error: {path}: not JSON (nested too deeply)\n"
 
+    def test_invalid_utf8_model_file_is_data_error(self, tmp_path,
+                                                   corpus_file, capsys):
+        path = tmp_path / "m.json"
+        assert main(["train", "--input", str(corpus_file), "--method", "dlist",
+                     "--out", str(path)]) == 0
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] + b"\xff" + raw[20:])
+        capsys.readouterr()
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: not valid UTF-8 (")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("method", ["knn", "dlist", "maxent", "svm"])
     def test_empty_payload_is_data_error(self, tmp_path, corpus_file, capsys,
                                          method):
@@ -749,6 +763,18 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"data error: {report}: line 2: {problem}\n"
+
+    def test_invalid_utf8_report_is_data_error(self, tmp_path, corpus_file,
+                                               capsys):
+        report = tmp_path / "r.jsonl"
+        report.write_bytes(b'{"record": "fold", "correct": 1, "total": 1}\n'
+                           b'{"record": "\xff"}\n')
+        code = main(["analyze", "--input", str(corpus_file), "--report-a",
+                     str(report), "--report-b", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {report}: not valid UTF-8 (")
+        assert err.count("\n") == 1
 
     def test_report_gold_labels_must_match_corpus(self, tmp_path,
                                                   suffix_corpus_file, capsys):

@@ -1,9 +1,13 @@
+import operator
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from knn_reference import reference_knn, similarity
 from tamkit.corpus import Dataset, Example
-from tamkit.knn import KnnModel, classify_knn, similarity, train_knn
+from tamkit.knn import KnnModel, classify_knn, train_knn
 
 
 class TestSimilarity:
@@ -96,6 +100,32 @@ class TestClassify:
         kth = sims[6]
         voters = sum(1 for s in sims if s >= kth)
         assert voters >= 7
+
+
+_ALPHABET = "abあ"
+# sentences of 0-13 characters, and sentences of more than 10 that end in
+# one of three 10-character tails, so that many share all 10 final
+# characters, and some share only the last 9
+_SENTENCES = st.one_of(
+    st.text(_ALPHABET, max_size=13),
+    st.builds(operator.add, st.text(_ALPHABET, min_size=1, max_size=3),
+              st.sampled_from(["ababababあa", "bbbbbbbbbb", "abbbbbbbbb"])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("PQR"), _SENTENCES),
+                min_size=1, max_size=30),
+       st.integers(1, 40), _SENTENCES)
+@example([("P", ""), ("Q", "b"), ("Q", "")], 1, "")  # empty query and training
+@example([("P", "ab"), ("Q", "bb")], 5, "ab")  # N < k
+@example([("P", "a" + "bbbbbbbbbb"), ("Q", "ab" + "bbbbbbbbbb"),
+          ("Q", "b" + "bbbbbbbbbb")], 2, "aa" + "bbbbbbbbbb")  # beyond 10
+@example([("P", "bbbbbbbbbb"), ("Q", "abbbbbbbbb"), ("Q", "aabbbbbbbbb")], 1,
+         "b" + "bbbbbbbbbb")  # the 10th character from the end decides
+@example([("P", "aab"), ("Q", "bab"), ("Q", "bbb")], 1, "ab")  # tie at the k-th
+def test_suffix_table_equals_reference_scan(pairs, k, query):
+    model = train_knn(_dataset(pairs), k=k)
+    assert classify_knn(model, query) == reference_knn(model, query)
 
 
 class TestModel:
