@@ -21,7 +21,7 @@ from .corpus import (
     serialize_corpus,
     split_folds,
 )
-from .declist import DecisionListModel, classify_declist, decide, train_declist
+from .declist import DecisionListModel, decide, train_declist
 from .evaluate import (
     BaselineModel,
     ConfigError,

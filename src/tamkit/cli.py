@@ -24,9 +24,8 @@ import io
 import json
 import sys
 
-from .corpus import CorpusError, Dataset, load_corpus, read_text, split_folds
+from .corpus import Dataset, load_corpus, parse_json, read_text, split_folds
 from .evaluate import (
-    BaselineModel,
     ConfigError,
     LearnerSpec,
     METHODS,
@@ -56,14 +55,10 @@ GRID = (*(LearnerSpec("knn", k=k) for k in (1, 3, 5, 7, 9)), LearnerSpec("dlist"
         LearnerSpec("maxent"), LearnerSpec("svm", d=1), LearnerSpec("svm", d=2))
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; usage errors here are exit 1
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _spec(args) -> LearnerSpec:
@@ -80,9 +75,10 @@ def _resolve(args) -> None:
             raise ConfigError(f"cv --all runs a fixed grid of learners and "
                               f"feature sets; it takes no {', '.join(given)}")
     elif hasattr(args, "k"):  # a command that runs a learner
-        if args.method is not None and args.features is None:
-            args.features = 2 if args.method == "knn" else 1
+        # for eval --model (no method) the model's feature set replaces this
         defaults = LearnerSpec(args.method)
+        if args.features is None:
+            args.features = int(defaults.feature_sets[0])
         for flag in ("k", "d", "C"):
             if getattr(args, flag) is None:
                 setattr(args, flag, getattr(defaults, flag))
@@ -97,11 +93,8 @@ def _config(args) -> dict:
     """The resolved configuration that a report embeds."""
     config = {"command": args.command, "method": args.method,
               "feature_set": args.features, "seed": args.seed}
-    if args.method == "knn":
-        config["k"] = args.k
-    if args.method == "svm":
-        config["d"] = args.d
-        config["C"] = args.C
+    if args.method is not None:  # analyze names no learner
+        config.update(_spec(args).hyperparameters)
     if args.command in ("cv", "cross-domain"):
         config["folds"] = args.folds
     for key in ("input", "train", "test", "model"):
@@ -156,14 +149,7 @@ def load_report_predictions(path) -> PrecisionReport:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: not JSON ({exc.msg} "
-                                 f"at column {exc.colno})") from None
-            except RecursionError:  # the decoder recurses once per level
-                raise ValueError(f"{path}: line {lineno}: not JSON (nested "
-                                 f"too deeply)") from None
+            record = parse_json(line, f"{path}: line {lineno}")
             if not isinstance(record, dict):
                 raise ValueError(f"{path}: line {lineno}: not a JSON object")
             kind = record.get("record")
@@ -207,12 +193,8 @@ def _cmd_eval(args) -> int:
     dataset = load_corpus(args.input)
     if args.model:
         model = load_model(args.model)
-        args.method = model_method(model)
-        mode = getattr(model, "mode", None)
-        args.features = int(mode) if mode is not None else 2
-        report = evaluate_model(model, dataset, closed=False)
-    elif args.method == "baseline":
-        report = evaluate_model(BaselineModel(), dataset, closed=False)
+        args.method, args.features = model_method(model), int(model.mode)
+        report = evaluate_model(model, dataset)
     else:
         report = closed_test(_spec(args), dataset, FeatureSet(args.features))
     return _report(args, report)
@@ -230,22 +212,21 @@ def _cmd_cv(args) -> int:
 def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     """Run the whole method-by-feature-set grid and print an aligned matrix
     of open (closed) precisions."""
-    cells: dict[tuple[str, int], str] = {}
-    for spec in GRID:
-        modes = (FeatureSet.FS2,) if spec.method == "knn" else tuple(FeatureSet)
-        for mode in modes:
-            open_rep = cross_validate(spec, dataset, plan, mode)
-            closed_rep = closed_test(spec, dataset, mode)
-            cells[(spec.describe(), int(mode))] = (
-                f"{open_rep.precision * 100:6.2f}% ({closed_rep.precision * 100:6.2f}%)")
-    baseline_rep = evaluate_model(BaselineModel(), dataset, closed=False)
     lines = [f"{'method':<18} {'feature-set 1':>20} {'feature-set 2':>20} "
              f"{'feature-set 3':>20}"]
     for spec in GRID:
         row = [f"{spec.describe():<18}"]
-        for fs in (1, 2, 3):
-            row.append(f"{cells.get((spec.describe(), fs), '--- ( --- )'):>20}")
+        for mode in FeatureSet:
+            cell = "--- ( --- )"
+            if mode in spec.feature_sets:
+                open_rep = cross_validate(spec, dataset, plan, mode)
+                closed_rep = closed_test(spec, dataset, mode)
+                cell = (f"{open_rep.precision * 100:6.2f}% "
+                        f"({closed_rep.precision * 100:6.2f}%)")
+            row.append(f"{cell:>20}")
         lines.append(" ".join(row))
+    baseline = LearnerSpec("baseline")
+    baseline_rep = closed_test(baseline, dataset, baseline.feature_sets[0])
     lines.append(f"baseline = {baseline_rep.precision * 100:.2f}%")
     lines.append(f"(folds={args.folds}, seed={args.seed}, "
                  f"n={len(dataset)}, open closed)")
@@ -406,21 +387,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. Every error maps to a code
+    here, with one stderr line: a ConfigError (a malformed command line or
+    a setting a learner refuses) is a usage error, a TrainingError a
+    training failure, and any other ValueError (a malformed corpus, model
+    or report file) or OSError a data error."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         _resolve(args)
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:  # a ValueError, so it goes first
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CorpusError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,6 +15,7 @@ across threads.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -159,6 +160,20 @@ def read_text(path) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+def parse_json(text: str, where: str):
+    """One JSON document. Text that is not JSON raises ValueError with a
+    one-line message that begins with ``where`` (a path, or a path and line
+    number)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        at = (f"line {exc.lineno} column {exc.colno}" if exc.lineno > 1
+              else f"column {exc.colno}")
+        raise ValueError(f"{where}: not JSON ({exc.msg} at {at})") from None
+    except RecursionError:  # the decoder recurses once per level
+        raise ValueError(f"{where}: not JSON (nested too deeply)") from None
 
 
 def load_corpus(path) -> Dataset:

@@ -110,7 +110,3 @@ def decide(model: DecisionListModel, fv: FeatureVector) -> Decision:
     label = best_label(model.counts[fid], model.label_counts)
     return Decision(label, model.vocab.feature(fid),
                     model.counts[fid][label] / model.totals[fid], False)
-
-
-def classify_declist(model: DecisionListModel, fv: FeatureVector) -> str:
-    return decide(model, fv).label

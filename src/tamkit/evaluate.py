@@ -25,38 +25,56 @@ PAST_MARKER = "た"  # sentence-final hiragana "ta"
 
 
 class ConfigError(ValueError):
-    """Illegal learner / feature-set combination or bad harness arguments."""
+    """Illegal learner / feature-set combination, bad harness arguments or
+    a malformed command line: a usage error."""
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Which learner to run and its hyperparameters."""
+    """Which learner to run and its hyperparameters, and the one owner of
+    the rules about each learner: the feature sets it runs on
+    (``feature_sets``), the hyperparameters its reports name
+    (``hyperparameters``) and the values it accepts (``check``)."""
 
     method: str  # knn | dlist | maxent | svm | baseline
     k: int = 3
     d: int = 1
     C: float = 1.0
 
+    @property
+    def feature_sets(self) -> tuple[FeatureSet, ...]:
+        """The feature sets this learner runs on, its default first. k-NN
+        compares sentence endings, so it runs on feature set 2 only."""
+        return (FeatureSet.FS2,) if self.method == "knn" else tuple(FeatureSet)
+
+    @property
+    def hyperparameters(self) -> dict:
+        """The hyperparameters of this learner that its reports name."""
+        if self.method == "knn":
+            return {"k": self.k}
+        if self.method == "svm":
+            return {"d": self.d, "C": self.C}
+        return {}
+
     def check(self, mode) -> None:
         """Raise ConfigError if this learner cannot run on feature set
-        ``mode``: k must be at least 1, k-NN needs feature set 2, and the
-        SVM a kernel degree of 1 or 2 and a positive, finite C."""
+        ``mode``: k must be at least 1, ``mode`` one of ``feature_sets``,
+        and the SVM needs a kernel degree of 1 or 2 and a positive, finite
+        C."""
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.method == "knn" and mode != FeatureSet.FS2:
-            raise ConfigError(
-                "knn supports feature-set 2 only (sentence-final string "
-                "similarity is undefined for token features)")
+        if mode not in self.feature_sets:
+            sets = ", ".join(str(int(fs)) for fs in self.feature_sets)
+            raise ConfigError(f"{self.method} supports feature-set {sets} only")
         if self.method == "svm" and self.d not in (1, 2):
             raise ConfigError("svm kernel degree must be 1 or 2")
         if self.method == "svm" and not (self.C > 0 and math.isfinite(self.C)):
             raise ConfigError("svm box constant C must be positive and finite")
 
     def describe(self) -> str:
-        if self.method == "knn":
-            return f"knn (k={self.k})"
-        if self.method == "svm":
-            return f"svm (d={self.d})"
+        """The method and its first hyperparameter, e.g. ``svm (d=1)``."""
+        for key, value in self.hyperparameters.items():
+            return f"{self.method} ({key}={value})"
         return self.method
 
 
@@ -120,41 +138,42 @@ class PrecisionReport:
 def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
                    mode: FeatureSet) -> PrecisionReport:
     """Open evaluation: for each fold, train on the complement and predict
-    the fold. Each fold's vocabulary is rebuilt from its training portion,
-    and its model is freed before the next fold trains."""
+    the fold. Each fold's vocabulary is rebuilt from its training portion."""
     if len(plan.assignment) != len(dataset):
         raise ConfigError("fold plan does not match dataset size")
-    predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
-    fold_results = []
-    for fold in range(plan.n_folds):
-        train_idx, test_idx = plan.fold_indices(fold)
-        fold_results.append(_score(fit(spec, dataset.subset(train_idx), mode),
-                                   dataset, test_idx, predictions))
-    return PrecisionReport(tuple(fold_results), tuple(predictions), closed=False)
+    folds = map(plan.fold_indices, range(plan.n_folds))
+    return _evaluate(dataset, ((fit(spec, dataset.subset(train_idx), mode), test_idx)
+                               for train_idx, test_idx in folds), closed=False)
 
 
 def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> PrecisionReport:
-    """Closed evaluation: train on the full dataset and test on it."""
-    return evaluate_model(fit(spec, dataset, mode), dataset, closed=True)
+    """Closed evaluation: train on the full dataset and test on it. The
+    baseline rule is not trained on the data, so its test is open."""
+    return evaluate_model(fit(spec, dataset, mode), dataset,
+                          closed=spec.method != "baseline")
 
 
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
     """Score an already trained model on a dataset."""
+    return _evaluate(dataset, [(model, range(len(dataset)))], closed)
+
+
+def _evaluate(dataset: Dataset, runs, closed: bool) -> PrecisionReport:
+    """The one scoring loop. Each run is a (model, test indices) pair; its
+    model predicts ``dataset[i]`` for those indices in one batch and becomes
+    one fold record. ``runs`` may build its models lazily: each is freed
+    before the next run is drawn, so two models are never alive at once."""
     predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
-    fold_result = _score(model, dataset, range(len(dataset)), predictions)
-    return PrecisionReport((fold_result,), tuple(predictions), closed)
-
-
-def _score(model, dataset: Dataset, indices, predictions) -> tuple[int, int]:
-    """Predict ``dataset[i]`` for each index in one batch, store
-    (index, gold, predicted) at ``predictions[i]``, and return
-    (correct, total)."""
-    examples = [dataset[i] for i in indices]
-    correct = 0
-    for i, ex, predicted in zip(indices, examples, model.predict_batch(examples)):
-        predictions[i] = (i, ex.label, predicted)
-        correct += predicted == ex.label
-    return correct, len(examples)
+    fold_results = []
+    for model, indices in runs:
+        examples = [dataset[i] for i in indices]
+        correct = 0
+        for i, ex, predicted in zip(indices, examples, model.predict_batch(examples)):
+            predictions[i] = (i, ex.label, predicted)
+            correct += predicted == ex.label
+        fold_results.append((correct, len(examples)))
+        del model  # before the next run trains its own
+    return PrecisionReport(tuple(fold_results), tuple(predictions), closed)
 
 
 @dataclass(frozen=True)
@@ -267,34 +286,28 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
     """Train on one corpus, evaluate on another.
 
     Test examples that also occur in the training data are evaluated by
-    cross-validation instead: the overlap is split into folds and, for each
-    fold, every training copy of the tested examples is withheld before
-    training. Disjoint test examples are scored by a single model trained on
-    the full training data. Each model is freed before the next one trains.
+    cross-validation instead: the overlap is split into folds. Disjoint test
+    examples are scored by one model, then each fold by its own; every model
+    trains on the training data with each copy of the examples it tests
+    withheld, which for the disjoint examples withholds nothing.
     """
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test datasets must be non-empty")
     train_keys = set(train.examples)
     overlap_idx = [i for i, ex in enumerate(test) if ex in train_keys]
     disjoint_idx = [i for i, ex in enumerate(test) if ex not in train_keys]
+    groups = [disjoint_idx] if disjoint_idx else []
+    n_folds = min(folds, len(overlap_idx))
+    if n_folds >= 2:
+        plan = split_folds(Dataset(test[i] for i in overlap_idx), n_folds, seed)
+        groups += [[idx for idx, f in zip(overlap_idx, plan.assignment) if f == fold]
+                   for fold in range(n_folds)]
+    elif overlap_idx:
+        groups.append(overlap_idx)
 
-    predictions: list[tuple[int, str, str] | None] = [None] * len(test)
-    fold_results = []
-    if disjoint_idx:
-        fold_results.append(_score(fit(spec, train, mode), test, disjoint_idx,
-                                   predictions))
-    if overlap_idx:
-        overlap = [test[i] for i in overlap_idx]
-        n_folds = min(folds, len(overlap))
-        if n_folds >= 2:
-            plan = split_folds(Dataset(overlap), n_folds, seed)
-            groups = [[idx for idx, f in zip(overlap_idx, plan.assignment) if f == fold]
-                      for fold in range(n_folds)]
-        else:
-            groups = [overlap_idx]
-        for group in groups:
-            withheld = {test[i] for i in group}
-            reduced = Dataset(ex for ex in train if ex not in withheld)
-            fold_results.append(_score(fit(spec, reduced, mode), test, group,
-                                       predictions))
-    return PrecisionReport(tuple(fold_results), tuple(predictions), closed=False)
+    def train_without(group):
+        withheld = {test[i] for i in group}
+        return Dataset(ex for ex in train if ex not in withheld)
+
+    return _evaluate(test, ((fit(spec, train_without(group), mode), group)
+                            for group in groups), closed=False)

@@ -20,11 +20,13 @@ from __future__ import annotations
 from collections import Counter
 
 from .corpus import Dataset, best_label, is_label, is_positive_int
-from .features import MAX_NGRAM, feature_label_counts, suffix_ngrams
+from .features import MAX_NGRAM, FeatureSet, feature_label_counts, suffix_ngrams
 
 
 class KnnModel:
     """Training sentences with labels; immutable after construction."""
+
+    mode = FeatureSet.FS2  # sentence endings are the suffix n-grams only
 
     def __init__(self, sentences, labels, k: int):
         self.sentences = tuple(sentences)

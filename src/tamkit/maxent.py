@@ -12,7 +12,7 @@ Iteration stops when the largest count residual falls to ``GIS_TOL`` * N
 or after ``GIS_MAX_ITERS`` passes, whichever is first; ``info`` says which.
 A pair never observed in training drives its weight to -inf, and a feature
 that perfectly predicts one label pushes weights toward +inf, so weights are
-clamped to +-30 (with a warning) instead of failing.
+clamped to +-30 instead of failing; ``info["clamped"]`` says whether any is.
 
 Training canonicalizes the vocabulary and accumulates counts with
 order-independent array reductions, so permuting the dataset yields
@@ -21,15 +21,12 @@ bit-identical weights. Trained models are immutable.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 
 import numpy as np
 
 from .corpus import Dataset, best_label, is_label, read_label_counts
 from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
-
-logger = logging.getLogger(__name__)
 
 WEIGHT_CLAMP = 30.0
 GIS_TOL = 1e-4         # stop when every count residual is at most GIS_TOL * N
@@ -143,17 +140,12 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
         weights = weights + update * step
         np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP, out=weights)
     converged = residual <= GIS_TOL * n
-    clamped = bool(np.any(np.abs(weights) >= WEIGHT_CLAMP))
-    if clamped:
-        logger.warning(
-            "maxent weights clamped to +-%.0f (some feature-label pairs are "
-            "deterministic in the training data)", WEIGHT_CLAMP)
     info = {
         "iterations": it,
         "converged": converged,
         "stopped_by": "tol" if converged else "max_iters",
         "final_residual": residual,
-        "clamped": clamped,
+        "clamped": bool(np.any(np.abs(weights) >= WEIGHT_CLAMP)),
     }
     return MaxEntModel(vocab, mode, labels, weights, dataset.label_counts, info)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .corpus import read_text
+from .corpus import parse_json, read_text
 from .declist import DecisionListModel
 from .features import MAX_NGRAM
 from .knn import KnnModel
@@ -40,10 +40,7 @@ def save_model(path, model) -> None:
 def load_model(path):
     """Read a model file. A file that is not a well-formed model document
     raises ``ValueError`` with a one-line message naming the path."""
-    try:
-        document = json.loads(read_text(path))
-    except RecursionError:  # the decoder recurses once per level
-        raise ValueError(f"{path}: not JSON (nested too deeply)") from None
+    document = parse_json(read_text(path), path)
     if not isinstance(document, dict) or document.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} file")
     method = document.get("method")

@@ -11,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from synth import random_token_corpus, table1_corpus
-from tamkit.cli import main
+from tamkit.cli import GRID, main
 from tamkit.corpus import Dataset, Example, serialize_corpus
+from tamkit.evaluate import METHODS
+from tamkit.features import FeatureSet
 from tamkit.storage import load_model, save_model
 import tamkit
 
@@ -173,6 +175,12 @@ def test_eval_config_record(corpus_file, tmp_path, flags, expected):
     (["eval", "--method", "svm"], '"C": 1.0, "command": "eval", "d": 1, '),
     (["cross-domain", "--method", "svm", "--folds", "3"],
      '"C": 1.0, "command": "cross-domain", "d": 1, '),
+    # without --features a learner runs on its first feature set: k-NN on
+    # feature set 2, the only one it has, every other learner on 1
+    *((["eval", "--method", m], f'"feature_set": {2 if m == "knn" else 1}, ')
+      for m in METHODS),
+    *((["cv", "--method", m, "--folds", "3"],
+       f'"feature_set": {2 if m == "knn" else 1}, "folds"') for m in METHODS),
 ])
 def test_learner_defaults_in_config_records(corpus_file, tmp_path, argv, values):
     corpus = (["--train", str(corpus_file), "--test", str(corpus_file)]
@@ -182,17 +190,24 @@ def test_learner_defaults_in_config_records(corpus_file, tmp_path, argv, values)
     assert values in out.read_text(encoding="utf-8").splitlines()[-1]
 
 
-def test_eval_model_config_record(corpus_file, tmp_path):
-    model = tmp_path / "m.json"
-    assert main(["train", "--input", str(corpus_file), "--method", "svm",
-                 "--features", "3", "--out", str(model)]) == 0
-    out = tmp_path / "r.jsonl"
-    assert main(["eval", "--input", str(corpus_file), "--model", str(model),
-                 "--out", str(out)]) == 0
-    assert _config_record(out) == {"command": "eval", "method": "svm",
-                                   "feature_set": 3, "seed": 0, "d": 1,
-                                   "C": 1.0, "input": str(corpus_file),
-                                   "model": str(model)}
+def test_eval_model_config_record(corpus_file, tmp_path, capsys):
+    # a model is evaluated on the feature set it was trained on; train
+    # without --features trains on the learner's first
+    for method, flags, expected in (
+            ("svm", ["--features", "3"], {"feature_set": 3, "d": 1, "C": 1.0}),
+            ("knn", [], {"feature_set": 2, "k": 3}),
+            ("dlist", [], {"feature_set": 1}),
+            ("maxent", [], {"feature_set": 1})):
+        model = tmp_path / f"{method}.json"
+        assert main(["train", "--input", str(corpus_file), "--method", method,
+                     *flags, "--out", str(model)]) == 0
+        assert f" feature-set {expected['feature_set']} on " in capsys.readouterr().out
+        out = tmp_path / f"{method}.jsonl"
+        assert main(["eval", "--input", str(corpus_file), "--model", str(model),
+                     "--out", str(out)]) == 0
+        assert _config_record(out) == {"command": "eval", "method": method,
+                                       "seed": 0, "input": str(corpus_file),
+                                       "model": str(model), **expected}
 
 
 def test_cv_and_analyze_config_records(corpus_file, tmp_path):
@@ -343,6 +358,20 @@ class TestModelFiles:
                      str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"data error: {path}: not JSON (nested too deeply)\n"
+
+    @pytest.mark.parametrize("text, problem", [
+        ("not json", "Expecting value at column 1"),
+        ('{\n  "format":\n}\n', "Expecting value at line 3 column 1"),
+    ])
+    def test_model_file_that_is_not_json_is_data_error(self, tmp_path,
+                                                       corpus_file, capsys,
+                                                       text, problem):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--input", str(corpus_file), "--model",
+                     str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {path}: not JSON ({problem})\n"
 
     def test_invalid_utf8_model_file_is_data_error(self, tmp_path,
                                                    corpus_file, capsys):
@@ -632,7 +661,7 @@ CORPUS_CHARS = "ab\t\r #\x1c\u00e9"
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_edited_corpus_file_is_read_or_refused(trained_documents, tmp_path,
-                                               capsys, data):
+                                               capsys, caplog, data):
     # one line replaced, sometimes with an invalid UTF-8 byte: each command
     # reads the file or refuses it with one line, never a traceback
     corpus, _ = trained_documents
@@ -645,12 +674,16 @@ def test_edited_corpus_file_is_read_or_refused(trained_documents, tmp_path,
     path = tmp_path / "edited.tsv"
     path.write_bytes(b"\n".join(lines))
     for command in (["distribution"],
-                    ["eval", "--method", "dlist", "--features", "3"]):
+                    ["eval", "--method", "dlist", "--features", "3"],
+                    ["eval", "--method", "maxent", "--features", "3"]):
         capsys.readouterr()
+        caplog.clear()
         code = main(command + ["--input", str(path),
                                "--out", str(tmp_path / "out")])
         assert code in (0, 2)
         assert capsys.readouterr().err.count("\n") <= 1
+        # pytest captures log records; outside it, each is one more line
+        assert not caplog.records
 
 
 @pytest.fixture(scope="module")
@@ -810,6 +843,14 @@ def test_cv_all_grid(tmp_path):
     assert "svm (d=2)" in table
     assert "baseline =" in table
     assert table.count("%") >= 2 * (5 + 3 * 4) + 1  # open+closed per grid cell
+    # a row is blank in exactly the feature sets its learner does not run on
+    rows = table.splitlines()[1:1 + len(GRID)]
+    assert [row[:18].rstrip() for row in rows] == [s.describe() for s in GRID]
+    for row in rows:
+        for i, mode in enumerate(FeatureSet):
+            cell = row[19 + 21 * i:39 + 21 * i]
+            runs = mode == FeatureSet.FS2 or not row.startswith("knn")
+            assert (cell == f"{'--- ( --- )':>20}") != runs
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from synth import random_token_corpus
 from tamkit.corpus import Dataset, Example
-from tamkit.declist import DecisionListModel, classify_declist, decide, train_declist
+from tamkit.declist import DecisionListModel, decide, train_declist
 from tamkit.features import (SUFFIX, TOKEN, Feature, FeatureSet, FeatureVector,
                              Vocabulary, extract)
 
@@ -97,7 +97,7 @@ class TestClassify:
                       _token_example("B", ["f"])])
         model = train_declist(ds, FeatureSet.FS3)
         fv = extract(_token_example("?", ["f"]), FeatureSet.FS3, model.vocab)
-        assert classify_declist(model, fv) == "A"
+        assert decide(model, fv).label == "A"
 
     def test_unknown_context_falls_back(self):
         ds = Dataset([_token_example("maj", ["x"]), _token_example("maj", ["y"]),
@@ -114,13 +114,13 @@ class TestClassify:
         ds = random_token_corpus(random.Random(7), max_examples=40)
         model = train_declist(ds, FeatureSet.FS3)
         fv = extract(ds[0], FeatureSet.FS3, model.vocab)
-        before = classify_declist(model, fv)
+        before = decide(model, fv).label
         # graft a new feature (not present in fv) onto the model
         grafted = DecisionListModel(
             model.vocab, model.mode,
             list(model.counts) + [{"Z": 5}],
             model.label_counts)
-        assert classify_declist(grafted, fv) == before
+        assert decide(grafted, fv).label == before
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = random.Random(13)
@@ -132,7 +132,7 @@ class TestClassify:
             queries.append(_token_example("?", ["never-seen"]))
             for q in queries:
                 fv = extract(q, mode, model.vocab)
-                assert classify_declist(model, fv) == oracle_decide(model, fv)
+                assert decide(model, fv).label == oracle_decide(model, fv)
 
 
 def test_serialization_round_trip():
@@ -142,7 +142,7 @@ def test_serialization_round_trip():
     for ex in ds:
         fv_a = extract(ex, model.mode, model.vocab)
         fv_b = extract(ex, again.mode, again.vocab)
-        assert classify_declist(model, fv_a) == classify_declist(again, fv_b)
+        assert decide(model, fv_a).label == decide(again, fv_b).label
 
 
 LABELS = ("A", "B", "C")

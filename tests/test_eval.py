@@ -13,6 +13,7 @@ from synth import domain_corpus, random_token_corpus, table1_corpus
 from tamkit import evaluate
 from tamkit.corpus import Dataset, Example, split_folds
 from tamkit.evaluate import (
+    METHODS,
     ConfigError,
     LearnerSpec,
     baseline_classify,
@@ -150,6 +151,19 @@ class TestCrossValidate:
     def test_fit_checks_every_learner_rule(self, spec, mode, message):
         with pytest.raises(ConfigError, match=message):
             evaluate.fit(spec, _suffix_corpus(), mode)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("mode", list(FeatureSet))
+    def test_check_refuses_exactly_the_other_feature_sets(self, method, mode):
+        # k-NN compares sentence endings, which feature set 2 alone holds
+        sets = (FeatureSet.FS2,) if method == "knn" else tuple(FeatureSet)
+        spec = LearnerSpec(method)
+        assert spec.feature_sets == sets
+        if mode in sets:
+            spec.check(mode)
+        else:
+            with pytest.raises(ConfigError, match=f"^{method} supports feature-set"):
+                spec.check(mode)
 
     def test_leave_one_out_is_seed_independent(self):
         ds = random_token_corpus(random.Random(3), max_examples=20, n_labels=2)
