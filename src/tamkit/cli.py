@@ -30,7 +30,6 @@ from .evaluate import (
     LearnerSpec,
     METHODS,
     PrecisionReport,
-    SignTestResult,
     category_distribution,
     closed_test,
     compare_predictions,
@@ -140,9 +139,12 @@ _REPORT_FIELDS = {"fold": ("correct", "total"),
                   "prediction": ("index", "gold", "predicted")}
 
 
-def load_report_predictions(path) -> PrecisionReport:
-    """Rebuild a PrecisionReport from a line-delimited report file."""
-    folds, predictions, closed = [], [], False
+def load_report_predictions(path, dataset: Dataset, corpus_path) -> PrecisionReport:
+    """Rebuild a PrecisionReport of an evaluation of ``dataset`` (read from
+    ``corpus_path``) from a line-delimited report file. Raises ValueError
+    naming the report unless each example has exactly one prediction
+    record, carrying its index and gold label; each is checked as read."""
+    folds, closed, predictions = [], False, [None] * len(dataset)
     # universal newlines, as a file opened in text mode splits them
     with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -161,12 +163,24 @@ def load_report_predictions(path) -> PrecisionReport:
             if kind == "fold":
                 folds.append((record["correct"], record["total"]))
             elif kind == "prediction":
-                predictions.append((record["index"], record["gold"],
-                                    record["predicted"]))
+                index, gold = record["index"], record["gold"]
+                if (not isinstance(index, int) or isinstance(index, bool)
+                        or not 0 <= index < len(dataset)):
+                    raise ValueError(f"{path}: example index {index!r} is not in "
+                                     f"{corpus_path} ({len(dataset)} examples)")
+                if gold != dataset[index].label:
+                    raise ValueError(f"{path}: gold label {gold!r} of example "
+                                     f"{index} differs from {corpus_path} "
+                                     f"({dataset[index].label!r})")
+                if predictions[index] is not None:
+                    raise ValueError(f"{path}: line {lineno}: example {index} "
+                                     f"is predicted twice")
+                predictions[index] = (index, gold, record["predicted"])
             elif kind == "summary":
                 closed = record.get("closed", False)
-    if not predictions:
-        raise ValueError(f"{path}: no prediction records found")
+    if None in predictions:
+        raise ValueError(f"{path}: example {predictions.index(None)} of "
+                         f"{corpus_path} has no prediction record")
     return PrecisionReport(tuple(folds), tuple(predictions), closed)
 
 
@@ -244,16 +258,10 @@ def _cmd_cross_domain(args) -> int:
 
 def _cmd_analyze(args) -> int:
     dataset = load_corpus(args.input)
-    report_a = load_report_predictions(args.report_a)
-    report_b = load_report_predictions(args.report_b)
-    _check_report_corpus(report_a, args.report_a, dataset, args.input)
-    _check_report_corpus(report_b, args.report_b, dataset, args.input)
+    report_a = load_report_predictions(args.report_a, dataset, args.input)
+    report_b = load_report_predictions(args.report_b, dataset, args.input)
     a_only, b_only = compare_predictions(report_a, report_b)
-    if a_only or b_only:
-        test = sign_test(len(a_only), len(b_only), args.level)
-    else:
-        # the two runs never disagree: no evidence either way
-        test = SignTestResult(0, 0, 1.0, None)
+    test = sign_test(len(a_only), len(b_only), args.level)
     flips = [dataset[i] for i in b_only]  # wrong under A, correct under B
     feats = effective_features(flips, dataset.examples,
                                FeatureSet(args.features), args.level)
@@ -279,21 +287,6 @@ def _cmd_analyze(args) -> int:
           f"p = {test.p_value:.3g} ({verdict}); "
           f"{len(feats)} effective features", file=sys.stderr)
     return EXIT_OK
-
-
-def _check_report_corpus(report: PrecisionReport, report_path, dataset: Dataset,
-                         corpus_path) -> None:
-    """Every prediction of ``report`` must name an example of ``dataset``
-    by index and carry that example's gold label."""
-    for index, gold, _ in report.predictions:
-        if (not isinstance(index, int) or isinstance(index, bool)
-                or not 0 <= index < len(dataset)):
-            raise ValueError(f"{report_path}: example index {index!r} is not in "
-                             f"{corpus_path} ({len(dataset)} examples)")
-        if gold != dataset[index].label:
-            raise ValueError(f"{report_path}: gold label {gold!r} of example "
-                             f"{index} differs from {corpus_path} "
-                             f"({dataset[index].label!r})")
 
 
 def _cmd_distribution(args) -> int:
@@ -329,11 +322,14 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=summary)
         if corpus:
             p.add_argument("--input", "-i", required=True, help="corpus file")
+        first = ", ".join(f"{m} {int(LearnerSpec(m).feature_sets[0])}"
+                          for m in METHODS)
         p.add_argument("--features", type=int, choices=(1, 2, 3), default=None,
-                       help="feature set (default: 2 for knn, else 1)")
-        p.add_argument("--k", type=int, help="knn neighborhood size (default: 3)")
-        p.add_argument("--d", type=int, help="svm kernel degree (default: 1)")
-        p.add_argument("--C", type=float, help="svm box constant (default: 1.0)")
+                       help=f"feature set (default: {first})")
+        spec = LearnerSpec("svm")  # field defaults are the same for each method
+        p.add_argument("--k", type=int, help=f"knn neighborhood size (default: {spec.k})")
+        p.add_argument("--d", type=int, help=f"svm kernel degree (default: {spec.d})")
+        p.add_argument("--C", type=float, help=f"svm box constant (default: {spec.C})")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", "-o", required=name == "train",
                        help="model file" if name == "train"

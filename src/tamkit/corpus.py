@@ -177,13 +177,17 @@ def parse_json(text: str, where: str):
 
 
 def load_corpus(path) -> Dataset:
-    """Read and parse a corpus file; invalid UTF-8 raises CorpusError."""
+    """Read and parse a corpus file. Invalid UTF-8, a malformed line or a
+    file with no examples raises CorpusError naming the path."""
     try:
-        return parse_corpus(read_text(path))
+        dataset = parse_corpus(read_text(path))
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8; read_text names the path
         raise CorpusError(str(exc)) from exc
+    if len(dataset) == 0:
+        raise CorpusError(f"{path}: no examples")
+    return dataset
 
 
 def serialize_corpus(dataset: Dataset) -> str:

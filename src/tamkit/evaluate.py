@@ -188,11 +188,10 @@ def sign_test(n_plus: int, n_minus: int, level: float = 0.01) -> SignTestResult:
     """Two-sided sign test of H0: wins are a fair coin.
 
     Ties must already be excluded from the counts. The p-value is the
-    exact binomial tail for every n, correctly rounded.
+    exact binomial tail for every n, correctly rounded; with no untied
+    pair (n = 0) it is 1.0, never significant.
     """
     n = n_plus + n_minus
-    if n < 1:
-        raise ValueError("need at least one untied pair")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     k = max(n_plus, n_minus)

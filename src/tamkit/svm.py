@@ -605,7 +605,7 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0,
     ConvergenceError.
     """
     if len(dataset) == 0:
-        raise TrainingError("cannot train on an empty dataset")
+        raise ValueError("cannot train on an empty dataset")
     labels = dataset.labels
     if len(labels) < 2:
         raise TrainingError("pairwise training needs at least 2 labels")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from synth import random_token_corpus, table1_corpus
 from tamkit.cli import GRID, main
 from tamkit.corpus import Dataset, Example, serialize_corpus
-from tamkit.evaluate import METHODS
+from tamkit.evaluate import METHODS, LearnerSpec
 from tamkit.features import FeatureSet
 from tamkit.storage import load_model, save_model
 import tamkit
@@ -137,6 +137,57 @@ def test_cv_all_rejects_learner_flags(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("usage error: cv --all ") and err.count("\n") == 1
     assert all(flag in err for flag in flags[::2])
+
+
+NO_EXAMPLES = "empty.tsv: no examples"
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["train", "--input", "empty.tsv", "--method", "svm", "--out", "new.json"],
+     NO_EXAMPLES),
+    *((["eval", "--input", "empty.tsv", "--method", m], NO_EXAMPLES)
+      for m in METHODS),
+    (["eval", "--input", "empty.tsv", "--model", "knn.json"], NO_EXAMPLES),
+    (["cv", "--input", "empty.tsv", "--method", "dlist"], NO_EXAMPLES),
+    (["cv", "--input", "empty.tsv", "--all"], NO_EXAMPLES),
+    (["cross-domain", "--train", "empty.tsv", "--test", "one.tsv",
+      "--method", "dlist"], NO_EXAMPLES),
+    (["cross-domain", "--train", "one.tsv", "--test", "empty.tsv",
+      "--method", "dlist"], NO_EXAMPLES),
+    (["analyze", "--input", "empty.tsv", "--report-a", "r.jsonl",
+      "--report-b", "r.jsonl"], NO_EXAMPLES),
+    (["distribution", "--input", "empty.tsv"], NO_EXAMPLES),
+    # the one training example is also the one test example, so its model
+    # trains with it withheld: on nothing
+    *((["cross-domain", "--train", "one.tsv", "--test", "one.tsv", "--method", m],
+       "cannot train on an empty dataset") for m in ("knn", "dlist", "maxent", "svm")),
+])
+def test_nothing_to_learn_from_is_data_error(tmp_path, monkeypatch, capsys, argv,
+                                             problem):
+    # an empty corpus crashed eval of the baseline or of a model file with a
+    # ZeroDivisionError traceback, other commands named no file, and the svm
+    # exited 3 where every other learner exits 2
+    monkeypatch.chdir(tmp_path)
+    Path("empty.tsv").write_text("# comments only\n\n", encoding="utf-8")
+    Path("one.tsv").write_text("past\tあった\n", encoding="utf-8")
+    assert main(["train", "--input", "one.tsv", "--method", "knn",
+                 "--out", "knn.json"]) == 0
+    assert main(["eval", "--input", "one.tsv", "--method", "baseline",
+                 "--out", "r.jsonl"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {problem}\n"
+
+
+def test_train_help_names_the_learner_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for method in METHODS:
+        assert f"{method} {int(LearnerSpec(method).feature_sets[0])}" in text
+    assert f"knn neighborhood size (default: {LearnerSpec('knn').k})" in text
+    assert f"svm kernel degree (default: {LearnerSpec('svm').d})" in text
+    assert f"svm box constant (default: {LearnerSpec('svm').C})" in text
 
 
 @pytest.mark.parametrize("level", ["0", "1", "1.5", "nan"])
@@ -716,20 +767,34 @@ report_records = st.dictionaries(st.sampled_from(REPORT_KEYS), json_values,
 def test_edited_report_file_is_read_or_refused(trained_documents, dlist_report,
                                                tmp_path, capsys, data):
     # one record replaced by drawn JSON, mostly record-like, or by text that
-    # may not be JSON: analyze reads the report or refuses it with one line
+    # may not be JSON, repeated or dropped: analyze reads the report or
+    # refuses it with one line, and refuses it whenever an example is then
+    # predicted twice or never
     corpus, _ = trained_documents
     lines = dlist_report.read_text(encoding="utf-8").splitlines()
-    lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(
-        report_records.map(json.dumps) | json_values.map(json.dumps)
-        | st.text(max_size=20))
+    at = data.draw(st.integers(0, len(lines) - 1))
+    prediction = json.loads(lines[at])["record"] == "prediction"
+    edit = data.draw(st.sampled_from(("replace", "repeat", "drop")))
+    if edit == "replace":
+        lines[at] = data.draw(report_records.map(json.dumps)
+                              | json_values.map(json.dumps) | st.text(max_size=20))
+    elif edit == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        del lines[at]
     path = tmp_path / "edited.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     capsys.readouterr()
     code = main(["analyze", "--input", str(corpus), "--report-a", str(path),
                  "--report-b", str(dlist_report),
                  "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
     assert code in (0, 2)
-    assert capsys.readouterr().err.count("\n") <= 1
+    assert err.count("\n") <= 1
+    if edit != "replace":
+        # a fold or summary record repeated or dropped changes no prediction
+        assert code == (2 if prediction else 0)
+        assert err.startswith(f"data error: {path}: ") == prediction
 
 
 class TestAnalyze:
@@ -796,6 +861,33 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"data error: {report}: line 2: {problem}\n"
+
+    @pytest.mark.parametrize("edit", ["repeat a prediction", "drop a prediction",
+                                      "concatenate two copies"])
+    def test_report_must_predict_each_example_once(self, trained_documents,
+                                                   dlist_report, tmp_path,
+                                                   capsys, edit):
+        # a repeated prediction record was counted twice by the sign test,
+        # and a whole report given twice was read, both with exit 0
+        corpus, _ = trained_documents
+        lines = dlist_report.read_text(encoding="utf-8").splitlines()
+        first = next(i for i, line in enumerate(lines) if '"prediction"' in line)
+        if edit == "repeat a prediction":
+            lines.insert(first, lines[first])
+            problem = f"line {first + 2}: example 0 is predicted twice"
+        elif edit == "drop a prediction":
+            del lines[first]
+            problem = f"example 0 of {corpus} has no prediction record"
+        else:
+            problem = f"line {len(lines) + first + 1}: example 0 is predicted twice"
+            lines += lines
+        report = tmp_path / "edited.jsonl"
+        report.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["analyze", "--input", str(corpus), "--report-a",
+                     str(dlist_report), "--report-b", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {report}: {problem}\n"
 
     def test_invalid_utf8_report_is_data_error(self, tmp_path, corpus_file,
                                                capsys):

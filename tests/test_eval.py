@@ -93,8 +93,9 @@ class TestSignTest:
             assert p == comb_sum_p(max(k, n - k), n), (k, n)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sign_test(0, 0)
+        # no untied pair is no evidence either way, not an error
+        result = sign_test(0, 0)
+        assert result.p_value == 1.0 and result.significant_at is None
         with pytest.raises(ValueError):
             sign_test(3, 4, level=1.5)
 
