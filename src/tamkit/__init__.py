@@ -11,12 +11,10 @@ from .corpus import (
     CategorySpec,
     CorpusError,
     Dataset,
-    DescriptorError,
     Example,
     FoldPlan,
     category_label,
     load_corpus,
-    parse_category_descriptor,
     parse_corpus,
     serialize_corpus,
     split_folds,

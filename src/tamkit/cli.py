@@ -9,10 +9,10 @@ Commands::
     analyze       compare two reports: sign test plus effective features
     distribution  category occurrence rates of a corpus
 
-All randomness flows from --seed; rerunning a command with the same
-configuration and seed produces byte-identical reports. Reports are
-line-delimited JSON records (folds, per-example predictions, then one
-summary embedding the resolved configuration).
+Only cv and cross-domain draw at random, their folds from --seed; rerunning
+a command with the same configuration and seed gives byte-identical
+reports. Reports are line-delimited JSON records (folds, per-example
+predictions, then one summary embedding the resolved configuration).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 training failure.
 """
@@ -20,11 +20,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 training failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
-from .corpus import Dataset, load_corpus, parse_json, read_text, split_folds
+from .corpus import (Dataset, load_corpus, parse_json, read_text, split_folds,
+                     split_lines)
 from .evaluate import (
     ConfigError,
     LearnerSpec,
@@ -145,39 +145,37 @@ def load_report_predictions(path, dataset: Dataset, corpus_path) -> PrecisionRep
     naming the report unless each example has exactly one prediction
     record, carrying its index and gold label; each is checked as read."""
     folds, closed, predictions = [], False, [None] * len(dataset)
-    # universal newlines, as a file opened in text mode splits them
-    with io.StringIO(read_text(path), newline=None) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            record = parse_json(line, f"{path}: line {lineno}")
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {lineno}: not a JSON object")
-            kind = record.get("record")
-            fields = _REPORT_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
-            missing = [f for f in fields if f not in record]
-            if missing:
-                raise ValueError(f"{path}: line {lineno}: {kind} record without "
-                                 f"{', '.join(missing)}")
-            if kind == "fold":
-                folds.append((record["correct"], record["total"]))
-            elif kind == "prediction":
-                index, gold = record["index"], record["gold"]
-                if (not isinstance(index, int) or isinstance(index, bool)
-                        or not 0 <= index < len(dataset)):
-                    raise ValueError(f"{path}: example index {index!r} is not in "
-                                     f"{corpus_path} ({len(dataset)} examples)")
-                if gold != dataset[index].label:
-                    raise ValueError(f"{path}: gold label {gold!r} of example "
-                                     f"{index} differs from {corpus_path} "
-                                     f"({dataset[index].label!r})")
-                if predictions[index] is not None:
-                    raise ValueError(f"{path}: line {lineno}: example {index} "
-                                     f"is predicted twice")
-                predictions[index] = (index, gold, record["predicted"])
-            elif kind == "summary":
-                closed = record.get("closed", False)
+    for lineno, line in enumerate(split_lines(read_text(path)), 1):
+        line = line.strip()
+        if not line:
+            continue
+        record = parse_json(line, f"{path}: line {lineno}")
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: line {lineno}: not a JSON object")
+        kind = record.get("record")
+        fields = _REPORT_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        missing = [f for f in fields if f not in record]
+        if missing:
+            raise ValueError(f"{path}: line {lineno}: {kind} record without "
+                             f"{', '.join(missing)}")
+        if kind == "fold":
+            folds.append((record["correct"], record["total"]))
+        elif kind == "prediction":
+            index, gold = record["index"], record["gold"]
+            if (not isinstance(index, int) or isinstance(index, bool)
+                    or not 0 <= index < len(dataset)):
+                raise ValueError(f"{path}: example index {index!r} is not in "
+                                 f"{corpus_path} ({len(dataset)} examples)")
+            if gold != dataset[index].label:
+                raise ValueError(f"{path}: gold label {gold!r} of example "
+                                 f"{index} differs from {corpus_path} "
+                                 f"({dataset[index].label!r})")
+            if predictions[index] is not None:
+                raise ValueError(f"{path}: line {lineno}: example {index} "
+                                 f"is predicted twice")
+            predictions[index] = (index, gold, record["predicted"])
+        elif kind == "summary":
+            closed = record.get("closed", False)
     if None in predictions:
         raise ValueError(f"{path}: example {predictions.index(None)} of "
                          f"{corpus_path} has no prediction record")
@@ -330,7 +328,6 @@ def build_parser() -> _Parser:
         p.add_argument("--k", type=int, help=f"knn neighborhood size (default: {spec.k})")
         p.add_argument("--d", type=int, help=f"svm kernel degree (default: {spec.d})")
         p.add_argument("--C", type=float, help=f"svm box constant (default: {spec.C})")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", "-o", required=name == "train",
                        help="model file" if name == "train"
                        else "output file (default: stdout)")
@@ -345,6 +342,7 @@ def build_parser() -> _Parser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--method", choices=METHODS)
     which.add_argument("--model", help="saved model to evaluate")
+    p.set_defaults(seed=0)  # eval draws nothing at random; its config says 0
 
     p = learner_command("cv", "k-fold cross-validation")
     which = p.add_mutually_exclusive_group(required=True)
@@ -353,6 +351,7 @@ def build_parser() -> _Parser:
                        help="run the full method/feature-set grid and print "
                             "a matrix (takes no --features, --k, --d or --C)")
     p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0, help="fold assignment seed")
 
     p = learner_command("cross-domain", "train on one corpus, test on another",
                         corpus=False)
@@ -361,6 +360,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test", required=True)
     p.add_argument("--folds", type=int, default=10,
                    help="folds for the overlapping part")
+    p.add_argument("--seed", type=int, default=0, help="fold assignment seed")
 
     p = sub.add_parser("analyze", help="sign test and effective features "
                                        "between two reports")

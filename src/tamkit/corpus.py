@@ -1,13 +1,12 @@
-"""Labeled sentence corpora: file format, category descriptors, fold planning.
+"""Labeled sentence corpora: file format, category labels, fold planning.
 
-A corpus file is UTF-8 text with LF line endings. Each data line has two or
-three TAB-separated fields::
+A corpus file is UTF-8 text whose lines end at LF, CRLF or CR (no other
+character ends a line). Each data line has two or three TAB-separated fields::
 
     label <TAB> sentence [<TAB> space-separated tokens]
 
 Blank lines and lines starting with ``#`` are skipped. Labels are opaque
-strings to every classifier; :func:`parse_category_descriptor` is an optional
-validation layer for labels written in the ``aux+...+tense`` grammar.
+strings to every classifier.
 
 Datasets and fold plans are immutable after construction and safe to share
 across threads.
@@ -16,6 +15,7 @@ across threads.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -24,12 +24,9 @@ class CorpusError(ValueError):
     """Malformed corpus document or unserializable example."""
 
 
-class DescriptorError(ValueError):
-    """Category label does not follow the descriptor grammar."""
-
-
 # The twelve auxiliary markers, spelled with underscores so each descriptor
-# token is a single word.
+# token is a single word. perfbench's workloads spell their labels with
+# AUXILIARIES, CategorySpec and category_label.
 AUXILIARIES = (
     "be_able_to",
     "be_going_to",
@@ -45,35 +42,31 @@ AUXILIARIES = (
     "will",
 )
 
-_TENSES = ("present", "past")
-_DESCRIPTOR_TOKENS = frozenset(AUXILIARIES) | set(_TENSES) | {
-    "progressive",
-    "perfect",
-    "imperative",
-}
+_TAB_OR_BREAK = re.compile("[\t\n\r]")
 
 
 @dataclass(frozen=True)
 class Example:
-    """One labeled sentence, optionally pre-tokenized."""
+    """One labeled sentence, optionally pre-tokenized: one corpus line that
+    :func:`parse_corpus` reads back as this example."""
 
     label: str
     sentence: str
     tokens: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not self.label:
-            raise ValueError("label must be non-empty")
-        # Tabs and line breaks would corrupt the one-line-per-example format.
-        if any(c in "\t\n\r" for c in self.label):
+        # a blank or "#" label would make a blank or comment line
+        if not self.label.strip() or self.label.startswith("#"):
+            raise ValueError("label must not be blank or start with '#'")
+        if _TAB_OR_BREAK.search(self.label):
             raise ValueError("label must not contain tabs or line breaks")
-        if any(c in "\t\n\r" for c in self.sentence):
+        if _TAB_OR_BREAK.search(self.sentence):
             raise ValueError("sentence must not contain tabs or line breaks")
         if self.tokens is not None:
             object.__setattr__(self, "tokens", tuple(self.tokens))
-            for tok in self.tokens:
-                if not tok or any(c.isspace() for c in tok):
-                    raise ValueError("tokens must be non-empty and contain no whitespace")
+            # what the corpus format's space join and whitespace split keep
+            if " ".join(self.tokens).split() != list(self.tokens):
+                raise ValueError("tokens must be non-empty and contain no whitespace")
 
 
 class Dataset:
@@ -133,10 +126,16 @@ def read_label_counts(pairs) -> dict[str, int]:
     return counts
 
 
+def split_lines(text: str) -> list[str]:
+    """``text`` split at universal newlines (LF, CRLF, CR), ends dropped."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_corpus(text: str) -> Dataset:
-    """Parse a corpus document into a Dataset, preserving file order."""
+    """Parse a corpus document into a Dataset, preserving file order; it
+    reads back every dataset that :func:`serialize_corpus` writes."""
     examples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -203,7 +202,8 @@ def serialize_corpus(dataset: Dataset) -> str:
 
 @dataclass(frozen=True)
 class CategorySpec:
-    """Structured reading of a descriptor-grammar label."""
+    """The parts of a descriptor-grammar label (``aux+...+tense``). No
+    learner reads labels this way; tests and benchmarks build labels from it."""
 
     auxiliaries: frozenset[str] = frozenset()
     tense: str = "present"
@@ -212,37 +212,9 @@ class CategorySpec:
     imperative: bool = False
 
 
-def parse_category_descriptor(label: str) -> CategorySpec:
-    """Parse a ``+``-joined descriptor label into a CategorySpec.
-
-    Tokens come from the twelve auxiliaries plus present/past/progressive/
-    perfect/imperative. At most one tense may appear (default present);
-    imperative combines with nothing.
-    """
-    parts = label.split("+")
-    seen = set()
-    for part in parts:
-        if part not in _DESCRIPTOR_TOKENS:
-            raise DescriptorError(f"unknown descriptor token {part!r} in {label!r}")
-        if part in seen:
-            raise DescriptorError(f"duplicate descriptor token {part!r} in {label!r}")
-        seen.add(part)
-    if "imperative" in seen:
-        if len(seen) > 1:
-            raise DescriptorError(f"imperative cannot combine with other tokens: {label!r}")
-        return CategorySpec(imperative=True)
-    if "present" in seen and "past" in seen:
-        raise DescriptorError(f"at most one tense token allowed: {label!r}")
-    return CategorySpec(
-        auxiliaries=frozenset(seen & set(AUXILIARIES)),
-        tense="past" if "past" in seen else "present",
-        progressive="progressive" in seen,
-        perfect="perfect" in seen,
-    )
-
-
 def category_label(spec: CategorySpec) -> str:
-    """Canonical descriptor string for a CategorySpec (inverse of the parser)."""
+    """Canonical descriptor string for a CategorySpec: sorted auxiliaries,
+    tense, progressive, perfect, joined by ``+``; or ``imperative`` alone."""
     if spec.imperative:
         return "imperative"
     parts = sorted(spec.auxiliaries)

@@ -50,10 +50,6 @@ class DecisionListModel:
         for pos, rule in enumerate(rules):
             self.rank[rule[-1]] = pos
 
-    def conditional(self, fid: int, label: str) -> float:
-        """p(label | feature), the occurrence rate among examples with the feature."""
-        return self.counts[fid].get(label, 0) / self.totals[fid]
-
     def predict(self, example) -> str:
         return decide(self, extract(example, self.mode, self.vocab)).label
 

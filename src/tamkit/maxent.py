@@ -164,20 +164,3 @@ def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[st
     candidates = {lab: 1 for lab, p in zip(model.labels, probs) if p == top}
     label = best_label(candidates, model.label_counts)
     return label, dict(zip(model.labels, probs.tolist()))
-
-
-def expectation_residual(model: MaxEntModel, dataset: Dataset) -> float:
-    """Largest |empirical - expected| feature-expectation rate over all
-    (feature, label) pairs, measured on ``dataset``."""
-    n = len(dataset)
-    fvs = [extract(ex, model.mode, model.vocab) for ex in dataset]
-    X = to_csr(fvs, model.weights.shape[0])
-    label_index = {lab: i for i, lab in enumerate(model.labels)}
-    onehot = np.zeros((n, len(model.labels)))
-    for i, ex in enumerate(dataset):
-        onehot[i, label_index[ex.label]] = 1.0
-    empirical = X.T @ onehot
-    expected = X.T @ _softmax_rows(X @ model.weights)
-    if empirical.size == 0:
-        return 0.0
-    return float(np.abs(empirical - expected).max() / n)

@@ -1,12 +1,56 @@
-"""Synthetic corpus builders shared by the test modules.
+"""Synthetic corpus builders shared by the test modules, and the
+descriptor grammar their labels are written in.
 
 All builders are deterministic given their seed; labels use the descriptor
-grammar so they double as parser fixtures.
+grammar so they double as parser fixtures. Every learner treats a label as
+an opaque string, so the grammar's parser lives here, beside its tests.
 """
 
 import random
 
-from tamkit.corpus import Dataset, Example
+from tamkit.corpus import AUXILIARIES, CategorySpec, Dataset, Example
+
+
+class DescriptorError(ValueError):
+    """Category label does not follow the descriptor grammar."""
+
+
+_TENSES = ("present", "past")
+_DESCRIPTOR_TOKENS = frozenset(AUXILIARIES) | set(_TENSES) | {
+    "progressive",
+    "perfect",
+    "imperative",
+}
+
+
+def parse_category_descriptor(label: str) -> CategorySpec:
+    """Parse a ``+``-joined descriptor label into a CategorySpec.
+
+    Tokens come from the twelve auxiliaries plus present/past/progressive/
+    perfect/imperative. At most one tense may appear (default present);
+    imperative combines with nothing. ``tamkit.corpus.category_label`` is
+    the inverse.
+    """
+    parts = label.split("+")
+    seen = set()
+    for part in parts:
+        if part not in _DESCRIPTOR_TOKENS:
+            raise DescriptorError(f"unknown descriptor token {part!r} in {label!r}")
+        if part in seen:
+            raise DescriptorError(f"duplicate descriptor token {part!r} in {label!r}")
+        seen.add(part)
+    if "imperative" in seen:
+        if len(seen) > 1:
+            raise DescriptorError(f"imperative cannot combine with other tokens: {label!r}")
+        return CategorySpec(imperative=True)
+    if "present" in seen and "past" in seen:
+        raise DescriptorError(f"at most one tense token allowed: {label!r}")
+    return CategorySpec(
+        auxiliaries=frozenset(seen & set(AUXILIARIES)),
+        tense="past" if "past" in seen else "present",
+        progressive="progressive" in seen,
+        perfect="perfect" in seen,
+    )
 
 KANA = list(
     "あいうえおかきくけこさしすせそなにぬねのはひふへほまみむめもやゆよらりるれろわ"

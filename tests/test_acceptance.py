@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from knn_reference import similarity
+from maxent_reference import expectation_residual
 from synth import domain_corpus, modality_corpus
 from test_declist import oracle_decide
 from test_svm import _random_problem, dual_grid_oracle, full_alpha, per_example_kkt
@@ -23,7 +24,7 @@ from tamkit.evaluate import LearnerSpec, cross_domain_eval, cross_validate, sign
 from tamkit.features import FeatureSet, FeatureVector, extract
 from tamkit.knn import classify_knn, train_knn
 from tamkit import maxent
-from tamkit.maxent import classify_maxent, expectation_residual, train_maxent
+from tamkit.maxent import classify_maxent, train_maxent
 from tamkit.svm import decide, train_binary_svm
 from synth import random_token_corpus
 from tamkit.corpus import Dataset, Example

@@ -94,6 +94,10 @@ class TestExitCodes:
     ["eval", "--input", "absent.tsv", "--model", "m.json", "--method", "svm"],
     ["cv", "--input", "absent.tsv"],
     ["cv", "--input", "absent.tsv", "--all", "--method", "svm"],
+    # neither draws anything at random
+    ["train", "--input", "absent.tsv", "--method", "dlist", "--out", "m.json",
+     "--seed", "1"],
+    ["eval", "--input", "absent.tsv", "--method", "dlist", "--seed", "3"],
 ])
 def test_parse_time_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -209,8 +213,8 @@ def _config_record(path, first=False):
      {"method": "maxent", "feature_set": 2, "seed": 0}),
     (["--method", "knn", "--k", "5"],
      {"method": "knn", "feature_set": 2, "seed": 0, "k": 5}),
-    (["--method", "baseline", "--seed", "3"],
-     {"method": "baseline", "feature_set": 1, "seed": 3}),
+    (["--method", "baseline"],
+     {"method": "baseline", "feature_set": 1, "seed": 0}),
 ])
 def test_eval_config_record(corpus_file, tmp_path, flags, expected):
     out = tmp_path / "r.jsonl"

@@ -3,16 +3,15 @@ from itertools import combinations
 
 import pytest
 
+from synth import DescriptorError, parse_category_descriptor
 from tamkit.corpus import (
     AUXILIARIES,
     CategorySpec,
     CorpusError,
     Dataset,
-    DescriptorError,
     Example,
     category_label,
     load_corpus,
-    parse_category_descriptor,
     parse_corpus,
     serialize_corpus,
     split_folds,
@@ -49,6 +48,8 @@ class TestParseCorpus:
     def test_empty_label(self):
         with pytest.raises(CorpusError, match="line 1"):
             parse_corpus("\tsentence")
+        with pytest.raises(CorpusError, match="line 2: label must not be blank"):
+            parse_corpus("past\tきた\n \tsentence\n")
 
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -69,8 +70,10 @@ class TestParseCorpus:
 
 class TestExample:
     def test_rejects_tab_in_label(self):
-        with pytest.raises(ValueError):
-            Example("a\tb", "x")
+        # and the labels that would write a blank or comment line
+        for label in ("a\tb", "", " \u2028", "#a"):
+            with pytest.raises(ValueError):
+                Example(label, "x")
 
     def test_rejects_newline_in_sentence(self):
         with pytest.raises(ValueError):
@@ -88,14 +91,17 @@ class TestExample:
 
 
 def _random_dataset(rng):
-    chars = "あいうかきた走れるな abcxyz"
+    letters = "あいうかきた走れるなabcxyz"
+    # only LF, CRLF and CR end a corpus line; every other line separator is
+    # an ordinary (whitespace) character of a sentence or label
+    chars = letters + " \v\f\x1c\x1d\x1e\x85\u2028\u2029"
     examples = []
     for _ in range(rng.randint(0, 30)):
-        label = rng.choice(["past", "present", "can+past", "c"])
+        label = rng.choice(["past", "present", "can+past", "c", "a\u2028b"])
         sentence = "".join(rng.choice(chars) for _ in range(rng.randint(0, 12)))
         if rng.random() < 0.5:
             tokens = tuple(
-                "".join(rng.choice(chars.replace(" ", "")) for _ in range(rng.randint(1, 3)))
+                "".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
                 for _ in range(rng.randint(0, 4)))
         else:
             tokens = None

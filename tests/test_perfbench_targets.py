@@ -5,6 +5,8 @@ only under ``perfbench/run.py --trace 1``."""
 import importlib
 from pathlib import Path
 
+from tamkit import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -29,3 +31,16 @@ def test_every_wrap_target_resolves_and_unwraps(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(now is then for now, then in zip(bound(), originals))
+
+
+def test_every_workload_builds_and_its_commands_parse(monkeypatch):
+    # the workloads import tamkit names to write their corpora and pass
+    # flags to tamkit commands, so moving such a name or dropping such a
+    # flag must fail here too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS:
+        for dataset in workloads.build_inputs(workload, 0, "smoke").values():
+            assert workloads.corpus_bytes(dataset)
+        for command in workloads.commands(workload, 0, "smoke"):
+            cli._resolve(cli.build_parser().parse_args(command.argv))
