@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Dataset, best_label, read_label_counts
-from .features import (Feature, FeatureSet, FeatureVector, Vocabulary,
-                       example_features, extract, feature_label_counts)
+from .features import (Feature, FeatureSet, FeatureVector, Vocabulary, encode,
+                       extract, feature_label_counts, read_mode)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class DecisionListModel:
         """Model from its ``to_dict`` payload. Raises ValueError unless there
         is a count row per vocabulary entry, every count is a positive
         integer, and some label has a count."""
-        vocab = Vocabulary.from_list(payload["vocab"])
+        mode = read_mode(payload["mode"])
+        vocab = Vocabulary.from_list(payload["vocab"], mode)
         counts = [read_label_counts(c) for c in payload["counts"]]
         if len(counts) != len(vocab):
             raise ValueError(f"{len(counts)} count rows for {len(vocab)} "
@@ -77,17 +78,16 @@ class DecisionListModel:
         label_counts = read_label_counts(payload["label_counts"])
         if not label_counts:
             raise ValueError("no label counts")
-        return cls(vocab, FeatureSet(payload["mode"]), counts, label_counts)
+        return cls(vocab, mode, counts, label_counts)
 
 
 def train_declist(dataset: Dataset, mode: FeatureSet) -> DecisionListModel:
     """Count (feature, label) co-occurrences over the training features."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    table = feature_label_counts((example_features(ex, mode), ex.label)
-                                 for ex in dataset)
-    vocab = Vocabulary(sorted(table))  # as Vocabulary.from_dataset orders it
-    return DecisionListModel(vocab, mode, map(table.__getitem__, vocab),
+    vocab, fvs = encode(dataset, mode)
+    table = feature_label_counts((fv.ids, ex.label) for fv, ex in zip(fvs, dataset))
+    return DecisionListModel(vocab, mode, map(table.__getitem__, range(len(vocab))),
                              dataset.label_counts)
 
 

@@ -9,7 +9,6 @@ is assembled in a single reduction at the end.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +16,9 @@ from fractions import Fraction
 from .corpus import Dataset, FoldPlan, split_folds
 from .declist import train_declist
 from .features import Feature, FeatureSet, example_features
-from .knn import train_knn
+from .knn import KnnModel, train_knn
 from .maxent import train_maxent
-from .svm import train_pairwise
+from .svm import hyperparameter_error, train_pairwise
 
 PAST_MARKER = "た"  # sentence-final hiragana "ta"
 
@@ -44,8 +43,8 @@ class LearnerSpec:
     @property
     def feature_sets(self) -> tuple[FeatureSet, ...]:
         """The feature sets this learner runs on, its default first. k-NN
-        compares sentence endings, so it runs on feature set 2 only."""
-        return (FeatureSet.FS2,) if self.method == "knn" else tuple(FeatureSet)
+        compares sentence endings, so it runs on its model's feature set only."""
+        return (KnnModel.mode,) if self.method == "knn" else tuple(FeatureSet)
 
     @property
     def hyperparameters(self) -> dict:
@@ -59,17 +58,15 @@ class LearnerSpec:
     def check(self, mode) -> None:
         """Raise ConfigError if this learner cannot run on feature set
         ``mode``: k must be at least 1, ``mode`` one of ``feature_sets``,
-        and the SVM needs a kernel degree of 1 or 2 and a positive, finite
-        C."""
+        and the SVM's d and C must pass ``svm.hyperparameter_error``, the
+        rule its model files are loaded by."""
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if mode not in self.feature_sets:
             sets = ", ".join(str(int(fs)) for fs in self.feature_sets)
             raise ConfigError(f"{self.method} supports feature-set {sets} only")
-        if self.method == "svm" and self.d not in (1, 2):
-            raise ConfigError("svm kernel degree must be 1 or 2")
-        if self.method == "svm" and not (self.C > 0 and math.isfinite(self.C)):
-            raise ConfigError("svm box constant C must be positive and finite")
+        if self.method == "svm" and (error := hyperparameter_error(self.d, self.C)):
+            raise ConfigError(error)
 
     def describe(self) -> str:
         """The method and its first hyperparameter, e.g. ``svm (d=1)``."""

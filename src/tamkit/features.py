@@ -11,10 +11,12 @@ Three feature sets are supported:
 Features are plain ``(kind, text)`` tuples, ordered by kind, then text, as
 in a training :class:`Vocabulary`; those read from model files are checked
 in :meth:`Vocabulary.from_list`, those built here are valid by construction.
-A vocabulary, built complete from a training set, maps features to dense
-contiguous ids and never changes afterwards; extraction against it drops
-features it does not know. Vectors are binary (presence only), so the
-inner product of two vectors is the size of their id-set intersection.
+A vocabulary maps features to dense contiguous ids and never changes
+afterwards. :func:`encode` alone states the training-vocabulary rule and
+extracts each training example once; :func:`extract` encodes a prediction
+input, dropping features the vocabulary does not know. Vectors are binary
+(presence only), so the inner product of two vectors is the size of their
+id-set intersection.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from .corpus import is_positive_int
+
 SUFFIX = "suffix"
 TOKEN = "token"
 
@@ -36,6 +40,19 @@ class FeatureSet(IntEnum):
     FS1 = 1  # suffix n-grams plus tokens
     FS2 = 2  # suffix n-grams only
     FS3 = 3  # tokens only
+
+
+# the feature kinds each feature set extracts
+KINDS = {FeatureSet.FS1: (SUFFIX, TOKEN), FeatureSet.FS2: (SUFFIX,),
+         FeatureSet.FS3: (TOKEN,)}
+
+
+def read_mode(value) -> FeatureSet:
+    """The feature set a model file names. Raises ValueError unless
+    ``value`` is the integer 1, 2 or 3."""
+    if not (is_positive_int(value) and value in KINDS):
+        raise ValueError(f"mode {value!r} is not the integer 1, 2 or 3")
+    return FeatureSet(value)
 
 
 class Feature(NamedTuple):
@@ -61,11 +78,11 @@ def suffix_ngrams(sentence: str) -> set[Feature]:
 
 def example_features(example, mode: FeatureSet) -> set[Feature]:
     """The raw (un-interned) feature set of one example under a feature set."""
-    mode = FeatureSet(mode)
+    kinds = KINDS[FeatureSet(mode)]
     feats: set[Feature] = set()
-    if mode in (FeatureSet.FS1, FeatureSet.FS2):
+    if SUFFIX in kinds:
         feats |= suffix_ngrams(example.sentence)
-    if mode in (FeatureSet.FS1, FeatureSet.FS3):
+    if TOKEN in kinds:
         if example.tokens is not None:
             tokens = example.tokens
         else:
@@ -74,9 +91,9 @@ def example_features(example, mode: FeatureSet) -> set[Feature]:
     return feats
 
 
-def feature_label_counts(labelled) -> dict[Feature, Counter]:
-    """Per feature, its label counts over ``(features, label)`` pairs."""
-    table: dict[Feature, Counter] = {}
+def feature_label_counts(labelled) -> dict:
+    """Per feature or feature id, its label counts over ``(features, label)`` pairs."""
+    table: dict = {}
     for feats, label in labelled:
         for feat in feats:
             table.setdefault(feat, Counter())[label] += 1
@@ -96,12 +113,8 @@ class Vocabulary:
 
     @classmethod
     def from_dataset(cls, dataset, mode: FeatureSet) -> "Vocabulary":
-        """Canonical training vocabulary: every feature in the dataset, in
-        sorted order (invariant to example order)."""
-        feats: set[Feature] = set()
-        for ex in dataset:
-            feats |= example_features(ex, mode)
-        return cls(sorted(feats))
+        """The training vocabulary of ``dataset``, as :func:`encode` builds it."""
+        return encode(dataset, mode)[0]
 
     def __len__(self):
         return len(self._features)
@@ -119,15 +132,19 @@ class Vocabulary:
         return [[f.kind, f.text] for f in self._features]
 
     @classmethod
-    def from_list(cls, items) -> "Vocabulary":
-        """Inverse of :meth:`to_list`. Model files are the one source of
-        features from outside the program, so each entry is checked here."""
+    def from_list(cls, items, mode: FeatureSet = FeatureSet.FS1) -> "Vocabulary":
+        """Inverse of :meth:`to_list` for a model of feature set ``mode``.
+        Model files are the one source of features from outside the
+        program, so each entry is checked here: it must be of a kind that
+        ``mode`` extracts (feature set 1, the default, extracts both)."""
+        kinds = KINDS[mode]
         for item in items:
             if not (isinstance(item, (list, tuple)) and len(item) == 2
-                    and item[0] in (SUFFIX, TOKEN)
+                    and item[0] in kinds
                     and isinstance(item[1], str) and item[1]):
                 raise ValueError(f"vocabulary entry {item!r} is not a [kind, text] "
-                                 "pair of kind suffix or token and non-empty text")
+                                 f"pair of kind {' or '.join(kinds)} (feature set "
+                                 f"{int(mode)}) and non-empty text")
         vocab = cls(Feature(*item) for item in items)
         if len(vocab) != len(items):  # ids are list positions: a repeat shifts them
             raise ValueError("vocabulary entries repeat")
@@ -157,6 +174,14 @@ class FeatureVector:
 
     def __repr__(self):
         return f"FeatureVector({list(self.ids)})"
+
+
+def encode(dataset, mode: FeatureSet) -> tuple[Vocabulary, list[FeatureVector]]:
+    """The training vocabulary of ``dataset``, every feature in it sorted (so
+    example order does not matter), and each example's vector against it."""
+    feats = [example_features(ex, mode) for ex in dataset]
+    vocab = Vocabulary(sorted(set().union(*feats)))
+    return vocab, [FeatureVector(map(vocab.lookup, f)) for f in feats]
 
 
 def extract(example, mode: FeatureSet, vocab: Vocabulary) -> FeatureVector:

@@ -26,7 +26,8 @@ from collections import Counter
 import numpy as np
 
 from .corpus import Dataset, best_label, is_label, read_label_counts
-from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
+from .features import (FeatureSet, FeatureVector, Vocabulary, encode, extract,
+                       read_mode, to_csr)
 
 WEIGHT_CLAMP = 30.0
 GIS_TOL = 1e-4         # stop when every count residual is at most GIS_TOL * N
@@ -63,7 +64,8 @@ class MaxEntModel:
         """Model from its ``to_dict`` payload. Raises ValueError unless the
         labels are distinct non-empty strings and the weights a finite
         table with a row per vocabulary entry and a column per label."""
-        vocab = Vocabulary.from_list(payload["vocab"])
+        mode = read_mode(payload["mode"])
+        vocab = Vocabulary.from_list(payload["vocab"], mode)
         labels = payload["labels"]
         if not (all(is_label(lab) for lab in labels)
                 and len(set(labels)) == len(labels)):
@@ -79,7 +81,7 @@ class MaxEntModel:
                              f"vocabulary entry, one column per label")
         if not np.isfinite(weights).all():
             raise ValueError("weights must be finite")
-        return cls(vocab, FeatureSet(payload["mode"]), labels, weights,
+        return cls(vocab, mode, labels, weights,
                    read_label_counts(payload["label_counts"]))
 
 
@@ -97,12 +99,10 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     n = len(dataset)
-    vocab = Vocabulary.from_dataset(dataset, mode)
-    labels = tuple(sorted(dataset.label_counts))
+    vocab, fvs = encode(dataset, mode)
+    labels = dataset.labels
     label_index = {lab: i for i, lab in enumerate(labels)}
     n_feat, n_lab = len(vocab), len(labels)
-
-    fvs = [extract(ex, mode, vocab) for ex in dataset]
     # canonical accumulation order: float sums, and therefore the fitted
     # weights, are bit-identical under any permutation of the dataset
     order = sorted(range(n), key=lambda i: (fvs[i].ids, dataset[i].label))
@@ -115,30 +115,26 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     empirical = X.T @ onehot  # (feature, label) co-occurrence counts
     cmax = int(X.sum(axis=1).max()) if n_feat else 0
 
+    # with no constraints (cmax == 0), the entropy maximum is the uniform
+    # conditional: zero weights, reached after no pass
     weights = np.zeros((n_feat, n_lab))
-    info = {"iterations": 0, "converged": True, "stopped_by": "tol",
-            "final_residual": 0.0, "clamped": False}
-    if n_feat == 0 or cmax == 0:
-        # no constraints: the entropy maximum is the uniform conditional
-        return MaxEntModel(vocab, mode, labels, weights, dataset.label_counts, info)
-
-    unseen = empirical == 0.0
-    step = 1.0 / cmax
-    residual = np.inf
-    it = 0
-    for it in range(1, GIS_MAX_ITERS + 1):
-        probs = _softmax_rows(X @ weights)
-        expected = X.T @ probs
-        residual = float(np.abs(empirical - expected).max())
-        if residual <= GIS_TOL * n:
-            it -= 1
-            break
-        with np.errstate(divide="ignore"):
-            update = np.log(np.maximum(empirical, 1e-300)) - np.log(
-                np.maximum(expected, 1e-300))
-        update[unseen] = -np.inf
-        weights = weights + update * step
-        np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP, out=weights)
+    residual, it = 0.0, 0
+    if cmax > 0:
+        unseen = empirical == 0.0
+        step = 1.0 / cmax
+        for it in range(1, GIS_MAX_ITERS + 1):
+            probs = _softmax_rows(X @ weights)
+            expected = X.T @ probs
+            residual = float(np.abs(empirical - expected).max())
+            if residual <= GIS_TOL * n:
+                it -= 1
+                break
+            with np.errstate(divide="ignore"):
+                update = np.log(np.maximum(empirical, 1e-300)) - np.log(
+                    np.maximum(expected, 1e-300))
+            update[unseen] = -np.inf
+            weights = weights + update * step
+            np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP, out=weights)
     converged = residual <= GIS_TOL * n
     info = {
         "iterations": it,

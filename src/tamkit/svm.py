@@ -39,7 +39,8 @@ one sparse matrix, a row per vocabulary entry, when it is built, and
 one product. Each pair then sums its terms left to right in stored
 support-vector order, so every raw decision value is bit-identical to
 ``decide``, and a value of exactly 0 votes for the positive side in both
-paths. ``decide`` and ``classify_pairwise`` stay as the reference.
+paths. Both break vote ties with ``corpus.best_label``. ``decide`` and
+``classify_pairwise`` stay as the reference.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import Dataset, best_label, read_label_counts
-from .features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
+from .corpus import Dataset, best_label, is_positive_int, read_label_counts
+from .features import (FeatureSet, FeatureVector, Vocabulary, encode, extract,
+                       read_mode, to_csr)
 
 KKT_TOL = 1e-3         # SMO stops when the maximal violation is at most this
 MAX_ITER = None        # SMO iteration cap per problem; None is 100 per example
@@ -72,6 +74,18 @@ class ConvergenceError(TrainingError):
     def __init__(self, message, dual_value):
         super().__init__(message)
         self.dual_value = dual_value
+
+
+def hyperparameter_error(d, C) -> str | None:
+    """What makes ``d`` and ``C`` unfit to train or load an SVM, or None:
+    the kernel degree must be the integer 1 or 2 (not a bool), and the box
+    constant C a positive, finite number."""
+    if not (is_positive_int(d) and d <= 2):
+        return "svm kernel degree must be 1 or 2"
+    if not (isinstance(C, (int, float)) and not isinstance(C, bool)
+            and C > 0 and math.isfinite(C)):
+        return "svm box constant C must be positive and finite"
+    return None
 
 
 def kernel(x: FeatureVector, y: FeatureVector, d: int) -> float:
@@ -364,10 +378,13 @@ class BinarySvmModel:
 
     @classmethod
     def from_dict(cls, payload) -> "BinarySvmModel":
-        """Model from its ``to_dict`` payload. Raises ValueError unless every
-        support vector has a label of -1 or +1, a finite multiplier, and
-        integer feature ids, and the bias is finite. ``PairwiseModel``
-        checks the ids against its vocabulary."""
+        """Model from its ``to_dict`` payload. Raises ValueError unless ``d``
+        and ``C`` pass :func:`hyperparameter_error`, every support vector
+        has a label of -1 or +1, a finite multiplier, and integer feature
+        ids, and the bias is finite. ``PairwiseModel`` checks the ids
+        against its vocabulary."""
+        if error := hyperparameter_error(payload["d"], payload["C"]):
+            raise ValueError(error)
         sv_ids, y, alpha = payload["sv_ids"], payload["y"], payload["alpha"]
         if not len(sv_ids) == len(y) == len(alpha):
             raise ValueError(f"{len(sv_ids)} support vectors, {len(y)} labels "
@@ -412,8 +429,8 @@ def _train(vectors, problems, C: float, d: int) -> list[BinarySvmModel]:
     ``vectors``, in problem order, all solved on one kernel. Each problem is
     finished as soon as it converges, so that the solver's arrays and the
     models are not all alive at once."""
-    if not (C > 0 and math.isfinite(C)):
-        raise TrainingError("C must be positive and finite")
+    if error := hyperparameter_error(d, C):
+        raise TrainingError(error)
     n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
     kern = _kernel_matrix(to_csr(vectors, n_cols), d)
     models = [None] * len(problems)
@@ -510,12 +527,6 @@ class PairwiseModel:
         self._block_rows = max(1, BLOCK_TERMS // max(1, self._cols.size))
         self._pos = np.array([label_index[a] for a, _ in self.models], dtype=np.intp)
         self._neg = np.array([label_index[b] for _, b in self.models], dtype=np.intp)
-        # label indices in the tie-break order of corpus.best_label: global
-        # frequency, then label text
-        self._rank = np.array(sorted(
-            range(len(self.labels)),
-            key=lambda k: (-self.label_counts[self.labels[k]], self.labels[k])),
-            dtype=np.intp)
 
     def predict(self, example) -> str:
         return self.predict_batch([example])[0]
@@ -535,9 +546,8 @@ class PairwiseModel:
             flat = (np.arange(len(block))[:, None] * n_labels + winners).ravel()
             votes = np.bincount(flat, minlength=len(block) * n_labels).reshape(
                 len(block), n_labels)
-            # argmax takes the first maximum, so rank order breaks vote ties
-            best = self._rank[votes[:, self._rank].argmax(axis=1)]
-            labels += [self.labels[k] for k in best]
+            labels += [best_label(dict(zip(self.labels, row)), self.label_counts)
+                       for row in votes.tolist()]
         return labels
 
     def decision_values(self, fvs) -> np.ndarray:
@@ -574,7 +584,10 @@ class PairwiseModel:
         may also list labels absent from training (without a count), and
         pairs with one such side, which are ignored: each voted for its
         present side, one vote for every present label, changing no winner."""
-        vocab = Vocabulary.from_list(payload["vocab"])
+        if error := hyperparameter_error(payload["d"], payload["C"]):
+            raise ValueError(error)
+        mode = read_mode(payload["mode"])
+        vocab = Vocabulary.from_list(payload["vocab"], mode)
         models = {(a, b): BinarySvmModel.from_dict(m)
                   for a, b, m in payload["models"]}
         label_counts = read_label_counts(payload["label_counts"])
@@ -586,7 +599,7 @@ class PairwiseModel:
             models,
             label_counts,
             vocab,
-            FeatureSet(payload["mode"]),
+            mode,
             payload["C"],
             payload["d"],
         )
@@ -609,8 +622,7 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0,
     labels = dataset.labels
     if len(labels) < 2:
         raise TrainingError("pairwise training needs at least 2 labels")
-    vocab = Vocabulary.from_dataset(dataset, mode)
-    fvs = [extract(ex, mode, vocab) for ex in dataset]
+    vocab, fvs = encode(dataset, mode)
     by_label: dict[str, list[int]] = {}
     for idx, ex in enumerate(dataset):
         by_label.setdefault(ex.label, []).append(idx)

@@ -540,17 +540,35 @@ class TestModelFiles:
                                       "short sv_ids", "ghost pair label",
                                       "pair degree", "nan alpha",
                                       "infinite b", "no models",
-                                      "deleted pair"])
+                                      "deleted pair", "d 2.5", "d true",
+                                      "d '2'", "d 0", "d -1", "d 60",
+                                      "pair d true", "C -1", "C 0", "C 1e400",
+                                      "pair C 0", "mode true", "mode 1.0",
+                                      "mode 2"])
     def test_malformed_svm_payload_is_data_error(self, tmp_path, corpus_file,
                                                  capsys, case):
         # a negative id corrupted the heap in the sparse-matrix build, a
         # label of 3, a NaN multiplier or a missing pair changed predictions
         # without any error, and a pair label outside the model's labels
-        # raised a KeyError traceback
+        # raised a KeyError traceback; a degree, C or mode that the command
+        # line refuses loaded, a degree of 0 or -1 halving precision
         path, document = self._train_svm_file(corpus_file, tmp_path)
         payload = document["payload"]
         pair = payload["models"][0][2]
-        if case == "no models":
+        value = {"d 2.5": 2.5, "d true": True, "d '2'": "2", "d 0": 0,
+                 "d -1": -1, "d 60": 60, "C -1": -1, "C 0": 0,
+                 "C 1e400": "1e400", "mode true": True, "mode 1.0": 1.0,
+                 "mode 2": 2}.get(case)
+        if case[:2] in ("d ", "C "):  # the model's value and every pair's
+            for owner in [payload] + [m for _, _, m in payload["models"]]:
+                owner[case[0]] = value
+        elif case == "pair d true":
+            pair["d"] = True
+        elif case == "pair C 0":
+            pair["C"] = 0
+        elif case.startswith("mode "):  # 2 drops the tokens of feature set 1
+            payload["mode"] = value
+        elif case == "no models":
             payload["models"] = []
         elif case == "deleted pair":
             del payload["models"][1]
@@ -574,7 +592,9 @@ class TestModelFiles:
             del pair["alpha"][-1]
         else:
             del pair["sv_ids"][-1]
-        path.write_text(json.dumps(document), encoding="utf-8")
+        # JSON has no infinity; 1e400 overflows to one when read
+        path.write_text(json.dumps(document).replace('"1e400"', "1e400"),
+                        encoding="utf-8")
         capsys.readouterr()
         assert main(["eval", "--input", str(corpus_file), "--model",
                      str(path)]) == 2
@@ -590,6 +610,9 @@ class TestModelFiles:
         ("maxent", "nan weight"), ("maxent", "infinite weight"),
         ("maxent", "repeated label"), ("maxent", "label count x"),
         ("svm", "label count 0"),
+        ("dlist", "mode true"), ("dlist", "mode 1.0"), ("dlist", "mode 2"),
+        ("dlist", "mode 3"), ("maxent", "mode true"), ("maxent", "mode 2"),
+        ("maxent", "mode 3"),
     ])
     def test_malformed_payload_values_are_data_error(self, tmp_path,
                                                      corpus_file, capsys,
@@ -597,7 +620,9 @@ class TestModelFiles:
         # unchecked, a knn sentence 5, k = 2.5 or a dlist count of 0 raised
         # a traceback, a "nan" weight exited 2 with a message naming no
         # file, and a knn label 7, a dlist count of -3 or a repeated maxent
-        # label loaded and predicted with exit 0
+        # label loaded and predicted with exit 0; so did a mode of true or
+        # 1.0 (as feature set 1) and a mode whose features the vocabulary
+        # lacks, which predicted the majority label throughout
         path = tmp_path / "model.json"
         assert main(["train", "--input", str(corpus_file), "--method", method,
                      "--out", str(path)]) == 0
@@ -607,7 +632,8 @@ class TestModelFiles:
                  "empty label": "", "count 0": 0, "count -3": -3,
                  "count 1.5": 1.5, "nan weight": "nan",
                  "infinite weight": "inf", "label count x": "x",
-                 "label count 0": 0}.get(case)
+                 "label count 0": 0, "mode true": True, "mode 1.0": 1.0,
+                 "mode 2": 2, "mode 3": 3}.get(case)
         if case == "sentence 5":
             payload["sentences"][0] = value
         elif case.startswith("k "):
@@ -624,6 +650,8 @@ class TestModelFiles:
             payload["weights"][0][0] = value
         elif case == "repeated label":
             payload["labels"][1] = payload["labels"][0]
+        elif case.startswith("mode "):  # trained on feature set 1
+            payload["mode"] = value
         else:
             payload["label_counts"][0][1] = value
         path.write_text(json.dumps(document), encoding="utf-8")

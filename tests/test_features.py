@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synth import modality_corpus
+from tamkit import features
 from tamkit.corpus import Dataset, Example
+from tamkit.declist import train_declist
 from tamkit.features import (
     SUFFIX,
     TOKEN,
@@ -12,12 +15,22 @@ from tamkit.features import (
     FeatureSet,
     FeatureVector,
     Vocabulary,
+    encode,
     example_features,
     extract,
     suffix_ngrams,
     to_csr,
     tokenize,
 )
+from tamkit.maxent import train_maxent
+from tamkit.svm import train_pairwise
+
+# examples with and without pre-supplied tokens, empty sentences included
+EXAMPLES = st.builds(Example, st.sampled_from(["x", "y"]),
+                     st.text(alphabet="ab c\u3042", max_size=12),
+                     st.none() | st.lists(st.text(alphabet="ab\u3042", min_size=1,
+                                                  max_size=3),
+                                          max_size=3).map(tuple))
 
 
 class TestTokenize:
@@ -148,6 +161,41 @@ class TestExtract:
         va = Vocabulary.from_dataset(a, FeatureSet.FS2)
         vb = Vocabulary.from_dataset(b, FeatureSet.FS2)
         assert list(va) == list(vb)
+
+
+class TestEncode:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.lists(EXAMPLES, max_size=8),
+           st.sampled_from(tuple(FeatureSet)))
+    def test_sorted_union_and_extract_vectors(self, data, examples, mode):
+        # repeated examples, then the same dataset in another order
+        repeats = (st.lists(st.sampled_from(examples), max_size=3)
+                   if examples else st.just([]))
+        examples = examples + data.draw(repeats)
+        permuted = data.draw(st.permutations(examples))
+        vocab, vectors = encode(Dataset(examples), mode)
+        assert list(vocab) == sorted(set().union(
+            *(example_features(ex, mode) for ex in examples)))
+        assert vectors == [extract(ex, mode, vocab) for ex in examples]
+        assert list(encode(Dataset(permuted), mode)[0]) == list(vocab)
+        assert list(Vocabulary.from_dataset(Dataset(examples), mode)) == list(vocab)
+
+    @pytest.mark.parametrize("train", [train_declist, train_maxent,
+                                       train_pairwise],
+                             ids=["dlist", "maxent", "svm"])
+    @pytest.mark.parametrize("mode", list(FeatureSet))
+    def test_trainers_extract_each_example_once(self, monkeypatch, train, mode):
+        ds = modality_corpus(40, seed=2)
+        calls = []
+
+        def counted(example, mode):
+            calls.append(example)
+            return original(example, mode)
+
+        original = features.example_features
+        monkeypatch.setattr(features, "example_features", counted)
+        train(ds, mode)
+        assert len(calls) == len(ds)
 
 
 class TestFeatureVector:

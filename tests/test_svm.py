@@ -285,17 +285,24 @@ class TestPairwise:
             ("b", "c"): pair_model(1, 9),
             ("a", "c"): pair_model(9, 2),
         }
-        pw = PairwiseModel(
-            ["a", "b", "c"], models, {"a": 1, "b": 1, "c": 5},
-            vocab=Vocabulary(Feature(TOKEN, f"t{i}") for i in range(10)),
-            mode=FeatureSet.FS3, C=1.0, d=1)
         query = FeatureVector([0, 1, 2])
         votes = {}
         for (p, q), m in models.items():
             winner = p if decide(m, query)[1] > 0 else q
             votes[winner] = votes.get(winner, 0) + 1
         assert votes == {"a": 1, "b": 1, "c": 1}  # a genuine cycle
-        assert classify_pairwise(pw, query) == "c"
+        # the batch path tallies the same votes and breaks the tie alike:
+        # by global frequency, then, with equal counts, by label text
+        example = Example("a", "t0 t1 t2")
+        for label_counts, expected in (({"a": 1, "b": 1, "c": 5}, "c"),
+                                       ({"a": 2, "b": 2, "c": 2}, "a")):
+            pw = PairwiseModel(
+                ["a", "b", "c"], models, label_counts,
+                vocab=Vocabulary(Feature(TOKEN, f"t{i}") for i in range(10)),
+                mode=FeatureSet.FS3, C=1.0, d=1)
+            assert extract(example, FeatureSet.FS3, pw.vocab) == query
+            assert classify_pairwise(pw, query) == expected
+            assert pw.predict_batch([example]) == [expected]
 
     def test_vote_tally_covers_all_pairs(self):
         ds = _uniform_corpus(["a", "b", "c", "d"])
