@@ -35,6 +35,8 @@ from .evaluate import (
     effective_features,
     evaluate_model,
     fit,
+    fit_subsets,
+    grid_cell,
     sign_test,
 )
 from .features import (
@@ -58,6 +60,7 @@ from .svm import (
     kernel,
     train_binary_svm,
     train_pairwise,
+    train_pairwise_many,
 )
 from .svm import decide as svm_decide
 

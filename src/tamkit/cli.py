@@ -38,6 +38,7 @@ from .evaluate import (
     effective_features,
     evaluate_model,
     fit,
+    grid_cell,
     sign_test,
 )
 from .features import FeatureSet
@@ -231,8 +232,7 @@ def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
         for mode in FeatureSet:
             cell = "--- ( --- )"
             if mode in spec.feature_sets:
-                open_rep = cross_validate(spec, dataset, plan, mode)
-                closed_rep = closed_test(spec, dataset, mode)
+                open_rep, closed_rep = grid_cell(spec, dataset, plan, mode)
                 cell = (f"{open_rep.precision * 100:6.2f}% "
                         f"({closed_rep.precision * 100:6.2f}%)")
             row.append(f"{cell:>20}")

@@ -18,7 +18,7 @@ from .declist import train_declist
 from .features import Feature, FeatureSet, example_features
 from .knn import KnnModel, train_knn
 from .maxent import train_maxent
-from .svm import hyperparameter_error, train_pairwise
+from .svm import hyperparameter_error, train_pairwise, train_pairwise_many
 
 PAST_MARKER = "た"  # sentence-final hiragana "ta"
 
@@ -111,6 +111,19 @@ def fit(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet):
     raise ConfigError(f"unknown method {spec.method!r}")
 
 
+def fit_subsets(spec: LearnerSpec, dataset: Dataset, subsets, mode: FeatureSet):
+    """An iterator over the model of ``dataset.subset(s)`` for each index
+    sequence ``s`` of ``subsets``, each as ``fit`` trains it, after
+    ``spec.check(mode)``. The SVM trains every subset in one solve
+    (``svm.train_pairwise_many``); the other learners train lazily, one
+    subset per model drawn."""
+    mode = FeatureSet(mode)
+    spec.check(mode)
+    if spec.method == "svm":
+        return iter(train_pairwise_many(dataset, subsets, mode, C=spec.C, d=spec.d))
+    return (fit(spec, dataset.subset(s), mode) for s in subsets)
+
+
 @dataclass
 class PrecisionReport:
     """Per-fold counts plus per-example predictions of one evaluation."""
@@ -135,12 +148,13 @@ class PrecisionReport:
 def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
                    mode: FeatureSet) -> PrecisionReport:
     """Open evaluation: for each fold, train on the complement and predict
-    the fold. Each fold's vocabulary is rebuilt from its training portion."""
-    if len(plan.assignment) != len(dataset):
-        raise ConfigError("fold plan does not match dataset size")
-    folds = map(plan.fold_indices, range(plan.n_folds))
-    return _evaluate(dataset, ((fit(spec, dataset.subset(train_idx), mode), test_idx)
-                               for train_idx, test_idx in folds), closed=False)
+    the fold. Each fold's vocabulary is rebuilt from its training portion.
+    The folds' models come from ``fit_subsets``, so the SVM trains them all
+    in one solve."""
+    folds = _folds(dataset, plan)
+    models = fit_subsets(spec, dataset, [train for train, _ in folds], mode)
+    return _evaluate(dataset, ((next(models), test) for _, test in folds),
+                     closed=False)
 
 
 def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> PrecisionReport:
@@ -148,6 +162,28 @@ def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> Precis
     baseline rule is not trained on the data, so its test is open."""
     return evaluate_model(fit(spec, dataset, mode), dataset,
                           closed=spec.method != "baseline")
+
+
+def grid_cell(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
+              mode: FeatureSet) -> tuple[PrecisionReport, PrecisionReport]:
+    """The ``cross_validate`` and ``closed_test`` reports of one cell of
+    the ``cv --all`` grid, with the closed model fitted after the folds'
+    models, so that the SVM trains all of them in one solve."""
+    folds = _folds(dataset, plan)
+    everything = range(len(dataset))
+    models = fit_subsets(spec, dataset,
+                         [train for train, _ in folds] + [everything], mode)
+    open_rep = _evaluate(dataset, ((next(models), test) for _, test in folds),
+                         closed=False)
+    return open_rep, evaluate_model(next(models), dataset,
+                                    closed=spec.method != "baseline")
+
+
+def _folds(dataset: Dataset, plan: FoldPlan) -> list[tuple[list[int], list[int]]]:
+    """(train indices, test indices) of every fold of ``plan``."""
+    if len(plan.assignment) != len(dataset):
+        raise ConfigError("fold plan does not match dataset size")
+    return [plan.fold_indices(fold) for fold in range(plan.n_folds)]
 
 
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
@@ -159,7 +195,10 @@ def _evaluate(dataset: Dataset, runs, closed: bool) -> PrecisionReport:
     """The one scoring loop. Each run is a (model, test indices) pair; its
     model predicts ``dataset[i]`` for those indices in one batch and becomes
     one fold record. ``runs`` may build its models lazily: each is freed
-    before the next run is drawn, so two models are never alive at once."""
+    before the next run is drawn, so two models of k-NN, the decision list
+    or maxent are never alive at once. The SVM models of a cross-validation,
+    a grid cell (with its closed model) or a cross-domain evaluation are
+    trained in one solve by ``fit_subsets``, so they are alive together."""
     predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
     fold_results = []
     for model, indices in runs:
@@ -303,7 +342,8 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
 
     def train_without(group):
         withheld = {test[i] for i in group}
-        return Dataset(ex for ex in train if ex not in withheld)
+        return [i for i, ex in enumerate(train) if ex not in withheld]
 
-    return _evaluate(test, ((fit(spec, train_without(group), mode), group)
-                            for group in groups), closed=False)
+    models = fit_subsets(spec, train, map(train_without, groups), mode)
+    return _evaluate(test, ((next(models), group) for group in groups),
+                     closed=False)

@@ -120,7 +120,9 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     weights = np.zeros((n_feat, n_lab))
     residual, it = 0.0, 0
     if cmax > 0:
-        unseen = empirical == 0.0
+        # -inf for a pair training never saw, so its update is -inf
+        log_empirical = np.log(np.maximum(empirical, 1e-300))
+        log_empirical[empirical == 0.0] = -np.inf
         step = 1.0 / cmax
         for it in range(1, GIS_MAX_ITERS + 1):
             probs = _softmax_rows(X @ weights)
@@ -129,10 +131,7 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
             if residual <= GIS_TOL * n:
                 it -= 1
                 break
-            with np.errstate(divide="ignore"):
-                update = np.log(np.maximum(empirical, 1e-300)) - np.log(
-                    np.maximum(expected, 1e-300))
-            update[unseen] = -np.inf
+            update = log_empirical - np.log(np.maximum(expected, 1e-300))
             weights = weights + update * step
             np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP, out=weights)
     converged = residual <= GIS_TOL * n

@@ -19,19 +19,24 @@ Multiclass data is handled pairwise: one binary classifier per unordered
 label pair, each trained only on examples of its two labels, combined by
 voting. Pairwise trainings are independent; trained models are immutable.
 
-One driver, ``_train``, serves ``train_pairwise`` and ``train_binary_svm``
-(one problem). It builds the kernel once over all l examples, within one
+One driver, ``train_pairwise_many``, trains the pairwise models of many
+subsets of one dataset, such as the folds of a cross-validation and its
+closed fit, in one solve; ``train_pairwise`` is its one-subset case. It
+builds the kernel once over all l examples of the dataset, within one
 budget of ``KERNEL_ENTRIES`` values: the dense Gram matrix when l * l fits,
 above it an LRU of ``KERNEL_ENTRIES // l`` rows. Kernel values are exact
-integers, so the kernel is exactly symmetric and neither form can change a
-model. One solver, ``_smo``, runs every problem on it in lockstep: padded
-arrays hold all problems, each round takes one step of every unfinished
-problem with a few array operations, and a problem leaves the arrays when
-it converges or reaches its iteration cap. Each problem does exactly the
-arithmetic of the scalar one-problem solver, so its multipliers, gradient
-and iteration count are bit-identical to it, and a pair model is identical
-to one trained on the pair alone. That scalar solver is kept in
-``tests/svm_reference.py`` as the oracle.
+integers, so the kernel is exactly symmetric, a subset's kernel is exactly
+its slice, and neither form can change a model. Every pair problem of every
+subset is posed as dataset indices into it, and ``_train`` (which also
+serves ``train_binary_svm``, one problem) hands them all to one solver,
+``_smo``, which runs them in lockstep: padded arrays hold all problems,
+each round takes one step of every unfinished problem with a few array
+operations, and a problem leaves the arrays when it converges or reaches
+its iteration cap. Each problem does exactly the arithmetic of the scalar
+one-problem solver, so its multipliers, gradient and iteration count are
+bit-identical to it, and a pair model is identical to one trained on the
+pair alone. That scalar solver is kept in ``tests/svm_reference.py`` as the
+oracle, with ``train_pairwise_each``, which trains the subsets one by one.
 
 A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
 one sparse matrix, a row per vocabulary entry, when it is built, and
@@ -120,9 +125,8 @@ class KernelCache:
         return row
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """K[rows[p], cols[p, q]] for every p and q (``cols`` may be one row)."""
-        cols = np.broadcast_to(cols, (len(rows), cols.shape[-1]))
-        return np.stack([self.row(r)[c] for r, c in zip(rows, cols)])
+        """K[rows[p, m], cols[p, q]] for every p, m and q, as ``(P, M, Q)``."""
+        return np.array([[self.row(r)[c] for r in rs] for rs, c in zip(rows, cols)])
 
 
 class _DenseGram:
@@ -132,7 +136,8 @@ class _DenseGram:
         self._K = K
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return self._K[rows[:, None], cols]
+        # one flat take is cheaper than a two-index gather
+        return np.take(self._K, rows[:, :, None] * len(self._K) + cols[:, None, :])
 
 
 def _poly(counts, d: int) -> np.ndarray:
@@ -207,11 +212,11 @@ def _smo_lockstep(kern, problems, caps, C: float):
     Every problem does exactly the arithmetic of a scalar solver on its own:
     the working set is the first maximal / minimal ``-y * grad`` over the
     masks, the clipped two-variable update runs on Python floats, and the
-    gradient update keeps the scalar operand order. A problem leaves the
-    arrays, yielded as ``(k, alpha, grad, iterations)`` with ``k`` its
-    position in ``problems``, when it reaches its cap (tested first) or
-    ``KKT_TOL``. Products are taken in place, so that few ``(P, L)``
-    arrays are alive.
+    gradient update keeps the scalar operand order. A round gathers the
+    kernel rows of both working-set members at once and updates both
+    columns of the masks at once. A problem leaves the arrays, yielded as
+    ``(k, alpha, grad, iterations)`` with ``k`` its position in
+    ``problems``, when it reaches its cap (tested first) or ``KKT_TOL``.
     """
     sizes = [len(y) for _, y in problems]
     G = np.zeros((len(problems), max(sizes)), dtype=np.intp)
@@ -221,14 +226,15 @@ def _smo_lockstep(kern, problems, caps, C: float):
         Y[p, :sizes[p]] = y
     alpha = np.zeros(G.shape)
     grad = -np.ones(G.shape)  # gradient of (1/2 a'Qa - sum a), Q_ij = y_i y_j K_ij
-    up = Y > 0    # y = +1 with alpha < C, or y = -1 with alpha > 0
-    low = Y < 0   # y = -1 with alpha < C, or y = +1 with alpha > 0
+    # masks[0] (up): y = +1 with alpha < C, or y = -1 with alpha > 0;
+    # masks[1] (low): y = -1 with alpha < C, or y = +1 with alpha > 0
+    masks = np.stack((Y > 0, Y < 0))
     cap = np.asarray(caps)
     ids = np.arange(len(problems))  # problem of each remaining row
     it = 0
     while True:
-        i, j, gap = _working_sets(Y, grad, up, low)
-        done = (cap[ids] <= it) | (gap <= KKT_TOL)
+        ij, gap = _working_sets(Y, grad, masks)
+        done = (cap <= it) | (gap <= KKT_TOL)
         if done.any():
             for r in np.flatnonzero(done):
                 k = ids[r]
@@ -236,62 +242,54 @@ def _smo_lockstep(kern, problems, caps, C: float):
             keep = ~done
             if not keep.any():
                 return
-            ids, i, j = ids[keep], i[keep], j[keep]
+            ids, cap, ij = ids[keep], cap[keep], ij[keep]
             # one array at a time, so that one old copy at most is alive
             G = G[keep]
             Y = Y[keep]
             alpha = alpha[keep]
             grad = grad[keep]
-            up = up[keep]
-            low = low[keep]
-        rows = np.arange(len(ids))
-        yi = Y[rows, i]
-        yj = Y[rows, j]
-        Ki = kern.gather(G[rows, i], G)
-        Kj = kern.gather(G[rows, j], G)
-        K_ii = Ki[rows, i].tolist()
-        K_jj = Kj[rows, j].tolist()
-        # Q rows (y_i * y) * K_i, written over the kernel rows
-        Qi = np.multiply(yi[:, None] * Y, Ki, out=Ki)
-        Qj = np.multiply(yj[:, None] * Y, Kj, out=Kj)
-        old_i = alpha[rows, i]
-        old_j = alpha[rows, j]
-        new_i, new_j = _pair_updates(
-            yi.tolist(), yj.tolist(), K_ii, K_jj, Qi[rows, j].tolist(),
-            grad[rows, i].tolist(), grad[rows, j].tolist(),
-            old_i.tolist(), old_j.tolist(), C)
-        new_i = np.array(new_i)
-        new_j = np.array(new_j)
-        alpha[rows, i] = new_i
-        alpha[rows, j] = new_j
+            masks = masks[:, keep]
+        rows = np.arange(len(ids))[:, None]
+        y = Y[rows, ij]  # (P, 2): y_i, y_j
+        old = alpha[rows, ij]
+        # Q rows (y_i * y) * K_i and (y_j * y) * K_j, written over the
+        # kernel rows; Q_ii = K_ii and Q_jj = K_jj, as y * y = 1
+        K = kern.gather(G[rows, ij], G)
+        Q = np.multiply(y[:, :, None] * Y[:, None, :], K, out=K)
+        # one (9, P) array of the update's operands, read as nine lists
+        new = _pair_updates(*np.concatenate((
+            y.T, Q[rows, (0, 1, 0), ij[:, (0, 1, 1)]].T, grad[rows, ij].T,
+            old.T)).tolist(), C)
+        new = np.fromiter(new, float, len(new)).reshape(-1, 2)
+        alpha[rows, ij] = new
         # grad += Qi * (new_i - old_i) + Qj * (new_j - old_j)
-        Qi *= (new_i - old_i)[:, None]
-        Qj *= (new_j - old_j)[:, None]
-        Qi += Qj
-        grad += Qi
-        for k, y, a in ((i, yi, new_i), (j, yj, new_j)):
-            up[rows, k] = np.where(y > 0, a < C, a > 0)
-            low[rows, k] = np.where(y > 0, a > 0, a < C)
+        Q *= (new - old)[:, :, None]
+        grad += np.add(Q[:, 0], Q[:, 1], out=Q[:, 0])
+        bounds = np.stack((new < C, new > 0))
+        masks[:, rows, ij] = np.where(y > 0, bounds, bounds[::-1])
         it += 1
 
 
-def _working_sets(Y, grad, up, low):
-    """Per row: the first maximal ``-y * grad`` over ``up``, the first
-    minimal one over ``low``, and their difference."""
+def _working_sets(Y, grad, masks):
+    """Per row: the first maximal ``-y * grad`` over ``masks[0]`` (i) and
+    the first minimal one over ``masks[1]`` (j), as ``(P, 2)``, and their
+    difference."""
     minus_yg = -Y
     minus_yg *= grad
-    up_v = np.where(up, minus_yg, -np.inf)
-    low_v = np.where(low, minus_yg, np.inf)
-    i = up_v.argmax(axis=1)
-    j = low_v.argmin(axis=1)
-    rows = np.arange(len(i))
-    return i, j, up_v[rows, i] - low_v[rows, j]
+    up_v = np.where(masks[0], minus_yg, -np.inf)
+    low_v = np.where(masks[1], minus_yg, np.inf)
+    ij = np.empty((len(Y), 2), dtype=np.intp)
+    up_v.argmax(axis=1, out=ij[:, 0])
+    low_v.argmin(axis=1, out=ij[:, 1])
+    rows = np.arange(len(Y))
+    return ij, up_v[rows, ij[:, 0]] - low_v[rows, ij[:, 1]]
 
 
 def _pair_updates(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
     """The clipped analytic two-variable step of every problem, on floats:
-    new (alpha_i, alpha_j) lists for the working sets (i, j)."""
-    new_i, new_j = [], []
+    every new (alpha_i, alpha_j) for the working sets (i, j), in one flat
+    list."""
+    new = []
     for yi, yj, kii, kjj, qij, gi, gj, ai, aj in zip(
             y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j):
         if yi != yj:
@@ -338,9 +336,8 @@ def _pair_updates(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
                 if ai < 0:
                     ai = 0.0
                     aj = asum
-        new_i.append(ai)
-        new_j.append(aj)
-    return new_i, new_j
+        new += (ai, aj)
+    return new
 
 
 def kkt_violation(u: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
@@ -421,14 +418,18 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1) -> BinarySvmModel:
         raise TrainingError("labels must be +1 or -1")
     if not ((y > 0).any() and (y < 0).any()):
         raise TrainingError("both classes must be present")
-    return _train(vectors, [(np.arange(len(y)), y)], C, d)[0]
+    return _train(vectors, [(np.arange(len(y)), y)], [vectors], C, d)[0]
 
 
-def _train(vectors, problems, C: float, d: int) -> list[BinarySvmModel]:
-    """The model of every problem ``(idx, y)`` over the feature vectors
-    ``vectors``, in problem order, all solved on one kernel. Each problem is
-    finished as soon as it converges, so that the solver's arrays and the
-    models are not all alive at once."""
+def _train(vectors, problems, sources, C: float, d: int) -> list[BinarySvmModel]:
+    """The model of every problem ``(idx, y)``, in problem order, all solved
+    on one kernel over the feature vectors ``vectors``: ``idx`` are the
+    problem's examples in ``vectors`` and ``y`` their labels. The model of
+    problem ``p`` stores the support vector of example ``i`` as
+    ``sources[p][i]``, which may encode it against another vocabulary than
+    ``vectors``. Each problem is finished, and dropped from ``problems``, as
+    soon as it converges, so that the solver's arrays and the models are
+    not all alive at once."""
     if error := hyperparameter_error(d, C):
         raise TrainingError(error)
     n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
@@ -436,22 +437,23 @@ def _train(vectors, problems, C: float, d: int) -> list[BinarySvmModel]:
     models = [None] * len(problems)
     for p, alpha, grad, n_iter in _smo(kern, problems, C):
         idx, y = problems[p]
-        models[p] = _finish(kern, idx, y, [vectors[i] for i in idx],
-                            alpha, grad, n_iter, C, d)
+        problems[p] = None
+        models[p] = _finish(kern, idx, y, sources[p], alpha, grad, n_iter, C, d)
     return models
 
 
 def _finish(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
             grad: np.ndarray, n_iter: int, C: float, d: int) -> BinarySvmModel:
     """The model of one solved problem: its examples are ``idx`` in the
-    kernel, with labels ``y`` and feature vectors ``vectors``."""
+    kernel, with labels ``y``; ``vectors[i]`` is the feature vector that
+    the model stores for kernel row ``i``."""
     # bias-free decision value of every training example, summed over the
     # active multipliers: K[idx][:, idx[active]], filled C-ordered from
     # gathers of a few active rows each (exact, as the kernel is symmetric)
     active = np.flatnonzero(alpha > ALPHA_FLOOR)
     cols = np.empty((len(idx), len(active)))
     for s in range(0, len(active), 16):
-        cols[:, s:s + 16] = kern.gather(idx[active[s:s + 16]], idx).T
+        cols[:, s:s + 16] = kern.gather(idx[None, active[s:s + 16]], idx[None])[0].T
     u = cols @ (alpha[active] * y[active])
     b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
 
@@ -463,7 +465,7 @@ def _finish(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
         "n_train": len(y),
     }
     return BinarySvmModel(
-        (vectors[i] for i in active),
+        (vectors[i] for i in idx[active].tolist()),
         (1 if y[i] > 0 else -1 for i in active),
         alpha[active],
         b,
@@ -608,31 +610,72 @@ class PairwiseModel:
 def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0,
                    d: int = 1) -> PairwiseModel:
     """Train one binary model per unordered pair of the labels in
-    ``dataset``, so both sides of every pair have training examples.
-
-    The kernel is built once over the whole dataset within the budget of
-    ``KERNEL_ENTRIES`` values (dense up to 4096 examples, a row cache above),
-    and one lockstep solver runs every pair's problem on it. Each pair model
-    is identical to ``train_binary_svm`` on the pair alone. If a pair reaches
-    its iteration cap, the first such pair in pair order raises
+    ``dataset``, so both sides of every pair have training examples: the
+    one-subset case of ``train_pairwise_many``. Each pair model is identical
+    to ``train_binary_svm`` on the pair alone. If a pair reaches its
+    iteration cap, the first such pair in pair order raises
     ConvergenceError.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    labels = dataset.labels
-    if len(labels) < 2:
-        raise TrainingError("pairwise training needs at least 2 labels")
-    vocab, fvs = encode(dataset, mode)
-    by_label: dict[str, list[int]] = {}
-    for idx, ex in enumerate(dataset):
-        by_label.setdefault(ex.label, []).append(idx)
-    pairs = list(combinations(labels, 2))
-    problems = [(np.array(by_label[a] + by_label[b]),
-                 np.array([1.0] * len(by_label[a]) + [-1.0] * len(by_label[b])))
-                for a, b in pairs]
-    models = _train(fvs, problems, C, d)
-    return PairwiseModel(labels, dict(zip(pairs, models)), dataset.label_counts,
-                         vocab, mode, C, d)
+    return train_pairwise_many(dataset, [range(len(dataset))], mode, C, d)[0]
+
+
+def train_pairwise_many(dataset: Dataset, subsets, mode: FeatureSet,
+                        C: float = 1.0, d: int = 1) -> list[PairwiseModel]:
+    """The pairwise model of ``dataset.subset(s)`` for each index sequence
+    ``s`` of ``subsets``, all from one solve.
+
+    Each subset is encoded once, by ``encode``, and its model is built from
+    its own vocabulary and vectors, so it equals
+    ``train_pairwise(dataset.subset(s), ...)``. The kernel is built once
+    over the whole dataset, from those vectors mapped into one id space,
+    within the budget of ``KERNEL_ENTRIES`` values (dense up to 4096
+    examples, a row cache above). A subset's kernel is its slice, since
+    kernel values are intersection counts, so the pair problems of every
+    subset are posed as dataset indices and one lockstep solver runs them
+    all. Errors are those of training the subsets one by one: the first
+    subset that cannot train (empty, or one label) raises, unless a pair of
+    an earlier subset reaches its iteration cap, in which case the first
+    such pair in (subset, pair) order raises ConvergenceError.
+    """
+    problems, sources, fits, error = [], [], [], None
+    # every example's vector in one id space that all subsets share, for
+    # the kernel: its features are the same in every subset's encoding
+    shared_ids: dict = {}
+    kernel_rows: dict[int, FeatureVector] = {}
+    for s in subsets:
+        idx = np.asarray(s, dtype=np.intp)
+        index = idx.tolist()
+        sub = dataset.subset(index)
+        if len(sub) == 0:
+            error = ValueError("cannot train on an empty dataset")
+            break
+        if len(sub.labels) < 2:
+            error = TrainingError("pairwise training needs at least 2 labels")
+            break
+        vocab, fvs = encode(sub, mode)
+        shared = [shared_ids.setdefault(f, len(shared_ids)) for f in vocab]
+        for i, fv in zip(index, fvs):
+            if i not in kernel_rows:
+                kernel_rows[i] = FeatureVector(shared[fid] for fid in fv.ids)
+        by_label: dict[str, list[int]] = {}
+        for pos, ex in enumerate(sub):
+            by_label.setdefault(ex.label, []).append(pos)
+        pairs = list(combinations(sub.labels, 2))
+        for a, b in pairs:
+            problems.append((idx[by_label[a] + by_label[b]],
+                             np.array([1.0] * len(by_label[a])
+                                      + [-1.0] * len(by_label[b]))))
+        sources += [dict(zip(index, fvs))] * len(pairs)
+        fits.append((sub, vocab, pairs))
+    if error is not None and not fits:
+        raise error
+    vectors = [kernel_rows.get(i, FeatureVector()) for i in range(len(dataset))]
+    models = iter(_train(vectors, problems, sources, C, d))
+    if error is not None:
+        raise error
+    return [PairwiseModel(sub.labels, dict(zip(pairs, models)), sub.label_counts,
+                          vocab, mode, C, d)
+            for sub, vocab, pairs in fits]
 
 
 def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:

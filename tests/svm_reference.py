@@ -1,10 +1,17 @@
 """Reference SVM code kept for the tests: the scalar one-problem SMO solver
-that ``tamkit.svm._smo`` runs in lockstep over many problems, and the
-midpoint bias of the KKT conditions."""
+that ``tamkit.svm._smo`` runs in lockstep over many problems, the midpoint
+bias of the KKT conditions, and the per-subset training that
+``tamkit.svm.train_pairwise_many`` does in one solve."""
 
 import numpy as np
 
-from tamkit.svm import UPDATE_EPS, ConvergenceError, _dual_value
+from tamkit.svm import UPDATE_EPS, ConvergenceError, _dual_value, train_pairwise
+
+
+def train_pairwise_each(dataset, subsets, mode, C=1.0, d=1):
+    """The pairwise model of every subset, each trained on its own: what
+    ``train_pairwise_many(dataset, subsets, mode, C, d)`` must return."""
+    return [train_pairwise(dataset.subset(s), mode, C, d) for s in subsets]
 
 
 def reference_smo(K: np.ndarray, y: np.ndarray, C: float, kkt_tol: float,

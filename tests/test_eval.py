@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from synth import domain_corpus, random_token_corpus, table1_corpus
+from svm_reference import train_pairwise_each
+from synth import (domain_corpus, modality_corpus, random_token_corpus,
+                   table1_corpus)
 from tamkit import evaluate
 from tamkit.corpus import Dataset, Example, split_folds
 from tamkit.evaluate import (
@@ -24,6 +26,7 @@ from tamkit.evaluate import (
     cross_validate,
     effective_features,
     evaluate_model,
+    grid_cell,
     sign_test,
 )
 from tamkit.evaluate import _binom_tail_below
@@ -238,6 +241,68 @@ class TestModelLifetime:
         cross_domain_eval(self.corpus, test, LearnerSpec("dlist"),
                           FeatureSet.FS3, folds=3)
         assert alive_at_fit == [0, 0, 0, 0]
+
+    def test_grid_cell(self, alive_at_fit):
+        # three folds, then the closed model
+        plan = split_folds(self.corpus, 3, seed=0)
+        grid_cell(LearnerSpec("dlist"), self.corpus, plan, FeatureSet.FS3)
+        assert alive_at_fit == [0, 0, 0, 0]
+
+
+class TestGridCell:
+    @pytest.mark.parametrize("spec", [
+        LearnerSpec("knn", k=1), LearnerSpec("dlist"), LearnerSpec("maxent"),
+        LearnerSpec("svm", d=2), LearnerSpec("baseline")])
+    def test_equals_cross_validate_and_closed_test(self, spec):
+        ds = modality_corpus(60, seed=4)
+        plan = split_folds(ds, 3, seed=1)
+        mode = spec.feature_sets[-1]
+        assert grid_cell(spec, ds, plan, mode) == (
+            cross_validate(spec, ds, plan, mode), closed_test(spec, ds, mode))
+
+    def test_fold_plan_must_match(self):
+        ds = _suffix_corpus()
+        plan = split_folds(ds.subset(range(4)), 2, seed=0)
+        with pytest.raises(ConfigError):
+            grid_cell(LearnerSpec("svm"), ds, plan, FeatureSet.FS2)
+
+
+class TestSvmSubsetsInOneSolve:
+    """The harness trains a cell's SVM models in one solve; its reports are
+    those of the same harness over models trained one subset at a time."""
+
+    @pytest.fixture
+    def each_subset(self, monkeypatch):
+        def run(report):
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluate, "train_pairwise_many", train_pairwise_each)
+                return report()
+        return run
+
+    @pytest.mark.parametrize("mode", list(FeatureSet))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cross_validate_and_grid_cell(self, each_subset, mode, d):
+        ds = modality_corpus(90, seed=d)
+        plan = split_folds(ds, 4, seed=mode)
+        spec = LearnerSpec("svm", d=d, C=0.5)
+        for report in (lambda: cross_validate(spec, ds, plan, mode),
+                       lambda: grid_cell(spec, ds, plan, mode)):
+            assert report() == each_subset(report)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cross_domain_eval(self, each_subset, d):
+        # overlap folds and a disjoint group
+        train = domain_corpus(80, seed=1)
+        test = Dataset(list(train)[:20] + list(domain_corpus(30, seed=2,
+                                                              swapped=True)))
+        spec = LearnerSpec("svm", d=d)
+
+        def report():
+            return cross_domain_eval(train, test, spec, FeatureSet.FS1,
+                                     folds=3, seed=5)
+
+        assert len(report().fold_results) == 4
+        assert report() == each_subset(report)
 
 
 class TestEffectiveFeatures:

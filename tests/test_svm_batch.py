@@ -1,5 +1,6 @@
-"""Property tests: batched pairwise prediction and the lockstep solver
-against the per-example, per-pair and scalar reference paths."""
+"""Property tests: batched pairwise prediction, the lockstep solver and the
+joint training of many subsets against the per-example, per-pair, scalar
+and per-subset reference paths."""
 
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svm_reference import reference_smo
+from svm_reference import reference_smo, train_pairwise_each
 from tamkit import svm
 from tamkit.corpus import Dataset, Example
 from tamkit.features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
@@ -20,10 +21,12 @@ from tamkit.svm import (
     BinarySvmModel,
     ConvergenceError,
     PairwiseModel,
+    TrainingError,
     classify_pairwise,
     decide,
     train_binary_svm,
     train_pairwise,
+    train_pairwise_many,
 )
 
 LABELS = ("a", "b", "c", "d")
@@ -286,3 +289,83 @@ def test_iteration_cap_of_one_raises_for_first_pair():
         with pytest.raises(ConvergenceError) as info:
             train_pairwise(ds, FeatureSet.FS3)
     assert info.value.dual_value == alone.value.dual_value == 1.0
+
+
+@st.composite
+def subset_lists(draw, ds):
+    """One to four index lists of ``ds`` in dataset order, possibly empty,
+    with one label or with a label of ``ds`` missing."""
+    masks = st.lists(st.booleans(), min_size=len(ds), max_size=len(ds))
+    return [[i for i, keep in enumerate(mask) if keep]
+            for mask in draw(st.lists(masks, min_size=1, max_size=4))]
+
+
+def outcome(train):
+    """The models ``train()`` returns, as their JSON text and pair
+    diagnostics, or the type, message and dual value of what it raises."""
+    try:
+        models = train()
+    except (ValueError, TrainingError) as exc:
+        return type(exc), str(exc), getattr(exc, "dual_value", None)
+    return [(json.dumps(m.to_dict()), [pair.info for pair in m.models.values()])
+            for m in models]
+
+
+def assert_joint_equals_each(ds, mode, d, data):
+    # every subset can train; the last one lacks the last label, when that
+    # leaves two labels
+    subsets = [s for s in data.draw(subset_lists(ds))
+               if len({ds[i].label for i in s}) >= 2]
+    without_last = [i for i, ex in enumerate(ds) if ex.label != ds.labels[-1]]
+    if len({ds[i].label for i in without_last}) >= 2:
+        subsets.append(without_last)
+    subsets.append(range(len(ds)))
+    joint = outcome(lambda: train_pairwise_many(ds, subsets, mode, d=d))
+    assert joint == outcome(lambda: train_pairwise_each(ds, subsets, mode, d=d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora, modes, degrees, st.data())
+def test_joint_models_equal_training_each_subset(ds, mode, d, data):
+    assert_joint_equals_each(ds, mode, d, data)
+
+
+# the fixture only sets module constants, so it may serve every example
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpora, modes, degrees, st.data())
+def test_row_cache_joint_models_equal_training_each_subset(row_cache, ds, mode,
+                                                          d, data):
+    assert_joint_equals_each(ds, mode, d, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, modes, degrees, st.data())
+def test_joint_errors_equal_training_each_subset(ds, mode, d, data):
+    # an untrainable subset raises, unless an earlier one's pair reaches the
+    # iteration cap first: the same error, with the same message and dual
+    # value, as training the subsets one by one
+    subsets = data.draw(subset_lists(ds))
+    max_iter = data.draw(st.sampled_from((None, 1, 2, 3, 5, 8)))
+    with mock.patch.object(svm, "MAX_ITER", max_iter):
+        joint = outcome(lambda: train_pairwise_many(ds, subsets, mode, d=d))
+        each = outcome(lambda: train_pairwise_each(ds, subsets, mode, d=d))
+    assert joint == each
+
+
+def test_error_of_first_untrainable_subset_after_a_capped_one():
+    # subset 1 has one label; subset 0 trains, so it alone is solved, and
+    # its capped pair raises before subset 1's error
+    ds = Dataset([Example(lab, "", toks) for lab, toks in (
+        ("a", ("t0", "t1")), ("a", ("t1",)), ("b", ("t1", "t3")),
+        ("b", ("t3",)), ("c", ("t5",)))])
+    subsets = [range(5), [0, 1], [2, 3, 4]]
+    with pytest.raises(TrainingError, match="at least 2 labels"):
+        train_pairwise_many(ds, subsets, FeatureSet.FS3)
+    with mock.patch.object(svm, "MAX_ITER", 1):
+        with pytest.raises(ConvergenceError) as info:
+            train_pairwise_many(ds, subsets, FeatureSet.FS3)
+        with pytest.raises(ConvergenceError) as alone:
+            train_pairwise(ds, FeatureSet.FS3)
+    assert info.value.dual_value == alone.value.dual_value
+    assert str(info.value) == str(alone.value)
