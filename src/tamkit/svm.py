@@ -34,9 +34,14 @@ each round takes one step of every unfinished problem with a few array
 operations, and a problem leaves the arrays when it converges or reaches
 its iteration cap. Each problem does exactly the arithmetic of the scalar
 one-problem solver, so its multipliers, gradient and iteration count are
-bit-identical to it, and a pair model is identical to one trained on the
-pair alone. That scalar solver is kept in ``tests/svm_reference.py`` as the
-oracle, with ``train_pairwise_each``, which trains the subsets one by one.
+bit-identical to it. The problems that converge in the same round are
+finished together by ``_finish_batch``: the bias extrema and the KKT
+violation of all of them come from masked extrema over their padded rows,
+and only each problem's decision values take a product of their own, the
+same one as finishing it alone. So a pair model is identical to one
+trained on the pair alone. The scalar solver and the one-problem finisher
+are kept in ``tests/svm_reference.py`` as oracles, with
+``train_pairwise_each``, which trains the subsets one by one.
 
 A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
 one sparse matrix, a row per vocabulary entry, when it is built, and
@@ -128,6 +133,16 @@ class KernelCache:
         """K[rows[p, m], cols[p, q]] for every p, m and q, as ``(P, M, Q)``."""
         return np.array([[self.row(r)[c] for r in rs] for rs, c in zip(rows, cols)])
 
+    def columns(self, idx: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """K[idx][:, idx[active]], C-ordered, filled from blocks of 16 rows
+        (exact, as the kernel is symmetric), so that no whole transposed
+        copy is ever held."""
+        cols = np.empty((len(idx), len(active)))
+        rows = idx[active].tolist()
+        for s in range(0, len(rows), 16):
+            cols[:, s:s + 16] = np.array([self.row(r)[idx] for r in rows[s:s + 16]]).T
+        return cols
+
 
 class _DenseGram:
     """Fully precomputed kernel matrix for problems that fit in memory."""
@@ -138,6 +153,12 @@ class _DenseGram:
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # one flat take is cheaper than a two-index gather
         return np.take(self._K, rows[:, :, None] * len(self._K) + cols[:, None, :])
+
+    def columns(self, idx: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """K[idx][:, idx[active]], C-ordered. One two-index gather: for the
+        few-example problems of pairwise training it is about twice as fast
+        as building the flat index of a take."""
+        return self._K[idx[:, None], idx[active]]
 
 
 def _poly(counts, d: int) -> np.ndarray:
@@ -160,7 +181,8 @@ def _kernel_matrix(X, d: int):
 
 def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
     # grad = Q a - 1, so a'Qa = a.(grad + 1) and L = sum(a) - a'Qa/2.
-    return float(alpha.sum() - 0.5 * (alpha @ grad + alpha.sum()))
+    total = alpha.sum()
+    return float(total - 0.5 * (alpha @ grad + total))
 
 
 def _smo(kern, problems, C: float):
@@ -169,12 +191,15 @@ def _smo(kern, problems, C: float):
     ``problems`` is a list of ``(idx, y)``: the indices of a problem's
     examples in ``kern`` and their labels (+-1.0), as sequences. ``C`` must
     be positive. Problems are sorted by size and solved in lockstep, in
-    chunks of at most ``SOLVE_TERMS`` padded entries. Yields
-    ``(p, alpha, grad, iterations)`` as each problem ``p`` reaches
-    ``KKT_TOL``, so a caller can finish it before the others. A problem that
-    reaches its iteration cap (``MAX_ITER``, or 100 per example when None)
-    first is not yielded; after the last yield, the first such problem in
-    order raises ConvergenceError.
+    chunks of at most ``SOLVE_TERMS`` padded entries. The problems that
+    reach ``KKT_TOL`` in the same round are yielded together, as
+    ``(ps, Y, alpha, grad, iterations)``: ``ps`` lists them as indices into
+    ``problems``, and row ``r`` of the padded ``Y``, ``alpha`` and ``grad``
+    arrays holds problem ``ps[r]``'s labels, multipliers and gradient, with
+    label 0 and multiplier 0 past its size. So a caller can finish them
+    before the others. A problem that reaches its iteration cap
+    (``MAX_ITER``, or 100 per example when None) first is not yielded; after
+    the last yield, the first such problem in order raises ConvergenceError.
     """
     C = float(C)
     sizes = [len(y) for _, y in problems]
@@ -189,13 +214,18 @@ def _smo(kern, problems, C: float):
                and (stop + 1 - start) * sizes[order[stop]] <= SOLVE_TERMS):
             stop += 1
         chunk = order[start:stop]
-        for k, alpha, grad, n_iter in _smo_lockstep(
+        for ks, Y, alpha, grad, n_iter in _smo_lockstep(
                 kern, [problems[p] for p in chunk], [caps[p] for p in chunk], C):
-            p = chunk[k]
-            if n_iter < caps[p]:
-                yield p, alpha, grad, n_iter
-            else:
-                capped[p] = _dual_value(alpha, grad)
+            ps = [chunk[k] for k in ks.tolist()]
+            converged = []
+            for r, p in enumerate(ps):
+                if n_iter < caps[p]:
+                    converged.append(r)
+                else:
+                    capped[p] = _dual_value(alpha[r, :sizes[p]], grad[r, :sizes[p]])
+            if converged:
+                yield ([ps[r] for r in converged], Y[converged], alpha[converged],
+                       grad[converged], n_iter)
         start = stop
     if capped:
         p = min(capped)
@@ -214,9 +244,10 @@ def _smo_lockstep(kern, problems, caps, C: float):
     masks, the clipped two-variable update runs on Python floats, and the
     gradient update keeps the scalar operand order. A round gathers the
     kernel rows of both working-set members at once and updates both
-    columns of the masks at once. A problem leaves the arrays, yielded as
-    ``(k, alpha, grad, iterations)`` with ``k`` its position in
-    ``problems``, when it reaches its cap (tested first) or ``KKT_TOL``.
+    columns of the masks at once. The problems that reach their cap or
+    ``KKT_TOL`` in a round leave the arrays together, yielded as
+    ``(ks, Y, alpha, grad, iterations)``: ``ks`` are their positions in
+    ``problems`` and the rest their padded rows.
     """
     sizes = [len(y) for _, y in problems]
     G = np.zeros((len(problems), max(sizes)), dtype=np.intp)
@@ -236,9 +267,7 @@ def _smo_lockstep(kern, problems, caps, C: float):
         ij, gap = _working_sets(Y, grad, masks)
         done = (cap <= it) | (gap <= KKT_TOL)
         if done.any():
-            for r in np.flatnonzero(done):
-                k = ids[r]
-                yield k, alpha[r, :sizes[k]].copy(), grad[r, :sizes[k]].copy(), it
+            yield ids[done], Y[done], alpha[done], grad[done], it
             keep = ~done
             if not keep.any():
                 return
@@ -340,24 +369,14 @@ def _pair_updates(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
     return new
 
 
-def kkt_violation(u: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
-    """Maximal working-set KKT violation (zero iff some bias makes every
-    example optimal). ``u`` is the bias-free decision value per example."""
-    score = y - u
-    pos = y > 0
-    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-    low = (~pos & (alpha < C)) | (pos & (alpha > 0))
-    return float(max(0.0, score[up].max() - score[low].min()))
-
-
 class BinarySvmModel:
     """Support vectors with multipliers, labels, bias, and kernel settings."""
 
     def __init__(self, support_vectors, sv_labels, sv_alpha, b: float, C: float,
                  d: int, info=None):
         self.support_vectors: tuple[FeatureVector, ...] = tuple(support_vectors)
-        self.sv_labels: tuple[int, ...] = tuple(int(v) for v in sv_labels)
-        self.sv_alpha: tuple[float, ...] = tuple(float(a) for a in sv_alpha)
+        self.sv_labels: tuple[int, ...] = tuple(map(int, sv_labels))
+        self.sv_alpha: tuple[float, ...] = tuple(map(float, sv_alpha))
         self.b = float(b)
         self.C = float(C)
         self.d = int(d)
@@ -427,52 +446,82 @@ def _train(vectors, problems, sources, C: float, d: int) -> list[BinarySvmModel]
     problem's examples in ``vectors`` and ``y`` their labels. The model of
     problem ``p`` stores the support vector of example ``i`` as
     ``sources[p][i]``, which may encode it against another vocabulary than
-    ``vectors``. Each problem is finished, and dropped from ``problems``, as
-    soon as it converges, so that the solver's arrays and the models are
-    not all alive at once."""
+    ``vectors``. The problems that converge in the same solver round are
+    finished together, by ``_finish_batch``, and dropped from ``problems``,
+    so that the solver's arrays and the models are not all alive at once."""
     if error := hyperparameter_error(d, C):
         raise TrainingError(error)
     n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
     kern = _kernel_matrix(to_csr(vectors, n_cols), d)
     models = [None] * len(problems)
-    for p, alpha, grad, n_iter in _smo(kern, problems, C):
-        idx, y = problems[p]
-        problems[p] = None
-        models[p] = _finish(kern, idx, y, sources[p], alpha, grad, n_iter, C, d)
+    for ps, Y, alpha, grad, n_iter in _smo(kern, problems, C):
+        batch = _finish_batch(kern, [problems[p][0] for p in ps],
+                              [sources[p] for p in ps], Y, alpha, grad, n_iter, C, d)
+        for p, model in zip(ps, batch):
+            models[p] = model
+            problems[p] = None
     return models
 
 
-def _finish(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
-            grad: np.ndarray, n_iter: int, C: float, d: int) -> BinarySvmModel:
-    """The model of one solved problem: its examples are ``idx`` in the
-    kernel, with labels ``y``; ``vectors[i]`` is the feature vector that
-    the model stores for kernel row ``i``."""
+def _finish_batch(kern, idxs, sources, Y: np.ndarray, alpha: np.ndarray,
+                  grad: np.ndarray, n_iter: int, C: float, d: int) -> list[BinarySvmModel]:
+    """The models of problems solved in the same round, as ``_smo`` yields
+    them: row ``r`` of the padded ``Y``, ``alpha`` and ``grad`` is the
+    problem whose examples are ``idxs[r]`` in the kernel, and
+    ``sources[r][i]`` is the feature vector that its model stores for
+    kernel row ``i``. Every value equals that of finishing each problem on
+    its own: only the decision values take a product per problem, and the
+    rest are elementwise operations and extrema, which padding cannot
+    change."""
+    active = alpha > ALPHA_FLOOR
+    coef = alpha * Y
+    # the active columns of every row, in row order
+    active_cols = np.nonzero(active)[1]
+    ends = np.cumsum(active.sum(axis=1)).tolist()
     # bias-free decision value of every training example, summed over the
-    # active multipliers: K[idx][:, idx[active]], filled C-ordered from
-    # gathers of a few active rows each (exact, as the kernel is symmetric)
-    active = np.flatnonzero(alpha > ALPHA_FLOOR)
-    cols = np.empty((len(idx), len(active)))
-    for s in range(0, len(active), 16):
-        cols[:, s:s + 16] = kern.gather(idx[None, active[s:s + 16]], idx[None])[0].T
-    u = cols @ (alpha[active] * y[active])
-    b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
+    # active multipliers: one (n, a) @ (a,) product per problem, in the
+    # operand order of the one-problem finisher, as a padded or stacked
+    # product would sum in another order
+    U = np.zeros(Y.shape)
+    actives = []
+    for r, (idx, start, end) in enumerate(zip(idxs, [0] + ends, ends)):
+        act = active_cols[start:end]
+        U[r, :len(idx)] = kern.columns(idx, act) @ coef[r, act]
+        actives.append(act)
+    pos, neg = Y > 0, Y < 0
+    b = -(np.where(neg, U, -np.inf).max(axis=1)
+          + np.where(pos, U, np.inf).min(axis=1)) / 2.0
+    # maximal working-set KKT violation: zero iff some bias makes every
+    # example optimal
+    score = Y - U
+    up = (pos & (alpha < C)) | (neg & (alpha > 0))
+    low = (neg & (alpha < C)) | (pos & (alpha > 0))
+    kkt = np.maximum(0.0, np.where(up, score, -np.inf).max(axis=1)
+                     - np.where(low, score, np.inf).min(axis=1))
 
-    info = {
-        "iterations": n_iter,
-        "dual_value": _dual_value(alpha, grad),
-        "kkt_violation": kkt_violation(u, y, alpha, C),
-        "alpha": tuple(float(a) for a in alpha),
-        "n_train": len(y),
-    }
-    return BinarySvmModel(
-        (vectors[i] for i in idx[active].tolist()),
-        (1 if y[i] > 0 else -1 for i in active),
-        alpha[active],
-        b,
-        C,
-        d,
-        info,
-    )
+    models = []
+    for r, (idx, vectors, act, y, a, b_r, kkt_r) in enumerate(zip(
+            idxs, sources, actives, Y.tolist(), alpha.tolist(), b.tolist(),
+            kkt.tolist())):
+        n = len(idx)
+        info = {
+            "iterations": n_iter,
+            "dual_value": _dual_value(alpha[r, :n], grad[r, :n]),
+            "kkt_violation": kkt_r,
+            "alpha": tuple(a[:n]),
+            "n_train": n,
+        }
+        cols = act.tolist()
+        models.append(BinarySvmModel(
+            [vectors[i] for i in idx[act].tolist()],
+            [y[c] for c in cols],
+            [a[c] for c in cols],
+            b_r,
+            C,
+            d,
+            info,
+        ))
+    return models
 
 
 def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:

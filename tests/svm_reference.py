@@ -1,11 +1,14 @@
 """Reference SVM code kept for the tests: the scalar one-problem SMO solver
-that ``tamkit.svm._smo`` runs in lockstep over many problems, the midpoint
-bias of the KKT conditions, and the per-subset training that
+that ``tamkit.svm._smo`` runs in lockstep over many problems, the
+one-problem finisher that ``tamkit.svm._finish_batch`` runs on every problem
+of a solver round at once, the KKT violation and midpoint bias of the
+optimality conditions, and the per-subset training that
 ``tamkit.svm.train_pairwise_many`` does in one solve."""
 
 import numpy as np
 
-from tamkit.svm import UPDATE_EPS, ConvergenceError, _dual_value, train_pairwise
+from tamkit.svm import (ALPHA_FLOOR, UPDATE_EPS, BinarySvmModel, ConvergenceError,
+                        _dual_value, train_pairwise)
 
 
 def train_pairwise_each(dataset, subsets, mode, C=1.0, d=1):
@@ -91,6 +94,49 @@ def reference_smo(K: np.ndarray, y: np.ndarray, C: float, kkt_tol: float,
         f"SMO did not reach KKT tolerance {kkt_tol} in {max_iter} iterations",
         dual_value=_dual_value(alpha, grad),
     )
+
+
+def finish_one(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
+               grad: np.ndarray, n_iter: int, C: float, d: int) -> BinarySvmModel:
+    """The model of one solved problem: its examples are ``idx`` in the
+    kernel, with labels ``y``; ``vectors[i]`` is the feature vector that
+    the model stores for kernel row ``i``."""
+    # bias-free decision value of every training example, summed over the
+    # active multipliers: K[idx][:, idx[active]], filled C-ordered from
+    # gathers of a few active rows each (exact, as the kernel is symmetric)
+    active = np.flatnonzero(alpha > ALPHA_FLOOR)
+    cols = np.empty((len(idx), len(active)))
+    for s in range(0, len(active), 16):
+        cols[:, s:s + 16] = kern.gather(idx[None, active[s:s + 16]], idx[None])[0].T
+    u = cols @ (alpha[active] * y[active])
+    b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
+
+    info = {
+        "iterations": n_iter,
+        "dual_value": _dual_value(alpha, grad),
+        "kkt_violation": kkt_violation(u, y, alpha, C),
+        "alpha": tuple(float(a) for a in alpha),
+        "n_train": len(y),
+    }
+    return BinarySvmModel(
+        (vectors[i] for i in idx[active].tolist()),
+        (1 if y[i] > 0 else -1 for i in active),
+        alpha[active],
+        b,
+        C,
+        d,
+        info,
+    )
+
+
+def kkt_violation(u: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:
+    """Maximal working-set KKT violation (zero iff some bias makes every
+    example optimal). ``u`` is the bias-free decision value per example."""
+    score = y - u
+    pos = y > 0
+    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+    low = (~pos & (alpha < C)) | (pos & (alpha > 0))
+    return float(max(0.0, score[up].max() - score[low].min()))
 
 
 def kkt_feasible_bias(u: np.ndarray, y: np.ndarray, alpha: np.ndarray, C: float) -> float:

@@ -19,7 +19,6 @@ from tamkit.svm import (
     classify_pairwise,
     decide,
     kernel,
-    kkt_violation,
     train_binary_svm,
     train_pairwise,
 )

@@ -1,6 +1,7 @@
-"""Property tests: batched pairwise prediction, the lockstep solver and the
-joint training of many subsets against the per-example, per-pair, scalar
-and per-subset reference paths."""
+"""Property tests: batched pairwise prediction, the lockstep solver, the
+batch finisher and the joint training of many subsets against the
+per-example, per-pair, scalar, per-problem and per-subset reference
+paths."""
 
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svm_reference import reference_smo, train_pairwise_each
+from svm_reference import finish_one, reference_smo, train_pairwise_each
 from tamkit import svm
 from tamkit.corpus import Dataset, Example
 from tamkit.features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
@@ -199,15 +200,26 @@ def solver_batches(draw):
     return pool, problems
 
 
-@settings(max_examples=120, deadline=None)
-@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees,
-       st.booleans(), st.sampled_from((1, 24, svm.SOLVE_TERMS)))
-def test_lockstep_smo_equals_scalar_solver(batch, C, d, dense, solve_terms):
-    # solve_terms < SOLVE_TERMS splits the batch into several chunks
-    pool, problems = batch
+def solve(kern, problems, C):
+    """Every problem that ``svm._smo`` yields, as ``{p: (alpha, grad,
+    iterations)}`` with the padding cut off, after checking that each is
+    yielded once and that its padded rows hold its labels and zeros past
+    its size."""
+    solved = {}
+    for ps, Y, alpha, grad, n_iter in svm._smo(kern, problems, C):
+        assert len(ps) == len(Y) == len(alpha) == len(grad)
+        for r, p in enumerate(ps):
+            assert p not in solved
+            n = len(problems[p][1])
+            assert Y[r, :n].tolist() == problems[p][1].tolist()
+            assert not Y[r, n:].any() and not alpha[r, n:].any()
+            solved[p] = alpha[r, :n], grad[r, :n], n_iter
+    return solved
+
+
+def assert_lockstep_equals_scalar(pool, problems, C, d, kern):
     X = to_csr(pool, N_IDS)
     K = svm._poly(X @ X.T, d)
-    kern = svm._kernel_matrix(X, d) if dense else svm.KernelCache(X, d, 2)
     expected, capped = [], None
     for idx, y in problems:
         try:
@@ -215,23 +227,82 @@ def test_lockstep_smo_equals_scalar_solver(batch, C, d, dense, solve_terms):
                                           100 * len(y)))
         except ConvergenceError as exc:
             capped = capped or exc
-    with mock.patch.object(svm, "SOLVE_TERMS", solve_terms):
-        if capped is not None:
-            with pytest.raises(ConvergenceError) as info:
-                list(svm._smo(kern, problems, C))
-            assert info.value.dual_value == capped.dual_value
-            return
-        # problems are yielded as they converge, each once
-        solved = {}
-        for p, alpha, grad, n_iter in svm._smo(kern, problems, C):
-            assert p not in solved
-            solved[p] = alpha, grad, n_iter
+    if capped is not None:
+        with pytest.raises(ConvergenceError) as info:
+            solve(kern, problems, C)
+        assert info.value.dual_value == capped.dual_value
+        return
+    solved = solve(kern, problems, C)
     assert sorted(solved) == list(range(len(problems)))
     for p, (ref_alpha, ref_grad, ref_iter) in enumerate(expected):
         alpha, grad, n_iter = solved[p]
         assert alpha.tolist() == ref_alpha.tolist()
         assert grad.tolist() == ref_grad.tolist()
         assert n_iter == ref_iter
+
+
+@settings(max_examples=120, deadline=None)
+@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees,
+       st.booleans(), st.sampled_from((1, 24, svm.SOLVE_TERMS)))
+def test_lockstep_smo_equals_scalar_solver(batch, C, d, dense, solve_terms):
+    # solve_terms < SOLVE_TERMS splits the batch into several chunks
+    pool, problems = batch
+    X = to_csr(pool, N_IDS)
+    kern = svm._kernel_matrix(X, d) if dense else svm.KernelCache(X, d, 2)
+    with mock.patch.object(svm, "SOLVE_TERMS", solve_terms):
+        assert_lockstep_equals_scalar(pool, problems, C, d, kern)
+
+
+def test_problems_of_different_sizes_converge_in_one_round():
+    # a two-example problem listed twice, and a longer one that also
+    # converges after one step: all three leave the solver in one batch,
+    # the short rows padded to the longer one's width
+    pool = [FeatureVector([0]), FeatureVector([1]), FeatureVector([0])]
+    short = (np.array([0, 1]), np.array([1.0, -1.0]))
+    longer = (np.array([0, 1, 2]), np.array([1.0, -1.0, 1.0]))
+    problems = [short, longer, short]
+    kern = svm._kernel_matrix(to_csr(pool, N_IDS), 1)
+    batches = [(sorted(ps), Y.shape) for ps, Y, *_ in svm._smo(kern, problems, 1.0)]
+    assert batches == [([0, 1, 2], (3, 3))]
+    assert_lockstep_equals_scalar(pool, problems, 1.0, 1, kern)
+
+
+def assert_batch_finisher_equals_finishing_each(pool, problems, C, d):
+    kern = svm._kernel_matrix(to_csr(pool, N_IDS), d)
+    sources = [pool] * len(problems)
+    try:
+        for ps, Y, alpha, grad, n_iter in svm._smo(kern, problems, C):
+            batch = svm._finish_batch(kern, [problems[p][0] for p in ps],
+                                      [sources[p] for p in ps], Y, alpha, grad,
+                                      n_iter, C, d)
+            assert len(batch) == len(ps)
+            for r, (p, model) in enumerate(zip(ps, batch)):
+                idx, y = problems[p]
+                n = len(y)
+                one = finish_one(kern, idx, y, sources[p], alpha[r, :n].copy(),
+                                 grad[r, :n].copy(), n_iter, C, d)
+                assert model.support_vectors == one.support_vectors
+                assert model.sv_labels == one.sv_labels
+                assert model.sv_alpha == one.sv_alpha
+                assert model.b == one.b
+                assert model.info == one.info
+    except ConvergenceError:
+        pass  # capped problems are never finished
+
+
+@settings(max_examples=120, deadline=None)
+@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees)
+def test_batch_finisher_equals_finishing_each_problem(batch, C, d):
+    assert_batch_finisher_equals_finishing_each(*batch, C, d)
+
+
+# the fixture only sets module constants, so it may serve every example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees)
+def test_row_cache_batch_finisher_equals_finishing_each_problem(row_cache, batch,
+                                                                C, d):
+    assert_batch_finisher_equals_finishing_each(*batch, C, d)
 
 
 def pair_problems(ds, model):
