@@ -41,7 +41,7 @@ from .evaluate import (
     grid_cell,
     sign_test,
 )
-from .features import FeatureSet
+from .features import CorpusEncoding, FeatureSet
 from .svm import TrainingError
 from .storage import load_model, model_method, save_model
 
@@ -224,15 +224,28 @@ def _cmd_cv(args) -> int:
 
 def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     """Run the whole method-by-feature-set grid and print an aligned matrix
-    of open (closed) precisions."""
+    of open (closed) precisions.
+
+    Every example is extracted once, under feature set 1. The grid runs one
+    feature set at a time, on that set's columns of the encoding: each
+    fold's training slice and held-out rows, and the closed set, are built
+    once and shared by every learner of the feature set, and freed before
+    the next feature set's are built."""
+    encoding = CorpusEncoding(dataset)
+    cells = {}
+    for mode in FeatureSet:
+        encoded = encoding.dataset(mode)
+        for spec in GRID:
+            if mode in spec.feature_sets:
+                cells[spec, mode] = grid_cell(spec, encoded, plan, mode)
     lines = [f"{'method':<18} {'feature-set 1':>20} {'feature-set 2':>20} "
              f"{'feature-set 3':>20}"]
     for spec in GRID:
         row = [f"{spec.describe():<18}"]
         for mode in FeatureSet:
             cell = "--- ( --- )"
-            if mode in spec.feature_sets:
-                open_rep, closed_rep = grid_cell(spec, dataset, plan, mode)
+            if (spec, mode) in cells:
+                open_rep, closed_rep = cells[spec, mode]
                 cell = (f"{open_rep.precision * 100:6.2f}% "
                         f"({closed_rep.precision * 100:6.2f}%)")
             row.append(f"{cell:>20}")

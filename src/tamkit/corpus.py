@@ -96,6 +96,12 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         return Dataset(self.examples[i] for i in indices)
 
+    def held_out(self, indices, train) -> list[Example]:
+        """The examples ``self[i]`` for ``i`` in ``indices``, to be predicted
+        by a model trained on ``train``. ``features.EncodedDataset``
+        overrides this to attach their feature vectors."""
+        return [self.examples[i] for i in indices]
+
 
 def best_label(votes, label_counts) -> str:
     """The label with the most ``votes``; ties break by global training

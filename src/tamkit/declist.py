@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .corpus import Dataset, best_label, read_label_counts
 from .features import (Feature, FeatureSet, FeatureVector, Vocabulary, encode,
-                       extract, feature_label_counts, read_mode)
+                       read_mode, vectors_against)
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,11 @@ class DecisionListModel:
             self.rank[rule[-1]] = pos
 
     def predict(self, example) -> str:
-        return decide(self, extract(example, self.mode, self.vocab)).label
+        return self.predict_batch([example])[0]
 
     def predict_batch(self, examples) -> list[str]:
-        return [self.predict(ex) for ex in examples]
+        return [decide(self, fv).label
+                for fv in vectors_against(examples, self.mode, self.vocab)]
 
     def to_dict(self) -> dict:
         return {
@@ -85,10 +86,9 @@ def train_declist(dataset: Dataset, mode: FeatureSet) -> DecisionListModel:
     """Count (feature, label) co-occurrences over the training features."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    vocab, fvs = encode(dataset, mode)
-    table = feature_label_counts((fv.ids, ex.label) for fv, ex in zip(fvs, dataset))
-    return DecisionListModel(vocab, mode, map(table.__getitem__, range(len(vocab))),
-                             dataset.label_counts)
+    train = encode(dataset, mode)
+    return DecisionListModel(train.vocab, mode, train.label_counts_by_feature(),
+                             train.label_counts)
 
 
 def decide(model: DecisionListModel, fv: FeatureVector) -> Decision:

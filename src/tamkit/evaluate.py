@@ -5,6 +5,13 @@ predicted category equals the gold label. Open evaluations never train on
 the tested examples; closed evaluations train and test on the same data.
 Folds of a cross-validation run are independent of each other; the report
 is assembled in a single reduction at the end.
+
+An evaluation encodes its corpus once (``features.encode``): each fold's
+model trains on a slice of that encoding and predicts the fold's held-out
+examples from their rows of it, so no example is extracted twice. A corpus
+that is already an ``EncodedDataset``, such as one feature set of the
+``cv --all`` grid, is not encoded again, and its slices are shared by every
+evaluation on it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 
 from .corpus import Dataset, FoldPlan, split_folds
 from .declist import train_declist
-from .features import Feature, FeatureSet, example_features
+from .features import Feature, FeatureSet, encode, example_features
 from .knn import KnnModel, train_knn
 from .maxent import train_maxent
 from .svm import hyperparameter_error, train_pairwise, train_pairwise_many
@@ -148,18 +155,21 @@ class PrecisionReport:
 def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
                    mode: FeatureSet) -> PrecisionReport:
     """Open evaluation: for each fold, train on the complement and predict
-    the fold. Each fold's vocabulary is rebuilt from its training portion.
-    The folds' models come from ``fit_subsets``, so the SVM trains them all
-    in one solve."""
+    the fold. Each fold trains on its slice of one encoding of the dataset,
+    whose vocabulary is the features of its training portion, and predicts
+    the fold from its rows. The folds' models come from ``fit_subsets``, so
+    the SVM trains them all in one solve."""
     folds = _folds(dataset, plan)
+    dataset = _encoded(spec, dataset, mode)
     models = fit_subsets(spec, dataset, [train for train, _ in folds], mode)
-    return _evaluate(dataset, ((next(models), test) for _, test in folds),
-                     closed=False)
+    return _evaluate(dataset, ((next(models), test, dataset.subset(train))
+                               for train, test in folds), closed=False)
 
 
 def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> PrecisionReport:
     """Closed evaluation: train on the full dataset and test on it. The
     baseline rule is not trained on the data, so its test is open."""
+    dataset = _encoded(spec, dataset, mode)
     return evaluate_model(fit(spec, dataset, mode), dataset,
                           closed=spec.method != "baseline")
 
@@ -170,11 +180,12 @@ def grid_cell(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
     the ``cv --all`` grid, with the closed model fitted after the folds'
     models, so that the SVM trains all of them in one solve."""
     folds = _folds(dataset, plan)
+    dataset = _encoded(spec, dataset, mode)
     everything = range(len(dataset))
     models = fit_subsets(spec, dataset,
                          [train for train, _ in folds] + [everything], mode)
-    open_rep = _evaluate(dataset, ((next(models), test) for _, test in folds),
-                         closed=False)
+    open_rep = _evaluate(dataset, ((next(models), test, dataset.subset(train))
+                                   for train, test in folds), closed=False)
     return open_rep, evaluate_model(next(models), dataset,
                                     closed=spec.method != "baseline")
 
@@ -186,23 +197,35 @@ def _folds(dataset: Dataset, plan: FoldPlan) -> list[tuple[list[int], list[int]]
     return [plan.fold_indices(fold) for fold in range(plan.n_folds)]
 
 
+def _encoded(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> Dataset:
+    """``dataset`` encoded under ``mode`` after ``spec.check(mode)``; the
+    baseline rule reads no features, so its dataset stays as it is."""
+    mode = FeatureSet(mode)
+    spec.check(mode)
+    return dataset if spec.method == "baseline" else encode(dataset, mode)
+
+
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
     """Score an already trained model on a dataset."""
-    return _evaluate(dataset, [(model, range(len(dataset)))], closed)
+    return _evaluate(dataset, [(model, range(len(dataset)), dataset)], closed)
 
 
 def _evaluate(dataset: Dataset, runs, closed: bool) -> PrecisionReport:
-    """The one scoring loop. Each run is a (model, test indices) pair; its
-    model predicts ``dataset[i]`` for those indices in one batch and becomes
-    one fold record. ``runs`` may build its models lazily: each is freed
-    before the next run is drawn, so two models of k-NN, the decision list
-    or maxent are never alive at once. The SVM models of a cross-validation,
-    a grid cell (with its closed model) or a cross-domain evaluation are
-    trained in one solve by ``fit_subsets``, so they are alive together."""
+    """The one scoring loop. Each run is a (model, test indices, training
+    set) triple; its model, trained on the training set, predicts
+    ``dataset[i]`` for those indices in one batch, ``dataset.held_out``,
+    and becomes one fold record. When the datasets are slices of one
+    encoding, the batch carries each example's vector against the training
+    vocabulary, which the model reads instead of extracting. ``runs`` may
+    build its models lazily: each is freed before the next run is drawn, so
+    two models of k-NN, the decision list or maxent are never alive at
+    once. The SVM models of a cross-validation, a grid cell (with its
+    closed model) or a cross-domain evaluation are trained in one solve by
+    ``fit_subsets``, so they are alive together."""
     predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
     fold_results = []
-    for model, indices in runs:
-        examples = [dataset[i] for i in indices]
+    for model, indices, train in runs:
+        examples = dataset.held_out(indices, train)
         correct = 0
         for i, ex, predicted in zip(indices, examples, model.predict_batch(examples)):
             predictions[i] = (i, ex.label, predicted)
@@ -344,6 +367,12 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
         withheld = {test[i] for i in group}
         return [i for i, ex in enumerate(train) if ex not in withheld]
 
-    models = fit_subsets(spec, train, map(train_without, groups), mode)
-    return _evaluate(test, ((next(models), group) for group in groups),
-                     closed=False)
+    trains = [train_without(group) for group in groups]
+    # one encoding of both corpora: the models train on slices of its
+    # training rows and predict the test examples from their rows
+    both = _encoded(spec, Dataset(train.examples + test.examples), mode)
+    train = both.subset(range(len(train)))
+    test = both.subset(range(len(train), len(both)))
+    models = fit_subsets(spec, train, trains, mode)
+    return _evaluate(test, ((next(models), group, train.subset(s))
+                            for group, s in zip(groups, trains)), closed=False)

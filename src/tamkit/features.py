@@ -1,4 +1,4 @@
-"""Sparse binary feature extraction.
+"""Sparse binary feature extraction, and the one training encoder.
 
 Three feature sets are supported:
 
@@ -12,15 +12,23 @@ Features are plain ``(kind, text)`` tuples, ordered by kind, then text, as
 in a training :class:`Vocabulary`; those read from model files are checked
 in :meth:`Vocabulary.from_list`, those built here are valid by construction.
 A vocabulary maps features to dense contiguous ids and never changes
-afterwards. :func:`encode` alone states the training-vocabulary rule and
-extracts each training example once; :func:`extract` encodes a prediction
-input, dropping features the vocabulary does not know. Vectors are binary
-(presence only), so the inner product of two vectors is the size of their
-id-set intersection.
+afterwards. Vectors are binary (presence only), so the inner product of two
+vectors is the size of their id-set intersection.
+
+A :class:`CorpusEncoding` extracts every example of a corpus once, against
+one sorted vocabulary; as every ``suffix`` feature sorts before every
+``token`` feature, feature sets 2 and 3 are column ranges of feature set 1.
+A training set is an :class:`EncodedDataset` slice of it: its vocabulary is
+the columns its examples use, in order, so it is exactly what
+:func:`encode`, the one training encoder, gives for those examples alone.
+Held-out rows of the same corpus carry their vectors against a slice's
+vocabulary (:meth:`EncodedDataset.held_out`), as :func:`extract`, which
+drops features the vocabulary does not know, gives them for any input.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from enum import IntEnum
 from typing import NamedTuple
@@ -28,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .corpus import is_positive_int
+from .corpus import Dataset, is_positive_int
 
 SUFFIX = "suffix"
 TOKEN = "token"
@@ -91,15 +99,6 @@ def example_features(example, mode: FeatureSet) -> set[Feature]:
     return feats
 
 
-def feature_label_counts(labelled) -> dict:
-    """Per feature or feature id, its label counts over ``(features, label)`` pairs."""
-    table: dict = {}
-    for feats, label in labelled:
-        for feat in feats:
-            table.setdefault(feat, Counter())[label] += 1
-    return table
-
-
 class Vocabulary:
     """Bijective feature <-> dense id map; ids are contiguous from 0.
 
@@ -114,7 +113,7 @@ class Vocabulary:
     @classmethod
     def from_dataset(cls, dataset, mode: FeatureSet) -> "Vocabulary":
         """The training vocabulary of ``dataset``, as :func:`encode` builds it."""
-        return encode(dataset, mode)[0]
+        return encode(dataset, mode).vocab
 
     def __len__(self):
         return len(self._features)
@@ -176,12 +175,135 @@ class FeatureVector:
         return f"FeatureVector({list(self.ids)})"
 
 
-def encode(dataset, mode: FeatureSet) -> tuple[Vocabulary, list[FeatureVector]]:
-    """The training vocabulary of ``dataset``, every feature in it sorted (so
-    example order does not matter), and each example's vector against it."""
-    feats = [example_features(ex, mode) for ex in dataset]
-    vocab = Vocabulary(sorted(set().union(*feats)))
-    return vocab, [FeatureVector(map(vocab.lookup, f)) for f in feats]
+class CorpusEncoding:
+    """Every example of a corpus extracted once under ``mode`` (feature set
+    1, which also serves 2 and 3, by default), against one sorted
+    vocabulary of all their features: ``vectors[r]`` is example ``r``'s.
+    The suffix features are ids ``[0, n_suffix)``, the token features the
+    rest. ``dataset()`` is the corpus as an :class:`EncodedDataset`."""
+
+    def __init__(self, examples, mode: FeatureSet = FeatureSet.FS1):
+        self.examples = tuple(examples)
+        self.mode = FeatureSet(mode)
+        feats = [example_features(ex, self.mode) for ex in self.examples]
+        features = sorted(set().union(*feats))
+        self.n_suffix = bisect_left(features, Feature(TOKEN, ""))
+        self.vocab = Vocabulary(features)
+        self.vectors = [FeatureVector(map(self.vocab.lookup, f)) for f in feats]
+
+    def columns(self, mode: FeatureSet) -> range:
+        """The ids of the features that feature set ``mode`` extracts.
+        Raises ValueError unless this encoding's feature set covers it."""
+        kinds = KINDS[FeatureSet(mode)]
+        if not set(kinds) <= set(KINDS[self.mode]):
+            raise ValueError(f"a feature-set {int(self.mode)} encoding does not "
+                             f"cover feature set {int(mode)}")
+        return range(0 if SUFFIX in kinds else self.n_suffix,
+                     len(self.vocab) if TOKEN in kinds else self.n_suffix)
+
+    def dataset(self, mode: FeatureSet | None = None) -> "EncodedDataset":
+        """Every example, encoded under ``mode`` (by default this encoding's
+        feature set)."""
+        return EncodedDataset(self, range(len(self.examples)),
+                              self.mode if mode is None else mode)
+
+
+class EncodedDataset(Dataset):
+    """A dataset that carries its training encoding under ``mode``, read off
+    the rows ``rows`` of a :class:`CorpusEncoding`: ``vocab`` is every
+    feature of its examples, sorted, and ``vectors`` each example's vector
+    against it, as :func:`encode` defines them.
+
+    Its subsets are slices of the same corpus encoding, and each is built
+    once, as are the held-out rows of a slice: asking for the same ones
+    again returns the same object, so the learners that train on one fold
+    share its slice and its test rows."""
+
+    def __init__(self, corpus: CorpusEncoding, rows, mode: FeatureSet):
+        self.corpus = corpus
+        self.rows = tuple(rows)
+        self.mode = FeatureSet(mode)
+        super().__init__(corpus.examples[r] for r in self.rows)
+        cols = corpus.columns(self.mode)
+        vectors = [corpus.vectors[r] for r in self.rows]
+        self._subsets: dict[tuple, EncodedDataset] = {}
+        self._batches: dict[tuple, EncodedBatch] = {}
+        whole = self.rows == tuple(range(len(corpus.examples)))
+        if whole and len(cols) == len(corpus.vocab):
+            # the whole corpus: its ids need no remap
+            self._rank = None
+            self.vocab = corpus.vocab
+            self.vectors = vectors
+            return
+        used = sorted(c for c in set().union(*(v.ids for v in vectors)) if c in cols)
+        # a corpus id's rank among the used ones is its id here
+        self._rank = {c: r for r, c in enumerate(used)}
+        self.vocab = Vocabulary(map(corpus.vocab.feature, used))
+        self.vectors = [self._localize(v) for v in vectors]
+
+    def _localize(self, vector: FeatureVector) -> FeatureVector:
+        """A corpus vector against this vocabulary, unknown features dropped."""
+        if self._rank is None:
+            return vector
+        rank = self._rank
+        return FeatureVector(rank[c] for c in vector.ids if c in rank)
+
+    def subset(self, indices) -> "EncodedDataset":
+        key = tuple(indices)
+        if key == tuple(range(len(self))):
+            return self
+        sub = self._subsets.get(key)
+        if sub is None:
+            sub = self._subsets[key] = EncodedDataset(
+                self.corpus, [self.rows[i] for i in key], self.mode)
+        return sub
+
+    def held_out(self, indices, train: "EncodedDataset"):
+        """The examples ``self[i]`` for ``i`` in ``indices``, carrying their
+        vectors against the vocabulary of ``train``, a training set read
+        off the same corpus encoding under the same feature set: each is
+        ``extract(self[i], mode, train.vocab)``."""
+        if train.corpus is not self.corpus or train.mode != self.mode:
+            raise ValueError("held-out examples and their training set must be "
+                             "read off one corpus encoding under one feature set")
+        rows = tuple(self.rows[i] for i in indices)
+        batch = train._batches.get(rows)
+        if batch is None:
+            batch = train._batches[rows] = EncodedBatch(
+                (self.corpus.examples[r] for r in rows), self.mode, train.vocab,
+                [train._localize(self.corpus.vectors[r]) for r in rows])
+        return batch
+
+    def label_counts_by_feature(self) -> list[Counter]:
+        """Per feature id, the label counts of the examples that have the
+        feature."""
+        table = [Counter() for _ in range(len(self.vocab))]
+        for vector, example in zip(self.vectors, self):
+            for fid in vector.ids:
+                table[fid][example.label] += 1
+        return table
+
+
+class EncodedBatch(tuple):
+    """Examples to predict, carrying their vectors under ``mode`` against a
+    trained vocabulary ``vocab``: ``vectors[i]`` is
+    ``extract(self[i], mode, vocab)``."""
+
+    def __new__(cls, examples, mode: FeatureSet, vocab: Vocabulary, vectors):
+        batch = super().__new__(cls, examples)
+        batch.mode, batch.vocab, batch.vectors = mode, vocab, vectors
+        return batch
+
+
+def encode(dataset, mode: FeatureSet) -> EncodedDataset:
+    """``dataset`` with its training encoding under ``mode``: the vocabulary
+    of every feature of its examples, sorted (so example order does not
+    matter), and each example's vector against it. An EncodedDataset of
+    ``mode`` is returned as it is; any other dataset is extracted once, as
+    the whole of its own corpus encoding."""
+    if isinstance(dataset, EncodedDataset) and dataset.mode == FeatureSet(mode):
+        return dataset
+    return CorpusEncoding(dataset, mode).dataset()
 
 
 def extract(example, mode: FeatureSet, vocab: Vocabulary) -> FeatureVector:
@@ -189,6 +311,16 @@ def extract(example, mode: FeatureSet, vocab: Vocabulary) -> FeatureVector:
     vocabulary does not know are silently dropped."""
     feats = example_features(example, mode)
     return FeatureVector(fid for f in feats if (fid := vocab.lookup(f)) is not None)
+
+
+def vectors_against(examples, mode: FeatureSet, vocab: Vocabulary) -> list[FeatureVector]:
+    """``extract(ex, mode, vocab)`` for each example: read off ``examples``
+    when it carries them (an EncodedBatch of ``mode`` against ``vocab``
+    itself), else extracted."""
+    if (isinstance(examples, EncodedBatch) and examples.mode == mode
+            and examples.vocab is vocab):
+        return examples.vectors
+    return [extract(ex, mode, vocab) for ex in examples]
 
 
 def to_csr(vectors, n_cols: int) -> csr_matrix:

@@ -12,7 +12,8 @@ least s to a query exactly when it ends with the query's last s characters.
 So the voting set is the sentences ending with the longest query suffix (of
 at most 10) that at least k training sentences end with, or all of them if
 none does (with k >= N, all vote either way). The model keeps their label
-counts, per suffix.
+counts, per suffix: training reads them off the feature-set-2 encoding of
+its training set, the counts of each suffix feature.
 """
 
 from __future__ import annotations
@@ -20,15 +21,17 @@ from __future__ import annotations
 from collections import Counter
 
 from .corpus import Dataset, best_label, is_label, is_positive_int
-from .features import MAX_NGRAM, FeatureSet, feature_label_counts, suffix_ngrams
+from .features import MAX_NGRAM, FeatureSet, encode, suffix_ngrams
 
 
 class KnnModel:
-    """Training sentences with labels; immutable after construction."""
+    """Training sentences with labels, and ``suffix_votes``: each suffix
+    text of the sentences mapped to the label counts of the sentences
+    ending with it. Immutable after construction."""
 
     mode = FeatureSet.FS2  # sentence endings are the suffix n-grams only
 
-    def __init__(self, sentences, labels, k: int):
+    def __init__(self, sentences, labels, k: int, suffix_votes):
         self.sentences = tuple(sentences)
         self.labels = tuple(labels)
         if k < 1:
@@ -39,10 +42,7 @@ class KnnModel:
             raise ValueError("sentences and labels must align")
         self.k = k
         self.label_counts = Counter(self.labels)
-        # suffix text -> label counts of the training sentences ending with it
-        self.suffix_votes: dict[str, Counter] = {
-            feat.text: votes for feat, votes in feature_label_counts(
-                zip(map(suffix_ngrams, self.sentences), self.labels)).items()}
+        self.suffix_votes: dict[str, Counter] = suffix_votes
 
     def predict(self, example) -> str:
         return classify_knn(self, example.sentence)
@@ -69,11 +69,21 @@ class KnnModel:
             raise ValueError("every sentence must be a string")
         if not all(is_label(lab) for lab in labels):
             raise ValueError("every label must be a non-empty string")
-        return cls(sentences, labels, k)
+        votes: dict[str, Counter] = {}
+        for sentence, label in zip(sentences, labels):
+            for feat in suffix_ngrams(sentence):
+                votes.setdefault(feat.text, Counter())[label] += 1
+        return cls(sentences, labels, k, votes)
 
 
 def train_knn(dataset: Dataset, k: int) -> KnnModel:
-    return KnnModel((ex.sentence for ex in dataset), (ex.label for ex in dataset), k)
+    """The model of ``dataset``, its suffix table read off the label counts
+    of its feature-set-2 encoding."""
+    train = encode(dataset, KnnModel.mode)
+    votes = dict(zip((feat.text for feat in train.vocab),
+                     train.label_counts_by_feature()))
+    return KnnModel((ex.sentence for ex in train), (ex.label for ex in train), k,
+                    votes)
 
 
 def classify_knn(model: KnnModel, sentence: str) -> str:

@@ -26,8 +26,8 @@ from collections import Counter
 import numpy as np
 
 from .corpus import Dataset, best_label, is_label, read_label_counts
-from .features import (FeatureSet, FeatureVector, Vocabulary, encode, extract,
-                       read_mode, to_csr)
+from .features import (FeatureSet, FeatureVector, Vocabulary, encode, read_mode,
+                       to_csr, vectors_against)
 
 WEIGHT_CLAMP = 30.0
 GIS_TOL = 1e-4         # stop when every count residual is at most GIS_TOL * N
@@ -45,10 +45,11 @@ class MaxEntModel:
         self.info = dict(info or {})
 
     def predict(self, example) -> str:
-        return classify_maxent(self, extract(example, self.mode, self.vocab))[0]
+        return self.predict_batch([example])[0]
 
     def predict_batch(self, examples) -> list[str]:
-        return [self.predict(ex) for ex in examples]
+        fvs = vectors_against(examples, self.mode, self.vocab)
+        return [label for label, _ in _classify_rows(self, fvs)]
 
     def to_dict(self) -> dict:
         return {
@@ -99,7 +100,8 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     n = len(dataset)
-    vocab, fvs = encode(dataset, mode)
+    train = encode(dataset, mode)
+    vocab, fvs = train.vocab, train.vectors
     labels = dataset.labels
     label_index = {lab: i for i, lab in enumerate(labels)}
     n_feat, n_lab = len(vocab), len(labels)
@@ -112,7 +114,8 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     onehot = np.zeros((n, n_lab))
     for row, i in enumerate(order):
         onehot[row, label_index[dataset[i].label]] = 1.0
-    empirical = X.T @ onehot  # (feature, label) co-occurrence counts
+    Xt = X.T  # built once per fit: a sparse transpose is a new matrix
+    empirical = Xt @ onehot  # (feature, label) co-occurrence counts
     cmax = int(X.sum(axis=1).max()) if n_feat else 0
 
     # with no constraints (cmax == 0), the entropy maximum is the uniform
@@ -126,7 +129,7 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
         step = 1.0 / cmax
         for it in range(1, GIS_MAX_ITERS + 1):
             probs = _softmax_rows(X @ weights)
-            expected = X.T @ probs
+            expected = Xt @ probs
             residual = float(np.abs(empirical - expected).max())
             if residual <= GIS_TOL * n:
                 it -= 1
@@ -146,16 +149,27 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
 
 
 def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[str, float]]:
-    """Most probable label and the full normalized distribution.
+    """Most probable label and the full normalized distribution: the
+    one-row case of ``_classify_rows``.
 
     Argmax ties break by global training frequency, then lexicographically.
     An empty vector scores every label equally (the model has no bias
     weights), which yields the uniform distribution.
     """
-    scores = model.weights[list(fv.ids)].sum(axis=0)
-    probs = _softmax_rows(scores[None, :])[0]
-    top = probs.max()
-    # every most probable label is a candidate with one vote
-    candidates = {lab: 1 for lab, p in zip(model.labels, probs) if p == top}
-    label = best_label(candidates, model.label_counts)
-    return label, dict(zip(model.labels, probs.tolist()))
+    return _classify_rows(model, [fv])[0]
+
+
+def _classify_rows(model: MaxEntModel, fvs) -> list[tuple[str, dict[str, float]]]:
+    """``classify_maxent`` of every feature vector, each against
+    ``model.vocab``, from one sparse product with the weights. A row's score
+    sums its features' weights left to right in id order, as summing the
+    weight rows in that order would."""
+    scores = to_csr(fvs, len(model.vocab)) @ model.weights
+    results = []
+    for probs in _softmax_rows(np.asarray(scores)).tolist():
+        top = max(probs)
+        # every most probable label is a candidate with one vote
+        candidates = {lab: 1 for lab, p in zip(model.labels, probs) if p == top}
+        results.append((best_label(candidates, model.label_counts),
+                        dict(zip(model.labels, probs))))
+    return results

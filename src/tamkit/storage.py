@@ -32,8 +32,10 @@ def save_model(path, model) -> None:
         "method": model_method(model),
         "payload": model.to_dict(),
     }
+    # one dumps string: json.dump streams through the pure-Python encoder
+    text = json.dumps(document, sort_keys=True, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, sort_keys=True, ensure_ascii=False)
+        fh.write(text)
         fh.write("\n")
 
 

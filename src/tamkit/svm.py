@@ -22,9 +22,10 @@ voting. Pairwise trainings are independent; trained models are immutable.
 One driver, ``train_pairwise_many``, trains the pairwise models of many
 subsets of one dataset, such as the folds of a cross-validation and its
 closed fit, in one solve; ``train_pairwise`` is its one-subset case. It
-builds the kernel once over all l examples of the dataset, within one
-budget of ``KERNEL_ENTRIES`` values: the dense Gram matrix when l * l fits,
-above it an LRU of ``KERNEL_ENTRIES // l`` rows. Kernel values are exact
+builds the kernel once over all l examples of the dataset, straight from
+the rows of its encoding (``features.encode``), within one budget of
+``KERNEL_ENTRIES`` values: the dense Gram matrix when l * l fits, above it
+an LRU of ``KERNEL_ENTRIES // l`` rows. Kernel values are exact
 integers, so the kernel is exactly symmetric, a subset's kernel is exactly
 its slice, and neither form can change a model. Every pair problem of every
 subset is posed as dataset indices into it, and ``_train`` (which also
@@ -45,12 +46,13 @@ are kept in ``tests/svm_reference.py`` as oracles, with
 
 A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
 one sparse matrix, a row per vocabulary entry, when it is built, and
-``predict_batch`` computes every kernel value of a block of test rows with
-one product. Each pair then sums its terms left to right in stored
-support-vector order, so every raw decision value is bit-identical to
-``decide``, and a value of exactly 0 votes for the positive side in both
-paths. Both break vote ties with ``corpus.best_label``. ``decide`` and
-``classify_pairwise`` stay as the reference.
+``predict_batch`` computes every kernel value of a block of test rows (read
+off an encoded batch, or extracted) with one product. Each pair then sums
+its terms left to right in stored support-vector order, so every raw
+decision value is bit-identical to ``decide``, and a value of exactly 0
+votes for the positive side in both paths. Both break vote ties with
+``corpus.best_label``. ``decide`` and ``classify_pairwise`` stay as the
+reference.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from itertools import combinations
 import numpy as np
 
 from .corpus import Dataset, best_label, is_positive_int, read_label_counts
-from .features import (FeatureSet, FeatureVector, Vocabulary, encode, extract,
-                       read_mode, to_csr)
+from .features import (FeatureSet, FeatureVector, Vocabulary, encode, read_mode,
+                       to_csr, vectors_against)
 
 KKT_TOL = 1e-3         # SMO stops when the maximal violation is at most this
 MAX_ITER = None        # SMO iteration cap per problem; None is 100 per example
@@ -133,6 +135,12 @@ class KernelCache:
         """K[rows[p, m], cols[p, q]] for every p, m and q, as ``(P, M, Q)``."""
         return np.array([[self.row(r)[c] for r in rs] for rs, c in zip(rows, cols)])
 
+    def row_keys(self, rows: np.ndarray) -> np.ndarray:
+        """What ``gather_keys`` takes for ``rows``: the rows themselves."""
+        return rows
+
+    gather_keys = gather
+
     def columns(self, idx: np.ndarray, active: np.ndarray) -> np.ndarray:
         """K[idx][:, idx[active]], C-ordered, filled from blocks of 16 rows
         (exact, as the kernel is symmetric), so that no whole transposed
@@ -151,8 +159,16 @@ class _DenseGram:
         self._K = K
 
     def gather(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # one flat take is cheaper than a two-index gather
-        return np.take(self._K, rows[:, :, None] * len(self._K) + cols[:, None, :])
+        return self.gather_keys(self.row_keys(rows), cols)
+
+    def row_keys(self, rows: np.ndarray) -> np.ndarray:
+        """The flat offsets of ``rows`` in the matrix, for ``gather_keys``."""
+        return rows * len(self._K)
+
+    def gather_keys(self, keys: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``gather`` of the rows whose ``row_keys`` are ``keys``: one flat
+        take is cheaper than a two-index gather."""
+        return np.take(self._K, keys[:, :, None] + cols[:, None, :])
 
     def columns(self, idx: np.ndarray, active: np.ndarray) -> np.ndarray:
         """K[idx][:, idx[active]], C-ordered. One two-index gather: for the
@@ -244,28 +260,33 @@ def _smo_lockstep(kern, problems, caps, C: float):
     masks, the clipped two-variable update runs on Python floats, and the
     gradient update keeps the scalar operand order. A round gathers the
     kernel rows of both working-set members at once and updates both
-    columns of the masks at once. The problems that reach their cap or
-    ``KKT_TOL`` in a round leave the arrays together, yielded as
-    ``(ks, Y, alpha, grad, iterations)``: ``ks`` are their positions in
+    columns of the masks at once, through flat offsets into the padded
+    arrays that change only when rows leave them. The problems that reach
+    their cap or ``KKT_TOL`` in a round leave the arrays together, yielded
+    as ``(ks, Y, alpha, grad, iterations)``: ``ks`` are their positions in
     ``problems`` and the rest their padded rows.
     """
     sizes = [len(y) for _, y in problems]
-    G = np.zeros((len(problems), max(sizes)), dtype=np.intp)
+    L = max(sizes)
+    G = np.zeros((len(problems), L), dtype=np.intp)
     Y = np.zeros(G.shape)
     for p, (idx, y) in enumerate(problems):
         G[p, :sizes[p]] = idx
         Y[p, :sizes[p]] = y
     alpha = np.zeros(G.shape)
     grad = -np.ones(G.shape)  # gradient of (1/2 a'Qa - sum a), Q_ij = y_i y_j K_ij
-    # masks[0] (up): y = +1 with alpha < C, or y = -1 with alpha > 0;
-    # masks[1] (low): y = -1 with alpha < C, or y = +1 with alpha > 0
-    masks = np.stack((Y > 0, Y < 0))
+    # up: y = +1 with alpha < C, or y = -1 with alpha > 0;
+    # low: y = -1 with alpha < C, or y = +1 with alpha > 0
+    up, low = Y > 0, Y < 0
     cap = np.asarray(caps)
     ids = np.arange(len(problems))  # problem of each remaining row
-    it = 0
+    it = min_cap = 0
+    relaid = True  # the rows changed: their flat offsets and smallest cap
     while True:
-        ij, gap = _working_sets(Y, grad, masks)
-        done = (cap <= it) | (gap <= KKT_TOL)
+        ij, gap = _working_sets(Y, grad, up, low)
+        done = gap <= KKT_TOL
+        if it >= min_cap:  # no row reaches its cap before the smallest one
+            done |= cap <= it
         if done.any():
             yield ids[done], Y[done], alpha[done], grad[done], it
             keep = ~done
@@ -277,36 +298,48 @@ def _smo_lockstep(kern, problems, caps, C: float):
             Y = Y[keep]
             alpha = alpha[keep]
             grad = grad[keep]
-            masks = masks[:, keep]
-        rows = np.arange(len(ids))[:, None]
-        y = Y[rows, ij]  # (P, 2): y_i, y_j
-        old = alpha[rows, ij]
+            up = up[keep]
+            low = low[keep]
+            relaid = True
+        if relaid:
+            # flat offsets of each row in the (P, L) arrays and in the
+            # (P, 2, L) Q block, and the kernel's row key of every example
+            offsets = np.arange(len(ids))[:, None] * L
+            q_offsets = offsets * 2 + (0, L, 0)
+            keys = kern.row_keys(G)
+            min_cap = int(cap.min())
+            relaid = False
+        flat = offsets + ij  # (P, 2): i, j
+        y = Y.take(flat)  # y_i, y_j
+        old = alpha.take(flat)
         # Q rows (y_i * y) * K_i and (y_j * y) * K_j, written over the
         # kernel rows; Q_ii = K_ii and Q_jj = K_jj, as y * y = 1
-        K = kern.gather(G[rows, ij], G)
+        K = kern.gather_keys(keys.take(flat), G)
         Q = np.multiply(y[:, :, None] * Y[:, None, :], K, out=K)
         # one (9, P) array of the update's operands, read as nine lists
         new = _pair_updates(*np.concatenate((
-            y.T, Q[rows, (0, 1, 0), ij[:, (0, 1, 1)]].T, grad[rows, ij].T,
+            y.T, Q.take(q_offsets + ij[:, (0, 1, 1)]).T, grad.take(flat).T,
             old.T)).tolist(), C)
         new = np.fromiter(new, float, len(new)).reshape(-1, 2)
-        alpha[rows, ij] = new
+        alpha.put(flat, new)
         # grad += Qi * (new_i - old_i) + Qj * (new_j - old_j)
         Q *= (new - old)[:, :, None]
         grad += np.add(Q[:, 0], Q[:, 1], out=Q[:, 0])
-        bounds = np.stack((new < C, new > 0))
-        masks[:, rows, ij] = np.where(y > 0, bounds, bounds[::-1])
+        below_c, above_0 = new < C, new > 0
+        positive = y > 0
+        up.put(flat, np.where(positive, below_c, above_0))
+        low.put(flat, np.where(positive, above_0, below_c))
         it += 1
 
 
-def _working_sets(Y, grad, masks):
-    """Per row: the first maximal ``-y * grad`` over ``masks[0]`` (i) and
-    the first minimal one over ``masks[1]`` (j), as ``(P, 2)``, and their
+def _working_sets(Y, grad, up, low):
+    """Per row: the first maximal ``-y * grad`` over ``up`` (i) and the
+    first minimal one over ``low`` (j), as ``(P, 2)``, and their
     difference."""
     minus_yg = -Y
     minus_yg *= grad
-    up_v = np.where(masks[0], minus_yg, -np.inf)
-    low_v = np.where(masks[1], minus_yg, np.inf)
+    up_v = np.where(up, minus_yg, -np.inf)
+    low_v = np.where(low, minus_yg, np.inf)
     ij = np.empty((len(Y), 2), dtype=np.intp)
     up_v.argmax(axis=1, out=ij[:, 0])
     low_v.argmin(axis=1, out=ij[:, 1])
@@ -585,14 +618,15 @@ class PairwiseModel:
     def predict_batch(self, examples) -> list[str]:
         """Labels of ``examples``, equal to ``classify_pairwise`` on each.
 
-        Examples are encoded and scored in blocks sized so that a block's
-        rows times padded support-vector terms stay near ``BLOCK_TERMS``.
+        Examples are encoded (``features.vectors_against``) and scored in
+        blocks sized so that a block's rows times padded support-vector
+        terms stay near ``BLOCK_TERMS``.
         """
         n_labels = len(self.labels)
         labels: list[str] = []
-        for start in range(0, len(examples), self._block_rows):
-            block = [extract(ex, self.mode, self.vocab)
-                     for ex in examples[start:start + self._block_rows]]
+        fvs = vectors_against(examples, self.mode, self.vocab)
+        for start in range(0, len(fvs), self._block_rows):
+            block = fvs[start:start + self._block_rows]
             winners = np.where(self.decision_values(block) >= 0, self._pos, self._neg)
             flat = (np.arange(len(block))[:, None] * n_labels + winners).ravel()
             votes = np.bincount(flat, minlength=len(block) * n_labels).reshape(
@@ -673,39 +707,32 @@ def train_pairwise_many(dataset: Dataset, subsets, mode: FeatureSet,
     """The pairwise model of ``dataset.subset(s)`` for each index sequence
     ``s`` of ``subsets``, all from one solve.
 
-    Each subset is encoded once, by ``encode``, and its model is built from
-    its own vocabulary and vectors, so it equals
+    The dataset is encoded once, by ``encode``, and each subset's model is
+    built from the subset's slice of that encoding, so it equals
     ``train_pairwise(dataset.subset(s), ...)``. The kernel is built once
-    over the whole dataset, from those vectors mapped into one id space,
-    within the budget of ``KERNEL_ENTRIES`` values (dense up to 4096
-    examples, a row cache above). A subset's kernel is its slice, since
-    kernel values are intersection counts, so the pair problems of every
-    subset are posed as dataset indices and one lockstep solver runs them
-    all. Errors are those of training the subsets one by one: the first
-    subset that cannot train (empty, or one label) raises, unless a pair of
-    an earlier subset reaches its iteration cap, in which case the first
-    such pair in (subset, pair) order raises ConvergenceError.
+    over the rows of the whole encoding, within the budget of
+    ``KERNEL_ENTRIES`` values (dense up to 4096 examples, a row cache
+    above). A subset's kernel is its slice, since kernel values are
+    intersection counts, which no slice's renumbering changes, so the pair
+    problems of every subset are posed as dataset indices and one lockstep
+    solver runs them all. Errors are those of training the subsets one by
+    one: the first subset that cannot train (empty, or one label) raises,
+    unless a pair of an earlier subset reaches its iteration cap, in which
+    case the first such pair in (subset, pair) order raises
+    ConvergenceError.
     """
+    data = encode(dataset, mode)
     problems, sources, fits, error = [], [], [], None
-    # every example's vector in one id space that all subsets share, for
-    # the kernel: its features are the same in every subset's encoding
-    shared_ids: dict = {}
-    kernel_rows: dict[int, FeatureVector] = {}
     for s in subsets:
         idx = np.asarray(s, dtype=np.intp)
         index = idx.tolist()
-        sub = dataset.subset(index)
+        sub = data.subset(index)
         if len(sub) == 0:
             error = ValueError("cannot train on an empty dataset")
             break
         if len(sub.labels) < 2:
             error = TrainingError("pairwise training needs at least 2 labels")
             break
-        vocab, fvs = encode(sub, mode)
-        shared = [shared_ids.setdefault(f, len(shared_ids)) for f in vocab]
-        for i, fv in zip(index, fvs):
-            if i not in kernel_rows:
-                kernel_rows[i] = FeatureVector(shared[fid] for fid in fv.ids)
         by_label: dict[str, list[int]] = {}
         for pos, ex in enumerate(sub):
             by_label.setdefault(ex.label, []).append(pos)
@@ -714,17 +741,16 @@ def train_pairwise_many(dataset: Dataset, subsets, mode: FeatureSet,
             problems.append((idx[by_label[a] + by_label[b]],
                              np.array([1.0] * len(by_label[a])
                                       + [-1.0] * len(by_label[b]))))
-        sources += [dict(zip(index, fvs))] * len(pairs)
-        fits.append((sub, vocab, pairs))
+        sources += [dict(zip(index, sub.vectors))] * len(pairs)
+        fits.append((sub, pairs))
     if error is not None and not fits:
         raise error
-    vectors = [kernel_rows.get(i, FeatureVector()) for i in range(len(dataset))]
-    models = iter(_train(vectors, problems, sources, C, d))
+    models = iter(_train(data.vectors, problems, sources, C, d))
     if error is not None:
         raise error
     return [PairwiseModel(sub.labels, dict(zip(pairs, models)), sub.label_counts,
-                          vocab, mode, C, d)
-            for sub, vocab, pairs in fits]
+                          sub.vocab, mode, C, d)
+            for sub, pairs in fits]
 
 
 def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:

@@ -141,6 +141,18 @@ class TestClassify:
                 assert decide(model, fv).label == oracle_decide(model, fv)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(tuple(FeatureSet)))
+def test_batch_prediction_equals_deciding_each(seed, mode):
+    rng = random.Random(seed)
+    train = random_token_corpus(rng, max_examples=40)
+    queries = list(train) + list(random_token_corpus(rng, max_examples=20,
+                                                     n_labels=4))
+    model = train_declist(train, mode)
+    assert model.predict_batch(queries) == [
+        decide(model, extract(ex, mode, model.vocab)).label for ex in queries]
+
+
 def test_serialization_round_trip():
     ds = random_token_corpus(random.Random(3), max_examples=30)
     model = train_declist(ds, FeatureSet.FS1)

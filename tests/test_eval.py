@@ -18,6 +18,7 @@ from tamkit.evaluate import (
     METHODS,
     ConfigError,
     LearnerSpec,
+    PrecisionReport,
     baseline_classify,
     category_distribution,
     closed_test,
@@ -265,6 +266,37 @@ class TestGridCell:
         plan = split_folds(ds.subset(range(4)), 2, seed=0)
         with pytest.raises(ConfigError):
             grid_cell(LearnerSpec("svm"), ds, plan, FeatureSet.FS2)
+
+
+class TestEncodedHarness:
+    """The harness trains every fold on a slice of one encoding of the
+    corpus and predicts from its rows; its reports are those of fitting
+    each fold's examples on their own and extracting every prediction."""
+
+    @staticmethod
+    def each_on_its_own(spec, ds, plan, mode):
+        fold_results, predictions = [], [None] * len(ds)
+        for fold in range(plan.n_folds):
+            train, test = plan.fold_indices(fold)
+            model = evaluate.fit(spec, ds.subset(train), mode)
+            for i in test:
+                predictions[i] = (i, ds[i].label, model.predict(ds[i]))
+            fold_results.append((sum(predictions[i][2] == ds[i].label
+                                     for i in test), len(test)))
+        return PrecisionReport(tuple(fold_results), tuple(predictions), False)
+
+    @pytest.mark.parametrize("spec, mode", [
+        (spec, mode) for spec in (LearnerSpec("knn", k=3), LearnerSpec("dlist"),
+                                  LearnerSpec("maxent"), LearnerSpec("svm", d=1),
+                                  LearnerSpec("svm", d=2))
+        for mode in spec.feature_sets])
+    def test_cross_validate_and_closed_test(self, spec, mode):
+        ds = modality_corpus(60, seed=int(mode))
+        plan = split_folds(ds, 4, seed=2)
+        assert cross_validate(spec, ds, plan, mode) == self.each_on_its_own(
+            spec, ds, plan, mode)
+        assert closed_test(spec, ds, mode) == evaluate_model(
+            evaluate.fit(spec, ds, mode), ds, closed=True)
 
 
 class TestSvmSubsetsInOneSolve:

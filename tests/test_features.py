@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import Counter
+
 from synth import modality_corpus
-from tamkit import features
-from tamkit.corpus import Dataset, Example
+from tamkit import features, knn
+from tamkit.cli import main
+from tamkit.corpus import Dataset, Example, serialize_corpus
 from tamkit.declist import train_declist
 from tamkit.features import (
     SUFFIX,
     TOKEN,
+    CorpusEncoding,
     Feature,
     FeatureSet,
     FeatureVector,
@@ -31,6 +35,11 @@ EXAMPLES = st.builds(Example, st.sampled_from(["x", "y"]),
                      st.none() | st.lists(st.text(alphabet="ab\u3042", min_size=1,
                                                   max_size=3),
                                           max_size=3).map(tuple))
+
+# corpora of one to ten such examples, some of them repeated
+CORPORA = st.lists(EXAMPLES, min_size=1, max_size=10).flatmap(
+    lambda examples: st.lists(st.sampled_from(examples), max_size=4).flatmap(
+        lambda repeats: st.permutations(examples + repeats)))
 
 
 class TestTokenize:
@@ -173,11 +182,12 @@ class TestEncode:
                    if examples else st.just([]))
         examples = examples + data.draw(repeats)
         permuted = data.draw(st.permutations(examples))
-        vocab, vectors = encode(Dataset(examples), mode)
+        encoded = encode(Dataset(examples), mode)
+        vocab, vectors = encoded.vocab, encoded.vectors
         assert list(vocab) == sorted(set().union(
             *(example_features(ex, mode) for ex in examples)))
         assert vectors == [extract(ex, mode, vocab) for ex in examples]
-        assert list(encode(Dataset(permuted), mode)[0]) == list(vocab)
+        assert list(encode(Dataset(permuted), mode).vocab) == list(vocab)
         assert list(Vocabulary.from_dataset(Dataset(examples), mode)) == list(vocab)
 
     @pytest.mark.parametrize("train", [train_declist, train_maxent,
@@ -196,6 +206,81 @@ class TestEncode:
         monkeypatch.setattr(features, "example_features", counted)
         train(ds, mode)
         assert len(calls) == len(ds)
+
+    def test_cv_all_extracts_each_example_once(self, monkeypatch, tmp_path):
+        # every fold and grid cell trains on slices of one encoding and
+        # predicts from its rows; k-NN reads its suffixes off it too
+        ds = modality_corpus(40, seed=2)
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text(serialize_corpus(ds), encoding="utf-8")
+        calls, knn_suffixes = [], []
+
+        def counted(example, mode):
+            calls.append(example)
+            return original(example, mode)
+
+        original = features.example_features
+        monkeypatch.setattr(features, "example_features", counted)
+        monkeypatch.setattr(knn, "suffix_ngrams",
+                            lambda sentence: knn_suffixes.append(sentence))
+        assert main(["cv", "--all", "-i", str(corpus), "--folds", "3",
+                     "--seed", "0", "-o", str(tmp_path / "grid.txt")]) == 0
+        assert Counter(calls) == Counter(ds.examples)
+        assert knn_suffixes == []
+
+
+class TestCorpusEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(CORPORA, st.sampled_from(tuple(FeatureSet)), st.data())
+    def test_slices_equal_encoding_their_examples(self, examples, mode, data):
+        ds = Dataset(examples)
+        indices = st.lists(st.integers(0, len(ds) - 1), max_size=len(ds) + 2)
+        whole = CorpusEncoding(ds).dataset(mode)
+        train_idx = data.draw(indices)
+        train = whole.subset(train_idx)
+        expected = encode(ds.subset(train_idx), mode)
+        assert list(train.vocab) == sorted(set().union(
+            *(example_features(ds[i], mode) for i in train_idx)))
+        assert list(train.vocab) == list(expected.vocab)
+        assert train.vectors == expected.vectors
+        assert train.examples == ds.subset(train_idx).examples
+        assert whole.subset(list(train_idx)) is train  # built once
+        test_idx = data.draw(indices)
+        held_out = whole.held_out(test_idx, train)
+        assert list(held_out) == [ds[i] for i in test_idx]
+        assert held_out.vectors == [extract(ds[i], mode, train.vocab)
+                                    for i in test_idx]
+        # a slice of a slice, and held-out rows of another slice against
+        # it, as a cross-domain evaluation reads them
+        inner_idx = data.draw(st.lists(st.integers(0, len(train) - 1))
+                              if len(train) else st.just([]))
+        inner = train.subset(inner_idx)
+        expected = encode(ds.subset(train_idx).subset(inner_idx), mode)
+        assert (list(inner.vocab), inner.vectors) == (list(expected.vocab),
+                                                      expected.vectors)
+        other = whole.subset(test_idx)
+        assert other.held_out(range(len(other)), inner).vectors == [
+            extract(ds[i], mode, inner.vocab) for i in test_idx]
+
+    @pytest.mark.parametrize("mode", list(FeatureSet))
+    def test_whole_dataset_of_its_own_feature_set_is_not_remapped(self, mode):
+        ds = modality_corpus(30, seed=1)
+        encoding = CorpusEncoding(ds, mode)
+        whole = encoding.dataset()
+        assert whole.vocab is encoding.vocab and whole.vectors == encoding.vectors
+        assert encode(whole, mode) is whole
+        assert whole.subset(range(len(ds))) is whole
+        assert whole.held_out(range(len(ds)), whole).vectors == whole.vectors
+
+    def test_columns_are_the_feature_sets_ranges(self):
+        ex = Example("x", "今日 走る", ("今日", "走る"))
+        encoding = CorpusEncoding([ex])
+        assert [encoding.vocab.feature(c).kind for c in encoding.columns(
+            FeatureSet.FS2)] == [SUFFIX] * len(suffix_ngrams(ex.sentence))
+        assert [encoding.vocab.feature(c).kind for c in encoding.columns(
+            FeatureSet.FS3)] == [TOKEN, TOKEN]
+        with pytest.raises(ValueError, match="does not cover"):
+            CorpusEncoding([ex], FeatureSet.FS2).dataset(FeatureSet.FS3)
 
 
 class TestFeatureVector:

@@ -148,3 +148,13 @@ class TestModel:
         assert again.labels == model.labels
         assert again.k == model.k
         assert classify_knn(again, "きた") == classify_knn(model, "きた")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("ab"),
+                              st.text(alphabet="ab c\u3042", max_size=14)),
+                    min_size=1, max_size=10))
+    def test_loaded_suffix_table_equals_the_trained_one(self, pairs):
+        # training reads the table off the feature-set-2 encoding, loading
+        # rebuilds it from the sentences
+        model = train_knn(_dataset(pairs), k=1)
+        assert KnnModel.from_dict(model.to_dict()).suffix_votes == model.suffix_votes

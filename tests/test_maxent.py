@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxent_reference import expectation_residual
 from synth import random_token_corpus
@@ -191,3 +193,23 @@ def test_serialization_round_trip():
     assert np.array_equal(model.weights, again.weights)
     for ex in ds:
         assert model.predict(ex) == again.predict(ex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(tuple(FeatureSet)))
+def test_batch_prediction_equals_classifying_each(seed, mode):
+    # one sparse product over a block gives every row's probabilities
+    # bit for bit, as summing each row's weight rows in id order does
+    rng = random.Random(seed)
+    train = random_token_corpus(rng, max_examples=30, n_labels=3)
+    queries = list(train) + list(random_token_corpus(rng, max_examples=20,
+                                                     n_labels=4))
+    queries.append(Example("A", "", ()))
+    model = train_maxent(train, mode)
+    fvs = [extract(ex, mode, model.vocab) for ex in queries]
+    rows = maxent._classify_rows(model, fvs)
+    assert model.predict_batch(queries) == [label for label, _ in rows]
+    for fv, (label, dist) in zip(fvs, rows):
+        assert (label, dist) == classify_maxent(model, fv)
+        scores = model.weights[list(fv.ids)].sum(axis=0)
+        assert list(dist.values()) == maxent._softmax_rows(scores[None, :])[0].tolist()
