@@ -60,7 +60,7 @@ from .svm import (
     kernel,
     train_binary_svm,
     train_pairwise,
-    train_pairwise_many,
+    train_pairwise_slices,
 )
 from .svm import decide as svm_decide
 

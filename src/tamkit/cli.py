@@ -85,6 +85,8 @@ def _resolve(args) -> None:
         _spec(args).check(args.features)
     if args.command == "cv" and args.folds < 2:
         raise ConfigError("cross-validation needs at least 2 folds")
+    if args.command == "cross-domain" and args.folds < 1:
+        raise ConfigError("cross-domain needs at least 1 fold")
     if args.command == "analyze" and not 0.0 < args.level < 1.0:
         raise ConfigError("--level must be in (0, 1)")
 
@@ -227,10 +229,9 @@ def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     of open (closed) precisions.
 
     Every example is extracted once, under feature set 1. The grid runs one
-    feature set at a time, on that set's columns of the encoding: each
-    fold's training slice and held-out rows, and the closed set, are built
-    once and shared by every learner of the feature set, and freed before
-    the next feature set's are built."""
+    feature set at a time, on that set's columns of the encoding; each
+    cell builds its folds' training slices and held-out rows by CSR row and
+    column indexing, and frees them when it is done."""
     encoding = CorpusEncoding(dataset)
     cells = {}
     for mode in FeatureSet:

@@ -99,7 +99,8 @@ class Dataset:
     def held_out(self, indices, train) -> list[Example]:
         """The examples ``self[i]`` for ``i`` in ``indices``, to be predicted
         by a model trained on ``train``. ``features.EncodedDataset``
-        overrides this to attach their feature vectors."""
+        overrides this to attach their CSR rows against the columns of
+        ``train``, indexed out on each call, not memoised."""
         return [self.examples[i] for i in indices]
 
 
@@ -117,6 +118,14 @@ def is_label(value) -> bool:
 def is_positive_int(value) -> bool:
     """Whether ``value``, read from a model file, is an integer >= 1."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def read_list(payload, key: str) -> list:
+    """``payload[key]`` of a model file. Raises ValueError unless it is a
+    JSON list: a string would read as a list of characters."""
+    if not isinstance(value := payload[key], list):
+        raise ValueError(f"{key} must be a list, not {type(value).__name__}")
+    return value
 
 
 def read_label_counts(pairs) -> dict[str, int]:

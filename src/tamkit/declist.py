@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .corpus import Dataset, best_label, read_label_counts
 from .features import (Feature, FeatureSet, FeatureVector, Vocabulary, encode,
-                       read_mode, vectors_against)
+                       read_mode, rows_against)
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ class DecisionListModel:
         return self.predict_batch([example])[0]
 
     def predict_batch(self, examples) -> list[str]:
-        return [decide(self, fv).label
-                for fv in vectors_against(examples, self.mode, self.vocab)]
+        X = rows_against(examples, self.mode, self.vocab)
+        ids, ends = X.indices.tolist(), X.indptr.tolist()
+        return [decide(self, FeatureVector(ids[a:b])).label for a, b in zip(ends, ends[1:])]
 
     def to_dict(self) -> dict:
         return {

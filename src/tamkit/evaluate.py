@@ -10,8 +10,8 @@ An evaluation encodes its corpus once (``features.encode``): each fold's
 model trains on a slice of that encoding and predicts the fold's held-out
 examples from their rows of it, so no example is extracted twice. A corpus
 that is already an ``EncodedDataset``, such as one feature set of the
-``cv --all`` grid, is not encoded again, and its slices are shared by every
-evaluation on it.
+``cv --all`` grid, is not encoded again. Slices are CSR row and column
+indexing, built where an evaluation uses them and not memoised.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .declist import train_declist
 from .features import Feature, FeatureSet, encode, example_features
 from .knn import KnnModel, train_knn
 from .maxent import train_maxent
-from .svm import hyperparameter_error, train_pairwise, train_pairwise_many
+from .svm import hyperparameter_error, train_pairwise, train_pairwise_slices
 
 PAST_MARKER = "た"  # sentence-final hiragana "ta"
 
@@ -119,16 +119,18 @@ def fit(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet):
 
 
 def fit_subsets(spec: LearnerSpec, dataset: Dataset, subsets, mode: FeatureSet):
-    """An iterator over the model of ``dataset.subset(s)`` for each index
-    sequence ``s`` of ``subsets``, each as ``fit`` trains it, after
-    ``spec.check(mode)``. The SVM trains every subset in one solve
-    (``svm.train_pairwise_many``); the other learners train lazily, one
-    subset per model drawn."""
+    """``(model, train)`` for each index sequence ``s`` of ``subsets``, after
+    ``spec.check(mode)``: ``train`` is ``dataset.subset(s)`` and ``model``
+    what ``fit`` trains on it. The SVM trains every subset in one solve
+    (``svm.train_pairwise_slices``); the other learners build and train
+    lazily, one subset per pair drawn."""
     mode = FeatureSet(mode)
     spec.check(mode)
+    trains = (dataset.subset(s) for s in subsets)
     if spec.method == "svm":
-        return iter(train_pairwise_many(dataset, subsets, mode, C=spec.C, d=spec.d))
-    return (fit(spec, dataset.subset(s), mode) for s in subsets)
+        trains = list(trains)
+        return zip(train_pairwise_slices(trains, C=spec.C, d=spec.d), trains)
+    return ((fit(spec, train, mode), train) for train in trains)
 
 
 @dataclass
@@ -161,9 +163,8 @@ def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
     the SVM trains them all in one solve."""
     folds = _folds(dataset, plan)
     dataset = _encoded(spec, dataset, mode)
-    models = fit_subsets(spec, dataset, [train for train, _ in folds], mode)
-    return _evaluate(dataset, ((next(models), test, dataset.subset(train))
-                               for train, test in folds), closed=False)
+    fits = fit_subsets(spec, dataset, [train for train, _ in folds], mode)
+    return _evaluate(dataset, [test for _, test in folds], fits, closed=False)
 
 
 def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> PrecisionReport:
@@ -182,12 +183,11 @@ def grid_cell(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
     folds = _folds(dataset, plan)
     dataset = _encoded(spec, dataset, mode)
     everything = range(len(dataset))
-    models = fit_subsets(spec, dataset,
-                         [train for train, _ in folds] + [everything], mode)
-    open_rep = _evaluate(dataset, ((next(models), test, dataset.subset(train))
-                                   for train, test in folds), closed=False)
-    return open_rep, evaluate_model(next(models), dataset,
-                                    closed=spec.method != "baseline")
+    fits = fit_subsets(spec, dataset, [train for train, _ in folds] + [everything],
+                       mode)
+    open_rep = _evaluate(dataset, [test for _, test in folds], fits, closed=False)
+    return open_rep, _evaluate(dataset, [everything], fits,
+                               closed=spec.method != "baseline")
 
 
 def _folds(dataset: Dataset, plan: FoldPlan) -> list[tuple[list[int], list[int]]]:
@@ -207,31 +207,32 @@ def _encoded(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> Dataset:
 
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
     """Score an already trained model on a dataset."""
-    return _evaluate(dataset, [(model, range(len(dataset)), dataset)], closed)
+    return _evaluate(dataset, [range(len(dataset))], iter([(model, dataset)]), closed)
 
 
-def _evaluate(dataset: Dataset, runs, closed: bool) -> PrecisionReport:
-    """The one scoring loop. Each run is a (model, test indices, training
-    set) triple; its model, trained on the training set, predicts
+def _evaluate(dataset: Dataset, tests, fits, closed: bool) -> PrecisionReport:
+    """The one scoring loop. For each index sequence of ``tests``, the
+    ``(model, train)`` pair drawn from the iterator ``fits`` predicts
     ``dataset[i]`` for those indices in one batch, ``dataset.held_out``,
-    and becomes one fold record. When the datasets are slices of one
-    encoding, the batch carries each example's vector against the training
-    vocabulary, which the model reads instead of extracting. ``runs`` may
-    build its models lazily: each is freed before the next run is drawn, so
-    two models of k-NN, the decision list or maxent are never alive at
-    once. The SVM models of a cross-validation, a grid cell (with its
-    closed model) or a cross-domain evaluation are trained in one solve by
-    ``fit_subsets``, so they are alive together."""
+    which becomes one fold record. When the datasets are slices of one
+    encoding, the batch carries each example's row against the training
+    vocabulary, which the model reads instead of extracting. Each pair is
+    freed before the next is drawn, so two models of k-NN, the decision
+    list or maxent are never alive at once. The SVM models of a
+    cross-validation, a grid cell (with its closed model) or a cross-domain
+    evaluation are trained in one solve by ``fit_subsets``, so they are
+    alive together."""
     predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
     fold_results = []
-    for model, indices, train in runs:
+    for indices in tests:
+        model, train = next(fits)
         examples = dataset.held_out(indices, train)
         correct = 0
         for i, ex, predicted in zip(indices, examples, model.predict_batch(examples)):
             predictions[i] = (i, ex.label, predicted)
             correct += predicted == ex.label
         fold_results.append((correct, len(examples)))
-        del model  # before the next run trains its own
+        del model, train, examples  # before the next run trains its own
     return PrecisionReport(tuple(fold_results), tuple(predictions), closed)
 
 
@@ -373,6 +374,5 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
     both = _encoded(spec, Dataset(train.examples + test.examples), mode)
     train = both.subset(range(len(train)))
     test = both.subset(range(len(train), len(both)))
-    models = fit_subsets(spec, train, trains, mode)
-    return _evaluate(test, ((next(models), group, train.subset(s))
-                            for group, s in zip(groups, trains)), closed=False)
+    fits = fit_subsets(spec, train, trains, mode)
+    return _evaluate(test, groups, fits, closed=False)

@@ -15,21 +15,22 @@ A vocabulary maps features to dense contiguous ids and never changes
 afterwards. Vectors are binary (presence only), so the inner product of two
 vectors is the size of their id-set intersection.
 
-A :class:`CorpusEncoding` extracts every example of a corpus once, against
-one sorted vocabulary; as every ``suffix`` feature sorts before every
-``token`` feature, feature sets 2 and 3 are column ranges of feature set 1.
-A training set is an :class:`EncodedDataset` slice of it: its vocabulary is
-the columns its examples use, in order, so it is exactly what
-:func:`encode`, the one training encoder, gives for those examples alone.
-Held-out rows of the same corpus carry their vectors against a slice's
-vocabulary (:meth:`EncodedDataset.held_out`), as :func:`extract`, which
-drops features the vocabulary does not know, gives them for any input.
+A :class:`CorpusEncoding` extracts every example of a corpus once, into
+one CSR matrix over one sorted vocabulary; as every ``suffix`` feature
+sorts before every ``token`` feature, feature sets 2 and 3 are column
+ranges of feature set 1. A training set is an :class:`EncodedDataset`
+slice of it, built by CSR row and column indexing: its vocabulary is the
+columns its examples use, in order, so it is exactly what :func:`encode`,
+the one training encoder, gives for those examples alone. Held-out rows of
+the same corpus are the same indexing against a slice's columns
+(:meth:`EncodedDataset.held_out`), as :func:`extract`, which drops features
+the vocabulary does not know, gives them for any input. Slices and
+held-out rows are built where they are used, not memoised.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -178,9 +179,10 @@ class FeatureVector:
 class CorpusEncoding:
     """Every example of a corpus extracted once under ``mode`` (feature set
     1, which also serves 2 and 3, by default), against one sorted
-    vocabulary of all their features: ``vectors[r]`` is example ``r``'s.
-    The suffix features are ids ``[0, n_suffix)``, the token features the
-    rest. ``dataset()`` is the corpus as an :class:`EncodedDataset`."""
+    vocabulary of all their features: row ``r`` of the CSR matrix ``X``
+    (sorted indices, data 1.0) is example ``r``'s vector. The suffix
+    features are ids ``[0, n_suffix)``, the token features the rest.
+    ``dataset()`` is the corpus as an :class:`EncodedDataset`."""
 
     def __init__(self, examples, mode: FeatureSet = FeatureSet.FS1):
         self.examples = tuple(examples)
@@ -189,7 +191,8 @@ class CorpusEncoding:
         features = sorted(set().union(*feats))
         self.n_suffix = bisect_left(features, Feature(TOKEN, ""))
         self.vocab = Vocabulary(features)
-        self.vectors = [FeatureVector(map(self.vocab.lookup, f)) for f in feats]
+        self.X = to_csr([FeatureVector(map(self.vocab.lookup, f)) for f in feats],
+                        len(features))
 
     def columns(self, mode: FeatureSet) -> range:
         """The ids of the features that feature set ``mode`` extracts.
@@ -201,6 +204,11 @@ class CorpusEncoding:
         return range(0 if SUFFIX in kinds else self.n_suffix,
                      len(self.vocab) if TOKEN in kinds else self.n_suffix)
 
+    def rows(self, rows, mode: FeatureSet) -> csr_matrix:
+        """The rows ``rows`` of ``X`` in the columns ``columns(mode)``."""
+        cols = self.columns(mode)
+        return self.X[rows, cols.start:cols.stop]
+
     def dataset(self, mode: FeatureSet | None = None) -> "EncodedDataset":
         """Every example, encoded under ``mode`` (by default this encoding's
         feature set)."""
@@ -209,89 +217,64 @@ class CorpusEncoding:
 
 
 class EncodedDataset(Dataset):
-    """A dataset that carries its training encoding under ``mode``, read off
-    the rows ``rows`` of a :class:`CorpusEncoding`: ``vocab`` is every
-    feature of its examples, sorted, and ``vectors`` each example's vector
-    against it, as :func:`encode` defines them.
-
-    Its subsets are slices of the same corpus encoding, and each is built
-    once, as are the held-out rows of a slice: asking for the same ones
-    again returns the same object, so the learners that train on one fold
-    share its slice and its test rows."""
+    """A dataset that carries its training encoding under ``mode``, indexed
+    out of the rows ``rows`` of a :class:`CorpusEncoding`: ``used`` are the
+    columns of ``corpus.rows(rows, mode)`` its examples use, in order,
+    ``vocab`` their features and ``X`` its rows against them, as
+    :func:`encode` defines them. Subsets and held-out rows are not memoised."""
 
     def __init__(self, corpus: CorpusEncoding, rows, mode: FeatureSet):
         self.corpus = corpus
-        self.rows = tuple(rows)
+        self.rows = np.asarray(rows, dtype=np.intp)
         self.mode = FeatureSet(mode)
-        super().__init__(corpus.examples[r] for r in self.rows)
-        cols = corpus.columns(self.mode)
-        vectors = [corpus.vectors[r] for r in self.rows]
-        self._subsets: dict[tuple, EncodedDataset] = {}
-        self._batches: dict[tuple, EncodedBatch] = {}
-        whole = self.rows == tuple(range(len(corpus.examples)))
-        if whole and len(cols) == len(corpus.vocab):
-            # the whole corpus: its ids need no remap
-            self._rank = None
-            self.vocab = corpus.vocab
-            self.vectors = vectors
-            return
-        used = sorted(c for c in set().union(*(v.ids for v in vectors)) if c in cols)
-        # a corpus id's rank among the used ones is its id here
-        self._rank = {c: r for r, c in enumerate(used)}
-        self.vocab = Vocabulary(map(corpus.vocab.feature, used))
-        self.vectors = [self._localize(v) for v in vectors]
-
-    def _localize(self, vector: FeatureVector) -> FeatureVector:
-        """A corpus vector against this vocabulary, unknown features dropped."""
-        if self._rank is None:
-            return vector
-        rank = self._rank
-        return FeatureVector(rank[c] for c in vector.ids if c in rank)
+        super().__init__(map(corpus.examples.__getitem__, self.rows.tolist()))
+        X = corpus.rows(self.rows, self.mode)
+        self.used = np.unique(X.indices)
+        start = corpus.columns(self.mode).start
+        self.vocab = Vocabulary(map(corpus.vocab.feature, (self.used + start).tolist()))
+        self.X = X[:, self.used]
 
     def subset(self, indices) -> "EncodedDataset":
-        key = tuple(indices)
-        if key == tuple(range(len(self))):
+        indices = np.asarray(indices, dtype=np.intp)
+        if np.array_equal(indices, np.arange(len(self))):
             return self
-        sub = self._subsets.get(key)
-        if sub is None:
-            sub = self._subsets[key] = EncodedDataset(
-                self.corpus, [self.rows[i] for i in key], self.mode)
-        return sub
+        return EncodedDataset(self.corpus, self.rows[indices], self.mode)
 
-    def held_out(self, indices, train: "EncodedDataset"):
+    def held_out(self, indices, train: "EncodedDataset") -> "EncodedBatch":
         """The examples ``self[i]`` for ``i`` in ``indices``, carrying their
-        vectors against the vocabulary of ``train``, a training set read
-        off the same corpus encoding under the same feature set: each is
+        rows against the vocabulary of ``train``, a training set read off
+        the same corpus encoding under the same feature set: row ``r`` is
         ``extract(self[i], mode, train.vocab)``."""
         if train.corpus is not self.corpus or train.mode != self.mode:
             raise ValueError("held-out examples and their training set must be "
                              "read off one corpus encoding under one feature set")
-        rows = tuple(self.rows[i] for i in indices)
-        batch = train._batches.get(rows)
-        if batch is None:
-            batch = train._batches[rows] = EncodedBatch(
-                (self.corpus.examples[r] for r in rows), self.mode, train.vocab,
-                [train._localize(self.corpus.vectors[r]) for r in rows])
-        return batch
+        rows = self.rows[np.asarray(indices, dtype=np.intp)]
+        return EncodedBatch(map(self.corpus.examples.__getitem__, rows.tolist()),
+                            self.mode, train.vocab,
+                            self.corpus.rows(rows, self.mode)[:, train.used])
 
-    def label_counts_by_feature(self) -> list[Counter]:
+    def label_counts_by_feature(self) -> list[dict[str, int]]:
         """Per feature id, the label counts of the examples that have the
-        feature."""
-        table = [Counter() for _ in range(len(self.vocab))]
-        for vector, example in zip(self.vectors, self):
-            for fid in vector.ids:
-                table[fid][example.label] += 1
-        return table
+        feature, from one sparse product of ``X`` with the labels."""
+        labels = self.labels
+        index = {lab: j for j, lab in enumerate(labels)}
+        onehot = csr_matrix((np.ones(len(self)), [index[ex.label] for ex in self],
+                             np.arange(len(self) + 1)), shape=(len(self), len(labels)))
+        counts = (self.X.T @ onehot).tocsr()  # (feature, label)
+        ends = counts.indptr.tolist()
+        pairs = list(zip(map(labels.__getitem__, counts.indices.tolist()),
+                         counts.data.astype(np.int64).tolist()))
+        return [dict(pairs[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 class EncodedBatch(tuple):
-    """Examples to predict, carrying their vectors under ``mode`` against a
-    trained vocabulary ``vocab``: ``vectors[i]`` is
+    """Examples to predict, carrying their rows under ``mode`` against a
+    trained vocabulary ``vocab``: row ``i`` of the CSR matrix ``X`` is
     ``extract(self[i], mode, vocab)``."""
 
-    def __new__(cls, examples, mode: FeatureSet, vocab: Vocabulary, vectors):
+    def __new__(cls, examples, mode: FeatureSet, vocab: Vocabulary, X):
         batch = super().__new__(cls, examples)
-        batch.mode, batch.vocab, batch.vectors = mode, vocab, vectors
+        batch.mode, batch.vocab, batch.X = mode, vocab, X
         return batch
 
 
@@ -313,14 +296,14 @@ def extract(example, mode: FeatureSet, vocab: Vocabulary) -> FeatureVector:
     return FeatureVector(fid for f in feats if (fid := vocab.lookup(f)) is not None)
 
 
-def vectors_against(examples, mode: FeatureSet, vocab: Vocabulary) -> list[FeatureVector]:
-    """``extract(ex, mode, vocab)`` for each example: read off ``examples``
-    when it carries them (an EncodedBatch of ``mode`` against ``vocab``
-    itself), else extracted."""
+def rows_against(examples, mode: FeatureSet, vocab: Vocabulary) -> csr_matrix:
+    """The CSR matrix whose row ``i`` is ``extract(examples[i], mode,
+    vocab)``: read off ``examples`` when it carries them (an EncodedBatch
+    of ``mode`` against ``vocab`` itself), else extracted."""
     if (isinstance(examples, EncodedBatch) and examples.mode == mode
             and examples.vocab is vocab):
-        return examples.vectors
-    return [extract(ex, mode, vocab) for ex in examples]
+        return examples.X
+    return to_csr([extract(ex, mode, vocab) for ex in examples], len(vocab))
 
 
 def to_csr(vectors, n_cols: int) -> csr_matrix:

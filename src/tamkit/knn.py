@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .corpus import Dataset, best_label, is_label, is_positive_int
+from .corpus import Dataset, best_label, is_label, is_positive_int, read_list
 from .features import MAX_NGRAM, FeatureSet, encode, suffix_ngrams
 
 
@@ -42,7 +42,7 @@ class KnnModel:
             raise ValueError("sentences and labels must align")
         self.k = k
         self.label_counts = Counter(self.labels)
-        self.suffix_votes: dict[str, Counter] = suffix_votes
+        self.suffix_votes: dict[str, dict[str, int]] = suffix_votes
 
     def predict(self, example) -> str:
         return classify_knn(self, example.sentence)
@@ -60,16 +60,17 @@ class KnnModel:
     @classmethod
     def from_dict(cls, payload) -> "KnnModel":
         """Model from its ``to_dict`` payload. Raises ValueError unless ``k``
-        is an integer >= 1, every sentence a string and every label a
-        non-empty string."""
-        k, sentences, labels = payload["k"], payload["sentences"], payload["labels"]
+        is an integer >= 1, the sentences a list of strings and the labels
+        a list of non-empty strings."""
+        k = payload["k"]
+        sentences, labels = read_list(payload, "sentences"), read_list(payload, "labels")
         if not is_positive_int(k):
             raise ValueError(f"k = {k!r} is not an integer >= 1")
         if not all(isinstance(s, str) for s in sentences):
             raise ValueError("every sentence must be a string")
         if not all(is_label(lab) for lab in labels):
             raise ValueError("every label must be a non-empty string")
-        votes: dict[str, Counter] = {}
+        votes: dict[str, dict[str, int]] = {}
         for sentence, label in zip(sentences, labels):
             for feat in suffix_ngrams(sentence):
                 votes.setdefault(feat.text, Counter())[label] += 1
@@ -93,7 +94,7 @@ def classify_knn(model: KnnModel, sentence: str) -> str:
     votes = model.label_counts  # similarity 0: every training sentence
     for n in range(min(len(sentence), MAX_NGRAM), 0, -1):
         ending = model.suffix_votes.get(sentence[-n:])
-        if ending is not None and ending.total() >= model.k:
+        if ending is not None and sum(ending.values()) >= model.k:
             votes = ending
             break
     return best_label(votes, model.label_counts)

@@ -25,9 +25,9 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import Dataset, best_label, is_label, read_label_counts
+from .corpus import Dataset, best_label, is_label, read_label_counts, read_list
 from .features import (FeatureSet, FeatureVector, Vocabulary, encode, read_mode,
-                       to_csr, vectors_against)
+                       rows_against, to_csr)
 
 WEIGHT_CLAMP = 30.0
 GIS_TOL = 1e-4         # stop when every count residual is at most GIS_TOL * N
@@ -48,8 +48,8 @@ class MaxEntModel:
         return self.predict_batch([example])[0]
 
     def predict_batch(self, examples) -> list[str]:
-        fvs = vectors_against(examples, self.mode, self.vocab)
-        return [label for label, _ in _classify_rows(self, fvs)]
+        X = rows_against(examples, self.mode, self.vocab)
+        return [label for label, _ in _classify_rows(self, X)]
 
     def to_dict(self) -> dict:
         return {
@@ -63,11 +63,11 @@ class MaxEntModel:
     @classmethod
     def from_dict(cls, payload) -> "MaxEntModel":
         """Model from its ``to_dict`` payload. Raises ValueError unless the
-        labels are distinct non-empty strings and the weights a finite
-        table with a row per vocabulary entry and a column per label."""
+        labels are a list of distinct non-empty strings and the weights a
+        finite table with a row per vocabulary entry and a column per label."""
         mode = read_mode(payload["mode"])
         vocab = Vocabulary.from_list(payload["vocab"], mode)
-        labels = payload["labels"]
+        labels = read_list(payload, "labels")
         if not (all(is_label(lab) for lab in labels)
                 and len(set(labels)) == len(labels)):
             raise ValueError("labels must be distinct non-empty strings")
@@ -101,14 +101,15 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
         raise ValueError("cannot train on an empty dataset")
     n = len(dataset)
     train = encode(dataset, mode)
-    vocab, fvs = train.vocab, train.vectors
+    vocab = train.vocab
     labels = dataset.labels
     label_index = {lab: i for i, lab in enumerate(labels)}
     n_feat, n_lab = len(vocab), len(labels)
     # canonical accumulation order: float sums, and therefore the fitted
     # weights, are bit-identical under any permutation of the dataset
-    order = sorted(range(n), key=lambda i: (fvs[i].ids, dataset[i].label))
-    X = to_csr([fvs[i] for i in order], n_feat)
+    ids, ends = train.X.indices.tolist(), train.X.indptr.tolist()
+    order = sorted(range(n), key=lambda i: (ids[ends[i]:ends[i + 1]], dataset[i].label))
+    X = train.X[order]
     if n * n_feat <= (1 << 16):
         X = X.toarray()  # sparse overhead dwarfs tiny problems
     onehot = np.zeros((n, n_lab))
@@ -156,15 +157,15 @@ def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[st
     An empty vector scores every label equally (the model has no bias
     weights), which yields the uniform distribution.
     """
-    return _classify_rows(model, [fv])[0]
+    return _classify_rows(model, to_csr([fv], len(model.vocab)))[0]
 
 
-def _classify_rows(model: MaxEntModel, fvs) -> list[tuple[str, dict[str, float]]]:
-    """``classify_maxent`` of every feature vector, each against
-    ``model.vocab``, from one sparse product with the weights. A row's score
-    sums its features' weights left to right in id order, as summing the
-    weight rows in that order would."""
-    scores = to_csr(fvs, len(model.vocab)) @ model.weights
+def _classify_rows(model: MaxEntModel, X) -> list[tuple[str, dict[str, float]]]:
+    """``classify_maxent`` of every row of the CSR block ``X`` (columns
+    ``model.vocab``, sorted indices), from one sparse product with the
+    weights. A row's score sums its features' weights left to right in id
+    order, as summing the weight rows in that order would."""
+    scores = X @ model.weights
     results = []
     for probs in _softmax_rows(np.asarray(scores)).tolist():
         top = max(probs)

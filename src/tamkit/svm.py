@@ -19,40 +19,41 @@ Multiclass data is handled pairwise: one binary classifier per unordered
 label pair, each trained only on examples of its two labels, combined by
 voting. Pairwise trainings are independent; trained models are immutable.
 
-One driver, ``train_pairwise_many``, trains the pairwise models of many
-subsets of one dataset, such as the folds of a cross-validation and its
-closed fit, in one solve; ``train_pairwise`` is its one-subset case. It
-builds the kernel once over all l examples of the dataset, straight from
-the rows of its encoding (``features.encode``), within one budget of
-``KERNEL_ENTRIES`` values: the dense Gram matrix when l * l fits, above it
-an LRU of ``KERNEL_ENTRIES // l`` rows. Kernel values are exact
-integers, so the kernel is exactly symmetric, a subset's kernel is exactly
-its slice, and neither form can change a model. Every pair problem of every
-subset is posed as dataset indices into it, and ``_train`` (which also
-serves ``train_binary_svm``, one problem) hands them all to one solver,
-``_smo``, which runs them in lockstep: padded arrays hold all problems,
-each round takes one step of every unfinished problem with a few array
-operations, and a problem leaves the arrays when it converges or reaches
-its iteration cap. Each problem does exactly the arithmetic of the scalar
-one-problem solver, so its multipliers, gradient and iteration count are
-bit-identical to it. The problems that converge in the same round are
-finished together by ``_finish_batch``: the bias extrema and the KKT
-violation of all of them come from masked extrema over their padded rows,
-and only each problem's decision values take a product of their own, the
-same one as finishing it alone. So a pair model is identical to one
-trained on the pair alone. The scalar solver and the one-problem finisher
-are kept in ``tests/svm_reference.py`` as oracles, with
-``train_pairwise_each``, which trains the subsets one by one.
+One driver, ``train_pairwise_slices``, trains the pairwise models of many
+training slices of one corpus encoding (``features.EncodedDataset``), such
+as the folds of a cross-validation and its closed fit, in one solve;
+``train_pairwise`` is its one-dataset case. It builds the kernel once over
+the l corpus rows that the slices use, straight from the encoding's CSR
+matrix, within one budget of ``KERNEL_ENTRIES`` values: the dense Gram
+matrix when l * l fits, above it an LRU of ``KERNEL_ENTRIES // l`` rows.
+Kernel values are exact integers, so the kernel is exactly symmetric, a
+slice's kernel is exactly its slice, and neither form can change a model.
+Every pair problem of every slice is posed as row indices into the
+kernel, and ``_train`` (which also serves ``train_binary_svm``, one
+problem) hands them all to one solver, ``_smo``, which runs them in
+lockstep: padded arrays hold all problems, each round takes one step of
+every unfinished problem with a few array operations, and a problem leaves
+the arrays when it converges or reaches its iteration cap. Each problem
+does exactly the arithmetic of the scalar one-problem solver, so its
+multipliers, gradient and iteration count are bit-identical to it. The
+problems that converge in the same round are finished together by
+``_finish_batch``: the bias extrema and the KKT violation of all of them
+come from masked extrema over their padded rows, and only each problem's
+decision values take a product of their own, the same one as finishing it
+alone. So a pair model is identical to one trained on the pair alone; its
+support vectors are read off the kernel's rows against its slice's
+columns. The scalar solver, the one-problem finisher and per-subset
+training are kept in ``tests/svm_reference.py`` as oracles.
 
 A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
 one sparse matrix, a row per vocabulary entry, when it is built, and
-``predict_batch`` computes every kernel value of a block of test rows (read
-off an encoded batch, or extracted) with one product. Each pair then sums
-its terms left to right in stored support-vector order, so every raw
-decision value is bit-identical to ``decide``, and a value of exactly 0
-votes for the positive side in both paths. Both break vote ties with
-``corpus.best_label``. ``decide`` and ``classify_pairwise`` stay as the
-reference.
+``predict_batch`` computes every kernel value of a block of test rows (CSR
+rows of an encoded batch, or of extracted vectors) with one product. Each
+pair then sums its terms left to right in stored support-vector order, so
+every raw decision value is bit-identical to ``decide``, and a value of
+exactly 0 votes for the positive side in both paths. Both break vote ties
+with ``corpus.best_label``. ``decide`` and ``classify_pairwise`` stay as
+the reference.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .corpus import Dataset, best_label, is_positive_int, read_label_counts
+from .corpus import Dataset, best_label, is_positive_int, read_label_counts, read_list
 from .features import (FeatureSet, FeatureVector, Vocabulary, encode, read_mode,
-                       to_csr, vectors_against)
+                       rows_against, to_csr)
 
 KKT_TOL = 1e-3         # SMO stops when the maximal violation is at most this
 MAX_ITER = None        # SMO iteration cap per problem; None is 100 per example
@@ -470,22 +471,21 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1) -> BinarySvmModel:
         raise TrainingError("labels must be +1 or -1")
     if not ((y > 0).any() and (y < 0).any()):
         raise TrainingError("both classes must be present")
-    return _train(vectors, [(np.arange(len(y)), y)], [vectors], C, d)[0]
+    X = to_csr(vectors, max((v.ids[-1] + 1 for v in vectors if v.ids), default=0))
+    return _train(X, [(np.arange(len(y)), y)], [vectors], C, d)[0]
 
 
-def _train(vectors, problems, sources, C: float, d: int) -> list[BinarySvmModel]:
+def _train(X, problems, sources, C: float, d: int) -> list[BinarySvmModel]:
     """The model of every problem ``(idx, y)``, in problem order, all solved
-    on one kernel over the feature vectors ``vectors``: ``idx`` are the
-    problem's examples in ``vectors`` and ``y`` their labels. The model of
-    problem ``p`` stores the support vector of example ``i`` as
-    ``sources[p][i]``, which may encode it against another vocabulary than
-    ``vectors``. The problems that converge in the same solver round are
-    finished together, by ``_finish_batch``, and dropped from ``problems``,
-    so that the solver's arrays and the models are not all alive at once."""
+    on one kernel over the rows of the CSR matrix ``X``: ``idx`` are the
+    problem's rows of ``X`` and ``y`` their labels, and ``sources[p][i]`` is
+    the feature vector that problem ``p``'s model stores for row ``i``. The
+    problems that converge in the same solver round are finished together,
+    by ``_finish_batch``, and dropped from ``problems``, so that the
+    solver's arrays and the models are not all alive at once."""
     if error := hyperparameter_error(d, C):
         raise TrainingError(error)
-    n_cols = max((v.ids[-1] + 1 for v in vectors if v.ids), default=1)
-    kern = _kernel_matrix(to_csr(vectors, n_cols), d)
+    kern = _kernel_matrix(X, d)
     models = [None] * len(problems)
     for ps, Y, alpha, grad, n_iter in _smo(kern, problems, C):
         batch = _finish_batch(kern, [problems[p][0] for p in ps],
@@ -502,10 +502,10 @@ def _finish_batch(kern, idxs, sources, Y: np.ndarray, alpha: np.ndarray,
     them: row ``r`` of the padded ``Y``, ``alpha`` and ``grad`` is the
     problem whose examples are ``idxs[r]`` in the kernel, and
     ``sources[r][i]`` is the feature vector that its model stores for
-    kernel row ``i``. Every value equals that of finishing each problem on
-    its own: only the decision values take a product per problem, and the
-    rest are elementwise operations and extrema, which padding cannot
-    change."""
+    kernel row ``i``. Every value equals that of finishing each
+    problem on its own: only the decision values take a product per
+    problem, and the rest are elementwise operations and extrema, which
+    padding cannot change."""
     active = alpha > ALPHA_FLOOR
     coef = alpha * Y
     # the active columns of every row, in row order
@@ -605,8 +605,7 @@ class PairwiseModel:
                 raise ValueError(f"support vector {sv!r} has a feature id "
                                  f"outside [0, {len(vocab)})")
         # padding points at column 0, so keep one even with no support vectors
-        self._sv_t = to_csr(list(column) or [FeatureVector()],
-                            max(len(vocab), 1)).T.tocsr()
+        self._sv_t = to_csr(list(column) or [FeatureVector()], len(vocab)).T.tocsr()
         # test rows per block, so that one block's terms stay near BLOCK_TERMS
         self._block_rows = max(1, BLOCK_TERMS // max(1, self._cols.size))
         self._pos = np.array([label_index[a] for a, _ in self.models], dtype=np.intp)
@@ -618,34 +617,34 @@ class PairwiseModel:
     def predict_batch(self, examples) -> list[str]:
         """Labels of ``examples``, equal to ``classify_pairwise`` on each.
 
-        Examples are encoded (``features.vectors_against``) and scored in
+        Examples are encoded (``features.rows_against``) and scored in
         blocks sized so that a block's rows times padded support-vector
         terms stay near ``BLOCK_TERMS``.
         """
         n_labels = len(self.labels)
         labels: list[str] = []
-        fvs = vectors_against(examples, self.mode, self.vocab)
-        for start in range(0, len(fvs), self._block_rows):
-            block = fvs[start:start + self._block_rows]
+        X = rows_against(examples, self.mode, self.vocab)
+        for start in range(0, X.shape[0], self._block_rows):
+            block = X[start:start + self._block_rows]
+            n = block.shape[0]
             winners = np.where(self.decision_values(block) >= 0, self._pos, self._neg)
-            flat = (np.arange(len(block))[:, None] * n_labels + winners).ravel()
-            votes = np.bincount(flat, minlength=len(block) * n_labels).reshape(
-                len(block), n_labels)
+            flat = (np.arange(n)[:, None] * n_labels + winners).ravel()
+            votes = np.bincount(flat, minlength=n * n_labels).reshape(n, n_labels)
             labels += [best_label(dict(zip(self.labels, row)), self.label_counts)
                        for row in votes.tolist()]
         return labels
 
-    def decision_values(self, fvs) -> np.ndarray:
+    def decision_values(self, X) -> np.ndarray:
         """Raw decision value of every pair classifier (columns, in
-        ``self.models`` order) for every feature vector (rows), each
-        extracted against ``self.vocab``.
+        ``self.models`` order) for every row of the CSR block ``X``, whose
+        columns are ``self.vocab``.
 
         One sparse product with the stacked support vectors gives every
         kernel value. Each pair then sums its terms left to right in stored
         support-vector order, as ``decide`` does, so every value is
-        bit-identical to ``decide(m, fv)[0]``.
+        bit-identical to ``decide(m, fv)[0]`` for the row's vector ``fv``.
         """
-        K = _poly(to_csr(fvs, max(len(self.vocab), 1)) @ self._sv_t, self.d)
+        K = _poly(X @ self._sv_t, self.d)
         terms = K[:, self._cols]  # (rows, pairs, padded support vectors)
         terms *= self._coef
         # cumsum adds sequentially; a pairwise-summing reduction would not
@@ -664,11 +663,12 @@ class PairwiseModel:
 
     @classmethod
     def from_dict(cls, payload) -> "PairwiseModel":
-        """Model from its ``to_dict`` payload. Raises ValueError unless every
-        pair of labels with a training count has a classifier. Older files
-        may also list labels absent from training (without a count), and
-        pairs with one such side, which are ignored: each voted for its
-        present side, one vote for every present label, changing no winner."""
+        """Model from its ``to_dict`` payload. Raises ValueError unless the
+        labels are a list and every pair of labels with a training count
+        has a classifier. Older files may also list labels absent from
+        training (without a count), and pairs with one such side, which are
+        ignored: each voted for its present side, one vote for every present
+        label, changing no winner."""
         if error := hyperparameter_error(payload["d"], payload["C"]):
             raise ValueError(error)
         mode = read_mode(payload["mode"])
@@ -680,7 +680,7 @@ class PairwiseModel:
             if pair not in models:
                 raise ValueError(f"no classifier for the label pair {pair}")
         return cls(
-            payload["labels"],
+            read_list(payload, "labels"),
             models,
             label_counts,
             vocab,
@@ -694,39 +694,42 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0,
                    d: int = 1) -> PairwiseModel:
     """Train one binary model per unordered pair of the labels in
     ``dataset``, so both sides of every pair have training examples: the
-    one-subset case of ``train_pairwise_many``. Each pair model is identical
-    to ``train_binary_svm`` on the pair alone. If a pair reaches its
-    iteration cap, the first such pair in pair order raises
+    one-subset case of ``train_pairwise_slices``. Each pair model is
+    identical to ``train_binary_svm`` on the pair alone. If a pair reaches
+    its iteration cap, the first such pair in pair order raises
     ConvergenceError.
     """
-    return train_pairwise_many(dataset, [range(len(dataset))], mode, C, d)[0]
+    return train_pairwise_slices([encode(dataset, mode)], C, d)[0]
 
 
-def train_pairwise_many(dataset: Dataset, subsets, mode: FeatureSet,
-                        C: float = 1.0, d: int = 1) -> list[PairwiseModel]:
-    """The pairwise model of ``dataset.subset(s)`` for each index sequence
-    ``s`` of ``subsets``, all from one solve.
+class _SliceVectors(dict):
+    """A training slice's rows of ``X`` as feature vectors against its
+    columns ``used``: ``self[r]`` is built when first read."""
 
-    The dataset is encoded once, by ``encode``, and each subset's model is
-    built from the subset's slice of that encoding, so it equals
-    ``train_pairwise(dataset.subset(s), ...)``. The kernel is built once
-    over the rows of the whole encoding, within the budget of
-    ``KERNEL_ENTRIES`` values (dense up to 4096 examples, a row cache
-    above). A subset's kernel is its slice, since kernel values are
-    intersection counts, which no slice's renumbering changes, so the pair
-    problems of every subset are posed as dataset indices and one lockstep
-    solver runs them all. Errors are those of training the subsets one by
-    one: the first subset that cannot train (empty, or one label) raises,
-    unless a pair of an earlier subset reaches its iteration cap, in which
-    case the first such pair in (subset, pair) order raises
-    ConvergenceError.
-    """
-    data = encode(dataset, mode)
+    def __init__(self, X, used):
+        self._ids, self._ends = X.indices, X.indptr.tolist()
+        self._local = np.searchsorted(used, np.arange(X.shape[1]))  # a used column's id
+
+    def __missing__(self, r: int) -> FeatureVector:
+        ids = self._local[self._ids[self._ends[r]:self._ends[r + 1]]]
+        vector = self[r] = FeatureVector(ids.tolist())
+        return vector
+
+
+def train_pairwise_slices(trains, C: float = 1.0, d: int = 1) -> list[PairwiseModel]:
+    """The pairwise model of each training set of ``trains``, one or more
+    slices of one corpus encoding under one feature set
+    (``features.EncodedDataset``), all from one solve on one kernel over the
+    corpus rows they use; each equals ``train_pairwise`` of that slice
+    alone. Errors are those of training the slices one by one: the first
+    slice that cannot train (empty, or one label) raises, unless a pair of
+    an earlier slice reaches its iteration cap, in which case the first such
+    pair in (slice, pair) order raises ConvergenceError."""
+    trains = list(trains)
+    rows = np.unique(np.concatenate([sub.rows for sub in trains]))
+    X = trains[0].corpus.rows(rows, trains[0].mode)
     problems, sources, fits, error = [], [], [], None
-    for s in subsets:
-        idx = np.asarray(s, dtype=np.intp)
-        index = idx.tolist()
-        sub = data.subset(index)
+    for sub in trains:
         if len(sub) == 0:
             error = ValueError("cannot train on an empty dataset")
             break
@@ -734,22 +737,21 @@ def train_pairwise_many(dataset: Dataset, subsets, mode: FeatureSet,
             error = TrainingError("pairwise training needs at least 2 labels")
             break
         by_label: dict[str, list[int]] = {}
-        for pos, ex in enumerate(sub):
+        for pos, ex in zip(np.searchsorted(rows, sub.rows).tolist(), sub):
             by_label.setdefault(ex.label, []).append(pos)
         pairs = list(combinations(sub.labels, 2))
         for a, b in pairs:
-            problems.append((idx[by_label[a] + by_label[b]],
-                             np.array([1.0] * len(by_label[a])
-                                      + [-1.0] * len(by_label[b]))))
-        sources += [dict(zip(index, sub.vectors))] * len(pairs)
+            y = [1.0] * len(by_label[a]) + [-1.0] * len(by_label[b])
+            problems.append((np.array(by_label[a] + by_label[b]), np.array(y)))
+        sources += [_SliceVectors(X, sub.used)] * len(pairs)
         fits.append((sub, pairs))
     if error is not None and not fits:
         raise error
-    models = iter(_train(data.vectors, problems, sources, C, d))
+    models = iter(_train(X, problems, sources, C, d))
     if error is not None:
         raise error
     return [PairwiseModel(sub.labels, dict(zip(pairs, models)), sub.label_counts,
-                          sub.vocab, mode, C, d)
+                          sub.vocab, sub.mode, C, d)
             for sub, pairs in fits]
 
 

@@ -3,7 +3,7 @@ that ``tamkit.svm._smo`` runs in lockstep over many problems, the
 one-problem finisher that ``tamkit.svm._finish_batch`` runs on every problem
 of a solver round at once, the KKT violation and midpoint bias of the
 optimality conditions, and the per-subset training that
-``tamkit.svm.train_pairwise_many`` does in one solve."""
+``tamkit.svm.train_pairwise_slices`` does in one solve."""
 
 import numpy as np
 
@@ -13,8 +13,15 @@ from tamkit.svm import (ALPHA_FLOOR, UPDATE_EPS, BinarySvmModel, ConvergenceErro
 
 def train_pairwise_each(dataset, subsets, mode, C=1.0, d=1):
     """The pairwise model of every subset, each trained on its own: what
-    ``train_pairwise_many(dataset, subsets, mode, C, d)`` must return."""
+    ``train_pairwise_slices`` of the subsets' slices of one encoding of
+    ``dataset`` must return."""
     return [train_pairwise(dataset.subset(s), mode, C, d) for s in subsets]
+
+
+def train_pairwise_each_slice(trains, C=1.0, d=1):
+    """The pairwise model of every training slice, each trained on its own:
+    what ``train_pairwise_slices(trains, C, d)`` must return."""
+    return [train_pairwise(train, train.mode, C, d) for train in trains]
 
 
 def reference_smo(K: np.ndarray, y: np.ndarray, C: float, kkt_tol: float,

@@ -90,6 +90,11 @@ class TestExitCodes:
     ["train", "--input", "absent.tsv", "--out", "m.json"],
     ["train", "--input", "absent.tsv", "--method", "baseline", "--out", "m.json"],
     ["cross-domain", "--train", "absent.tsv", "--test", "absent.tsv"],
+    # --folds 1 withholds the whole overlap at once; fewer is no plan
+    ["cross-domain", "--train", "absent.tsv", "--test", "absent.tsv",
+     "--method", "dlist", "--folds", "0"],
+    ["cross-domain", "--train", "absent.tsv", "--test", "absent.tsv",
+     "--method", "dlist", "--folds", "-3"],
     ["eval", "--input", "absent.tsv"],
     ["eval", "--input", "absent.tsv", "--model", "m.json", "--method", "svm"],
     ["cv", "--input", "absent.tsv"],
@@ -604,7 +609,8 @@ class TestModelFiles:
 
     @pytest.mark.parametrize("method, case", [
         ("knn", "sentence 5"), ("knn", "k 2.5"), ("knn", "k true"),
-        ("knn", "label 7"), ("knn", "empty label"),
+        ("knn", "label 7"), ("knn", "empty label"), ("knn", "string lists"),
+        ("maxent", "labels string"), ("svm", "labels string"),
         ("dlist", "count 0"), ("dlist", "count -3"), ("dlist", "count 1.5"),
         ("dlist", "repeated count label"), ("dlist", "no label counts"),
         ("maxent", "nan weight"), ("maxent", "infinite weight"),
@@ -622,7 +628,9 @@ class TestModelFiles:
         # file, and a knn label 7, a dlist count of -3 or a repeated maxent
         # label loaded and predicted with exit 0; so did a mode of true or
         # 1.0 (as feature set 1) and a mode whose features the vocabulary
-        # lacks, which predicted the majority label throughout
+        # lacks, which predicted the majority label throughout; so did
+        # knn sentences and labels, or maxent labels, given as JSON strings
+        # (read as lists of characters)
         path = tmp_path / "model.json"
         assert main(["train", "--input", str(corpus_file), "--method", method,
                      "--out", str(path)]) == 0
@@ -636,6 +644,10 @@ class TestModelFiles:
                  "mode 2": 2, "mode 3": 3}.get(case)
         if case == "sentence 5":
             payload["sentences"][0] = value
+        elif case == "string lists":
+            payload.update(k=1, sentences="abc", labels="xyz")
+        elif case == "labels string":
+            payload["labels"] = "xyz"[:len(payload["labels"])]
         elif case.startswith("k "):
             payload["k"] = value
         elif method == "knn":

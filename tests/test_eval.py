@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from svm_reference import train_pairwise_each
+from svm_reference import train_pairwise_each_slice
 from synth import (domain_corpus, modality_corpus, random_token_corpus,
                    table1_corpus)
 from tamkit import evaluate
@@ -261,6 +261,20 @@ class TestGridCell:
         assert grid_cell(spec, ds, plan, mode) == (
             cross_validate(spec, ds, plan, mode), closed_test(spec, ds, mode))
 
+    @pytest.mark.parametrize("spec, mode", [
+        (spec, mode) for spec in (LearnerSpec("knn", k=1), LearnerSpec("dlist"),
+                                  LearnerSpec("maxent"), LearnerSpec("svm", d=1),
+                                  LearnerSpec("svm", d=2))
+        for mode in (FeatureSet.FS2, FeatureSet.FS3) if mode in spec.feature_sets])
+    def test_examples_without_features(self, spec, mode):
+        # empty sentences have no feature under feature set 2 or 3: every
+        # slice and batch of held-out rows has zero columns, and every
+        # learner predicts the majority label of its training set
+        ds = Dataset(Example(label, "") for label in "xxxyy")
+        open_rep, closed_rep = grid_cell(spec, ds, split_folds(ds, 5, seed=0), mode)
+        assert [pred for _, _, pred in open_rep.predictions] == ["x"] * 5
+        assert (open_rep.precision, closed_rep.precision) == (0.6, 0.6)
+
     def test_fold_plan_must_match(self):
         ds = _suffix_corpus()
         plan = split_folds(ds.subset(range(4)), 2, seed=0)
@@ -307,7 +321,8 @@ class TestSvmSubsetsInOneSolve:
     def each_subset(self, monkeypatch):
         def run(report):
             with monkeypatch.context() as patch:
-                patch.setattr(evaluate, "train_pairwise_many", train_pairwise_each)
+                patch.setattr(evaluate, "train_pairwise_slices",
+                              train_pairwise_each_slice)
                 return report()
         return run
 

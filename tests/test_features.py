@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -183,10 +185,10 @@ class TestEncode:
         examples = examples + data.draw(repeats)
         permuted = data.draw(st.permutations(examples))
         encoded = encode(Dataset(examples), mode)
-        vocab, vectors = encoded.vocab, encoded.vectors
+        vocab = encoded.vocab
         assert list(vocab) == sorted(set().union(
             *(example_features(ex, mode) for ex in examples)))
-        assert vectors == [extract(ex, mode, vocab) for ex in examples]
+        assert rows(encoded.X) == [extract(ex, mode, vocab) for ex in examples]
         assert list(encode(Dataset(permuted), mode).vocab) == list(vocab)
         assert list(Vocabulary.from_dataset(Dataset(examples), mode)) == list(vocab)
 
@@ -229,6 +231,15 @@ class TestEncode:
         assert knn_suffixes == []
 
 
+def rows(X) -> list[FeatureVector]:
+    """The rows of a CSR matrix as feature vectors, after checking that
+    its indices are sorted and its data 1.0: maxent's score sums a row's
+    weights in id order, and every kernel value is an intersection count."""
+    assert X.has_sorted_indices and (X.data == 1.0).all()
+    ids, ends = X.indices.tolist(), X.indptr.tolist()
+    return [FeatureVector(ids[a:b]) for a, b in zip(ends, ends[1:])]
+
+
 class TestCorpusEncoding:
     @settings(max_examples=200, deadline=None)
     @given(CORPORA, st.sampled_from(tuple(FeatureSet)), st.data())
@@ -242,13 +253,15 @@ class TestCorpusEncoding:
         assert list(train.vocab) == sorted(set().union(
             *(example_features(ds[i], mode) for i in train_idx)))
         assert list(train.vocab) == list(expected.vocab)
-        assert train.vectors == expected.vectors
+        assert rows(train.X) == rows(expected.X) == [
+            extract(ds[i], mode, train.vocab) for i in train_idx]
+        assert train.X.shape == (len(train_idx), len(train.vocab))
         assert train.examples == ds.subset(train_idx).examples
-        assert whole.subset(list(train_idx)) is train  # built once
         test_idx = data.draw(indices)
         held_out = whole.held_out(test_idx, train)
         assert list(held_out) == [ds[i] for i in test_idx]
-        assert held_out.vectors == [extract(ds[i], mode, train.vocab)
+        assert held_out.X.shape == (len(test_idx), len(train.vocab))
+        assert rows(held_out.X) == [extract(ds[i], mode, train.vocab)
                                     for i in test_idx]
         # a slice of a slice, and held-out rows of another slice against
         # it, as a cross-domain evaluation reads them
@@ -256,21 +269,50 @@ class TestCorpusEncoding:
                               if len(train) else st.just([]))
         inner = train.subset(inner_idx)
         expected = encode(ds.subset(train_idx).subset(inner_idx), mode)
-        assert (list(inner.vocab), inner.vectors) == (list(expected.vocab),
-                                                      expected.vectors)
+        assert (list(inner.vocab), rows(inner.X)) == (list(expected.vocab),
+                                                      rows(expected.X))
         other = whole.subset(test_idx)
-        assert other.held_out(range(len(other)), inner).vectors == [
+        assert rows(other.held_out(range(len(other)), inner).X) == [
             extract(ds[i], mode, inner.vocab) for i in test_idx]
+        # the label-count table is the counts of each feature's examples
+        counts = [Counter() for _ in inner.vocab]
+        for ex in inner:
+            for feat in example_features(ex, mode):
+                counts[inner.vocab.lookup(feat)][ex.label] += 1
+        assert inner.label_counts_by_feature() == counts
 
     @pytest.mark.parametrize("mode", list(FeatureSet))
     def test_whole_dataset_of_its_own_feature_set_is_not_remapped(self, mode):
         ds = modality_corpus(30, seed=1)
         encoding = CorpusEncoding(ds, mode)
         whole = encoding.dataset()
-        assert whole.vocab is encoding.vocab and whole.vectors == encoding.vectors
+        assert list(whole.vocab) == list(encoding.vocab)
+        assert rows(whole.X) == rows(encoding.X)
         assert encode(whole, mode) is whole
         assert whole.subset(range(len(ds))) is whole
-        assert whole.held_out(range(len(ds)), whole).vectors == whole.vectors
+        assert rows(whole.held_out(range(len(ds)), whole).X) == rows(whole.X)
+
+    @pytest.mark.parametrize("mode", [FeatureSet.FS2, FeatureSet.FS3])
+    def test_examples_without_features_give_zero_column_slices(self, mode):
+        # empty sentences have no suffix and no token, so under feature
+        # set 2 or 3 a slice of them uses no column
+        ds = Dataset([Example("x", ""), Example("y", ""), Example("x", "", ("a",))])
+        whole = CorpusEncoding(ds).dataset(mode)
+        train = whole.subset([0, 1])
+        assert len(train.vocab) == 0 and train.X.shape == (2, 0)
+        assert rows(train.X) == [FeatureVector()] * 2
+        assert train.label_counts_by_feature() == []
+        held_out = whole.held_out([2], train)
+        assert held_out.X.shape == (1, 0) and rows(held_out.X) == [FeatureVector()]
+
+    def test_a_slice_is_freed_when_its_caller_drops_it(self):
+        whole = CorpusEncoding(modality_corpus(30, seed=1)).dataset(FeatureSet.FS1)
+        train = whole.subset(range(0, 30, 2))
+        whole.held_out(range(1, 30, 2), train)
+        ref = weakref.ref(train)
+        del train
+        gc.collect()
+        assert ref() is None
 
     def test_columns_are_the_feature_sets_ranges(self):
         ex = Example("x", "今日 走る", ("今日", "走る"))

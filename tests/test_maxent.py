@@ -10,7 +10,7 @@ from maxent_reference import expectation_residual
 from synth import random_token_corpus
 from tamkit.corpus import Dataset, Example
 from tamkit import maxent
-from tamkit.features import FeatureSet, FeatureVector, extract
+from tamkit.features import FeatureSet, FeatureVector, extract, to_csr
 from tamkit.maxent import MaxEntModel, classify_maxent, train_maxent
 
 
@@ -207,7 +207,7 @@ def test_batch_prediction_equals_classifying_each(seed, mode):
     queries.append(Example("A", "", ()))
     model = train_maxent(train, mode)
     fvs = [extract(ex, mode, model.vocab) for ex in queries]
-    rows = maxent._classify_rows(model, fvs)
+    rows = maxent._classify_rows(model, to_csr(fvs, len(model.vocab)))
     assert model.predict_batch(queries) == [label for label, _ in rows]
     for fv, (label, dist) in zip(fvs, rows):
         assert (label, dist) == classify_maxent(model, fv)

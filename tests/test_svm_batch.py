@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from svm_reference import finish_one, reference_smo, train_pairwise_each
 from tamkit import svm
 from tamkit.corpus import Dataset, Example
-from tamkit.features import FeatureSet, FeatureVector, Vocabulary, extract, to_csr
+from tamkit.features import (FeatureSet, FeatureVector, Vocabulary, encode, extract,
+                             to_csr)
 from tamkit.svm import (
     KKT_TOL,
     BinarySvmModel,
@@ -27,7 +28,7 @@ from tamkit.svm import (
     decide,
     train_binary_svm,
     train_pairwise,
-    train_pairwise_many,
+    train_pairwise_slices,
 )
 
 LABELS = ("a", "b", "c", "d")
@@ -52,7 +53,7 @@ def assert_batch_matches_reference(model, queries):
     fvs = vectors(model, queries)
     assert model.predict_batch(queries) == [classify_pairwise(model, fv)
                                             for fv in fvs]
-    raw = model.decision_values(fvs)
+    raw = model.decision_values(to_csr(fvs, len(model.vocab)))
     for r, fv in enumerate(fvs):
         for j, binary in enumerate(model.models.values()):
             assert raw[r, j] == decide(binary, fv)[0]
@@ -371,6 +372,12 @@ def subset_lists(draw, ds):
             for mask in draw(st.lists(masks, min_size=1, max_size=4))]
 
 
+def slices(ds, subsets, mode):
+    """The slices of one encoding of ``ds`` that ``subsets`` index."""
+    whole = encode(ds, mode)
+    return [whole.subset(s) for s in subsets]
+
+
 def outcome(train):
     """The models ``train()`` returns, as their JSON text and pair
     diagnostics, or the type, message and dual value of what it raises."""
@@ -391,7 +398,7 @@ def assert_joint_equals_each(ds, mode, d, data):
     if len({ds[i].label for i in without_last}) >= 2:
         subsets.append(without_last)
     subsets.append(range(len(ds)))
-    joint = outcome(lambda: train_pairwise_many(ds, subsets, mode, d=d))
+    joint = outcome(lambda: train_pairwise_slices(slices(ds, subsets, mode), d=d))
     assert joint == outcome(lambda: train_pairwise_each(ds, subsets, mode, d=d))
 
 
@@ -419,7 +426,7 @@ def test_joint_errors_equal_training_each_subset(ds, mode, d, data):
     subsets = data.draw(subset_lists(ds))
     max_iter = data.draw(st.sampled_from((None, 1, 2, 3, 5, 8)))
     with mock.patch.object(svm, "MAX_ITER", max_iter):
-        joint = outcome(lambda: train_pairwise_many(ds, subsets, mode, d=d))
+        joint = outcome(lambda: train_pairwise_slices(slices(ds, subsets, mode), d=d))
         each = outcome(lambda: train_pairwise_each(ds, subsets, mode, d=d))
     assert joint == each
 
@@ -432,10 +439,10 @@ def test_error_of_first_untrainable_subset_after_a_capped_one():
         ("b", ("t3",)), ("c", ("t5",)))])
     subsets = [range(5), [0, 1], [2, 3, 4]]
     with pytest.raises(TrainingError, match="at least 2 labels"):
-        train_pairwise_many(ds, subsets, FeatureSet.FS3)
+        train_pairwise_slices(slices(ds, subsets, FeatureSet.FS3))
     with mock.patch.object(svm, "MAX_ITER", 1):
         with pytest.raises(ConvergenceError) as info:
-            train_pairwise_many(ds, subsets, FeatureSet.FS3)
+            train_pairwise_slices(slices(ds, subsets, FeatureSet.FS3))
         with pytest.raises(ConvergenceError) as alone:
             train_pairwise(ds, FeatureSet.FS3)
     assert info.value.dual_value == alone.value.dual_value
