@@ -33,6 +33,7 @@ from .evaluate import (
     cross_domain_eval,
     cross_validate,
     effective_features,
+    evaluate_grid,
     evaluate_model,
     fit,
     fit_subsets,

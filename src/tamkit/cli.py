@@ -36,12 +36,12 @@ from .evaluate import (
     cross_domain_eval,
     cross_validate,
     effective_features,
+    evaluate_grid,
     evaluate_model,
     fit,
-    grid_cell,
     sign_test,
 )
-from .features import CorpusEncoding, FeatureSet
+from .features import FeatureSet
 from .svm import TrainingError
 from .storage import load_model, model_method, save_model
 
@@ -228,17 +228,13 @@ def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     """Run the whole method-by-feature-set grid and print an aligned matrix
     of open (closed) precisions.
 
-    Every example is extracted once, under feature set 1. The grid runs one
-    feature set at a time, on that set's columns of the encoding; each
-    cell builds its folds' training slices and held-out rows by CSR row and
-    column indexing, and frees them when it is done."""
-    encoding = CorpusEncoding(dataset)
-    cells = {}
-    for mode in FeatureSet:
-        encoded = encoding.dataset(mode)
-        for spec in GRID:
-            if mode in spec.feature_sets:
-                cells[spec, mode] = grid_cell(spec, encoded, plan, mode)
+    ``evaluate_grid`` extracts every example once, under feature set 1, and
+    runs one feature set at a time, on that set's columns of the encoding:
+    its folds' training slices, their held-out rows and the closed set are
+    built once, read by every learner, and freed before the next feature
+    set; both SVM degrees train in one solve."""
+    cells = evaluate_grid([(spec, mode) for mode in FeatureSet for spec in GRID
+                           if mode in spec.feature_sets], dataset, plan)
     lines = [f"{'method':<18} {'feature-set 1':>20} {'feature-set 2':>20} "
              f"{'feature-set 3':>20}"]
     for spec in GRID:

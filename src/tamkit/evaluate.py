@@ -9,9 +9,17 @@ is assembled in a single reduction at the end.
 An evaluation encodes its corpus once (``features.encode``): each fold's
 model trains on a slice of that encoding and predicts the fold's held-out
 examples from their rows of it, so no example is extracted twice. A corpus
-that is already an ``EncodedDataset``, such as one feature set of the
-``cv --all`` grid, is not encoded again. Slices are CSR row and column
-indexing, built where an evaluation uses them and not memoised.
+that is already an ``EncodedDataset`` is not encoded again. Slices are CSR
+row and column indexing, built where an evaluation uses them and not
+memoised.
+
+A grid of learners and feature sets (``evaluate_grid``, the ``cv --all``
+matrix) extracts its corpus once, under feature set 1, and runs one feature
+set at a time as one unit: each fold's training slice, its held-out rows
+and the closed training set are built once and read by every learner of
+that feature set, as is each slice's label-count table, and the SVM
+learners' models of every slice and degree come from one solve. That
+shared structure is freed before the next feature set's is built.
 """
 
 from __future__ import annotations
@@ -19,10 +27,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .corpus import Dataset, FoldPlan, split_folds
 from .declist import train_declist
-from .features import Feature, FeatureSet, encode, example_features
+from .features import (CorpusEncoding, EncodedDataset, Feature, FeatureSet, encode,
+                       example_features)
 from .knn import KnnModel, train_knn
 from .maxent import train_maxent
 from .svm import hyperparameter_error, train_pairwise, train_pairwise_slices
@@ -129,7 +141,7 @@ def fit_subsets(spec: LearnerSpec, dataset: Dataset, subsets, mode: FeatureSet):
     trains = (dataset.subset(s) for s in subsets)
     if spec.method == "svm":
         trains = list(trains)
-        return zip(train_pairwise_slices(trains, C=spec.C, d=spec.d), trains)
+        return zip(train_pairwise_slices(trains, C=spec.C, degrees=(spec.d,)), trains)
     return ((fit(spec, train, mode), train) for train in trains)
 
 
@@ -164,7 +176,8 @@ def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
     folds = _folds(dataset, plan)
     dataset = _encoded(spec, dataset, mode)
     fits = fit_subsets(spec, dataset, [train for train, _ in folds], mode)
-    return _evaluate(dataset, [test for _, test in folds], fits, closed=False)
+    tests = [test for _, test in folds]
+    return _evaluate(len(dataset), _held_out(dataset, tests, fits), closed=False)
 
 
 def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> PrecisionReport:
@@ -178,16 +191,82 @@ def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> Precis
 def grid_cell(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
               mode: FeatureSet) -> tuple[PrecisionReport, PrecisionReport]:
     """The ``cross_validate`` and ``closed_test`` reports of one cell of
-    the ``cv --all`` grid, with the closed model fitted after the folds'
-    models, so that the SVM trains all of them in one solve."""
+    the ``cv --all`` grid: the one-cell case of ``evaluate_grid``."""
+    return evaluate_grid([(spec, mode)], dataset, plan)[spec, FeatureSet(mode)]
+
+
+def evaluate_grid(cells, dataset: Dataset, plan: FoldPlan
+                  ) -> dict[tuple[LearnerSpec, FeatureSet],
+                            tuple[PrecisionReport, PrecisionReport]]:
+    """The ``cross_validate`` and ``closed_test`` reports of every cell
+    ``(spec, mode)`` of ``cells``, after checking the fold plan and every
+    cell. The examples are extracted once, into one corpus encoding, and
+    the cells run one feature set at a time, each feature set as one unit
+    (``_grid_column``)."""
     folds = _folds(dataset, plan)
-    dataset = _encoded(spec, dataset, mode)
-    everything = range(len(dataset))
-    fits = fit_subsets(spec, dataset, [train for train, _ in folds] + [everything],
-                       mode)
-    open_rep = _evaluate(dataset, [test for _, test in folds], fits, closed=False)
-    return open_rep, _evaluate(dataset, [everything], fits,
-                               closed=spec.method != "baseline")
+    cells = [(spec, FeatureSet(mode)) for spec, mode in cells]
+    for spec, mode in cells:
+        spec.check(mode)
+    corpus = CorpusEncoding(dataset)  # feature set 1 covers all three
+    reports = {}
+    for mode in dict.fromkeys(mode for _, mode in cells):
+        specs = [spec for spec, m in cells if m == mode]
+        reports.update(((spec, mode), pair) for spec, pair in
+                       _grid_column(specs, corpus, folds, mode).items())
+    return reports
+
+
+class _GridSlice(EncodedDataset):
+    """A training slice that every learner of one feature set of a grid
+    trains on: its label-count table is computed on first use and kept with
+    the slice, which the grid frees once its learners are done with it."""
+
+    @cached_property
+    def _label_counts(self) -> list[dict[str, int]]:
+        return super().label_counts_by_feature()
+
+    def label_counts_by_feature(self) -> list[dict[str, int]]:
+        return self._label_counts
+
+
+def _grid_column(specs, corpus: CorpusEncoding, folds, mode: FeatureSet):
+    """``{spec: (open report, closed report)}`` for every learner of
+    ``specs`` on feature set ``mode``. Each fold's training slice and
+    held-out rows, and the closed training set and its rows, are built once
+    and read by every learner. The SVM learners run first: those of one C
+    train every slice at all their degrees in one solve
+    (``svm.train_pairwise_slices``), whose kernel is the largest
+    allocation, before any label-count table or other model exists. The
+    other learners then run one slice at a time, each model freed before
+    the next trains, and each slice, with its table, once they are done
+    with it."""
+    n = len(corpus.examples)
+    tests = [test for _, test in folds] + [range(n)]
+    trains = [_GridSlice(corpus, train, mode) for train, _ in folds]
+    trains.append(_GridSlice(corpus, np.arange(n), mode))
+    batches = [trains[-1].held_out(test, train) for test, train in zip(tests, trains)]
+    predicted = {spec: [] for spec in specs}  # labels per slice
+    svms = [spec for spec in predicted if spec.method == "svm"]
+    for C in dict.fromkeys(spec.C for spec in svms):
+        degrees = tuple(dict.fromkeys(spec.d for spec in svms if spec.C == C))
+        models = train_pairwise_slices(trains, C=C, degrees=degrees)
+        for spec in svms:
+            if spec.C == C:
+                first = degrees.index(spec.d) * len(trains)
+                predicted[spec] = [model.predict_batch(batch) for model, batch in
+                                   zip(models[first:first + len(trains)], batches)]
+        del models
+    others = [spec for spec in predicted if spec.method != "svm"]
+    for k, batch in enumerate(batches):
+        train, trains[k] = trains[k], None
+        for spec in others:
+            model = fit(spec, train, mode)
+            predicted[spec].append(model.predict_batch(batch))
+            del model  # before the next one trains
+    return {spec: (_evaluate(n, zip(tests[:-1], batches, labels), closed=False),
+                   _evaluate(n, [(tests[-1], batches[-1], labels[-1])],
+                             closed=spec.method != "baseline"))
+            for spec, labels in predicted.items()}
 
 
 def _folds(dataset: Dataset, plan: FoldPlan) -> list[tuple[list[int], list[int]]]:
@@ -207,33 +286,43 @@ def _encoded(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> Dataset:
 
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
     """Score an already trained model on a dataset."""
-    return _evaluate(dataset, [range(len(dataset))], iter([(model, dataset)]), closed)
+    everything = range(len(dataset))
+    examples = dataset.held_out(everything, dataset)
+    return _evaluate(len(dataset), [(everything, examples,
+                                     model.predict_batch(examples))], closed)
 
 
-def _evaluate(dataset: Dataset, tests, fits, closed: bool) -> PrecisionReport:
-    """The one scoring loop. For each index sequence of ``tests``, the
-    ``(model, train)`` pair drawn from the iterator ``fits`` predicts
-    ``dataset[i]`` for those indices in one batch, ``dataset.held_out``,
-    which becomes one fold record. When the datasets are slices of one
-    encoding, the batch carries each example's row against the training
-    vocabulary, which the model reads instead of extracting. Each pair is
-    freed before the next is drawn, so two models of k-NN, the decision
-    list or maxent are never alive at once. The SVM models of a
-    cross-validation, a grid cell (with its closed model) or a cross-domain
-    evaluation are trained in one solve by ``fit_subsets``, so they are
-    alive together."""
-    predictions: list[tuple[int, str, str] | None] = [None] * len(dataset)
+def _evaluate(n: int, scored, closed: bool) -> PrecisionReport:
+    """The one scoring loop, over a dataset of ``n`` examples: each
+    ``(indices, examples, predicted)`` of ``scored`` becomes one fold
+    record, where ``examples`` are the dataset's examples at ``indices``
+    and ``predicted`` the labels a model predicted for them in one batch."""
+    predictions: list[tuple[int, str, str] | None] = [None] * n
     fold_results = []
-    for indices in tests:
-        model, train = next(fits)
-        examples = dataset.held_out(indices, train)
+    for indices, examples, labels in scored:
         correct = 0
-        for i, ex, predicted in zip(indices, examples, model.predict_batch(examples)):
+        for i, ex, predicted in zip(indices, examples, labels):
             predictions[i] = (i, ex.label, predicted)
             correct += predicted == ex.label
         fold_results.append((correct, len(examples)))
-        del model, train, examples  # before the next run trains its own
     return PrecisionReport(tuple(fold_results), tuple(predictions), closed)
+
+
+def _held_out(dataset: Dataset, tests, fits):
+    """For each index sequence of ``tests``, what ``_evaluate`` scores: the
+    examples ``dataset.held_out`` gives for it against the training set of
+    the ``(model, train)`` pair drawn from ``fits``, and the model's labels
+    for them. When the datasets are slices of one encoding, the batch
+    carries each example's row against the training vocabulary, which the
+    model reads instead of extracting. Each pair is dropped before the next
+    is drawn, so two models of k-NN, the decision list or maxent are never
+    alive at once; the SVM models of one call of ``fit_subsets`` are
+    trained in one solve, so they are alive together."""
+    for indices in tests:
+        model, train = next(fits)
+        examples = dataset.held_out(indices, train)
+        yield indices, examples, model.predict_batch(examples)
+        del model, train, examples  # before the next pair trains
 
 
 @dataclass(frozen=True)
@@ -350,6 +439,8 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
     trains on the training data with each copy of the examples it tests
     withheld, which for the disjoint examples withholds nothing.
     """
+    if folds < 1:
+        raise ConfigError("cross-domain needs at least 1 fold")
     if len(train) == 0 or len(test) == 0:
         raise ValueError("train and test datasets must be non-empty")
     train_keys = set(train.examples)
@@ -375,4 +466,4 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
     train = both.subset(range(len(train)))
     test = both.subset(range(len(train), len(both)))
     fits = fit_subsets(spec, train, trains, mode)
-    return _evaluate(test, groups, fits, closed=False)
+    return _evaluate(len(test), _held_out(test, groups, fits), closed=False)

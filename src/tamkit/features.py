@@ -104,12 +104,15 @@ class Vocabulary:
     """Bijective feature <-> dense id map; ids are contiguous from 0.
 
     The ids follow the order of ``features``, repeats dropped. The vocabulary
-    never changes after construction, so it is freely shareable.
+    never changes after construction, so it is freely shareable. The
+    feature -> id map is built on the first :meth:`lookup`: a training
+    slice's vocabulary is read by id only, unless a model extracts against
+    it or is loaded from a file.
     """
 
     def __init__(self, features=()):
         self._features: list[Feature] = list(dict.fromkeys(features))
-        self._ids = {feat: fid for fid, feat in enumerate(self._features)}
+        self._ids: dict[Feature, int] | None = None
 
     @classmethod
     def from_dataset(cls, dataset, mode: FeatureSet) -> "Vocabulary":
@@ -123,6 +126,8 @@ class Vocabulary:
         return iter(self._features)
 
     def lookup(self, feature: Feature) -> int | None:
+        if self._ids is None:
+            self._ids = {feat: fid for fid, feat in enumerate(self._features)}
         return self._ids.get(feature)
 
     def feature(self, fid: int) -> Feature:

@@ -21,29 +21,33 @@ voting. Pairwise trainings are independent; trained models are immutable.
 
 One driver, ``train_pairwise_slices``, trains the pairwise models of many
 training slices of one corpus encoding (``features.EncodedDataset``), such
-as the folds of a cross-validation and its closed fit, in one solve;
-``train_pairwise`` is its one-dataset case. It builds the kernel once over
-the l corpus rows that the slices use, straight from the encoding's CSR
-matrix, within one budget of ``KERNEL_ENTRIES`` values: the dense Gram
-matrix when l * l fits, above it an LRU of ``KERNEL_ENTRIES // l`` rows.
-Kernel values are exact integers, so the kernel is exactly symmetric, a
-slice's kernel is exactly its slice, and neither form can change a model.
-Every pair problem of every slice is posed as row indices into the
-kernel, and ``_train`` (which also serves ``train_binary_svm``, one
-problem) hands them all to one solver, ``_smo``, which runs them in
-lockstep: padded arrays hold all problems, each round takes one step of
-every unfinished problem with a few array operations, and a problem leaves
-the arrays when it converges or reaches its iteration cap. Each problem
-does exactly the arithmetic of the scalar one-problem solver, so its
-multipliers, gradient and iteration count are bit-identical to it. The
-problems that converge in the same round are finished together by
-``_finish_batch``: the bias extrema and the KKT violation of all of them
-come from masked extrema over their padded rows, and only each problem's
-decision values take a product of their own, the same one as finishing it
-alone. So a pair model is identical to one trained on the pair alone; its
-support vectors are read off the kernel's rows against its slice's
-columns. The scalar solver, the one-problem finisher and per-subset
-training are kept in ``tests/svm_reference.py`` as oracles.
+as the folds of a cross-validation and its closed fit, at one or both
+kernel degrees, in one solve; ``train_pairwise`` is its one-dataset,
+one-degree case. It builds the kernel once over the l corpus rows that the
+slices use, straight from the encoding's CSR matrix, within one budget of
+``KERNEL_ENTRIES`` values: the dense Gram matrix when l * l fits, above it
+an LRU of ``KERNEL_ENTRIES // l`` rows. The kernel holds x.y + 1, whatever
+the degree, and a degree-2 problem squares the values it reads. They are
+small exact integers, so every squared value equals (x.y + 1)^2 exactly,
+the kernel is exactly symmetric, a slice's kernel is exactly its slice,
+and neither form can change a model. Every pair problem of every slice
+and degree is posed as row indices into the kernel, and ``_train`` (which
+also serves ``train_binary_svm``, one problem) hands them all to one
+solver, ``_smo``, which runs them in lockstep: padded arrays hold all
+problems, each round takes one step of every unfinished problem with a
+few array operations, and a problem leaves the arrays when it converges or
+reaches its iteration cap. So the problems of both degrees in one chunk
+take as many rounds as the slowest of them, not the sum of the degrees'. Each problem does exactly the
+arithmetic of the scalar one-problem solver, so its multipliers, gradient
+and iteration count are bit-identical to it. The problems that converge in
+the same round are finished together by ``_finish_batch``: the bias
+extrema and the KKT violation of all of them come from masked extrema over
+their padded rows, and only each problem's decision values take a product
+of their own, the same one as finishing it alone. So a pair model is
+identical to one trained on the pair alone; its support vectors are read
+off the kernel's rows against its slice's columns. The scalar solver, the
+one-problem finisher and per-subset training are kept in
+``tests/svm_reference.py`` as oracles.
 
 A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
 one sparse matrix, a row per vocabulary entry, when it is built, and
@@ -107,17 +111,17 @@ def kernel(x: FeatureVector, y: FeatureVector, d: int) -> float:
 
 
 class KernelCache:
-    """Kernel rows computed on demand with a bounded LRU.
+    """Rows of x.y + 1 computed on demand with a bounded LRU; a degree-2
+    problem squares the values it reads.
 
     Rows are rebuilt from the sparse example matrix when evicted, so results
     never depend on cache hits. Used when the full Gram matrix would be too
     large to precompute.
     """
 
-    def __init__(self, X, d: int, capacity: int):
+    def __init__(self, X, capacity: int):
         self._X = X
         self._Xt = X.T.tocsc()
-        self._d = d
         self.capacity = max(1, capacity)
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
 
@@ -126,7 +130,7 @@ class KernelCache:
         if cached is not None:
             self._rows.move_to_end(i)
             return cached
-        row = _poly(self._X @ self._Xt[:, [i]], self._d).ravel()
+        row = _poly(self._X @ self._Xt[:, [i]], 1).ravel()
         self._rows[i] = row
         if len(self._rows) > self.capacity:
             self._rows.popitem(last=False)
@@ -154,7 +158,7 @@ class KernelCache:
 
 
 class _DenseGram:
-    """Fully precomputed kernel matrix for problems that fit in memory."""
+    """Fully precomputed matrix of x.y + 1 for problems that fit in memory."""
 
     def __init__(self, K: np.ndarray):
         self._K = K
@@ -183,17 +187,20 @@ def _poly(counts, d: int) -> np.ndarray:
     Counts are small integers, so every kernel value is exact."""
     K = counts.toarray()
     K += 1.0
-    K **= d
+    if d != 1:
+        K **= d
     return K
 
 
-def _kernel_matrix(X, d: int):
-    """The kernel of the rows of ``X`` within ``KERNEL_ENTRIES`` values: the
-    dense Gram matrix when all l * l fit, else a cache of as many rows as fit."""
+def _kernel_matrix(X):
+    """x.y + 1 for the rows x, y of ``X``, within ``KERNEL_ENTRIES`` values:
+    the dense Gram matrix when all l * l fit, else a cache of as many rows
+    as fit. The values are the same for every degree: a degree-2 problem
+    squares those it reads, which is exact, as they are small integers."""
     l = X.shape[0]
     if l * l <= KERNEL_ENTRIES:
-        return _DenseGram(_poly(X @ X.T, d))
-    return KernelCache(X, d, KERNEL_ENTRIES // l)
+        return _DenseGram(_poly(X @ X.T, 1))
+    return KernelCache(X, KERNEL_ENTRIES // l)
 
 
 def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
@@ -205,10 +212,11 @@ def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
 def _smo(kern, problems, C: float):
     """Maximal-violating-pair SMO on independent problems sharing one kernel.
 
-    ``problems`` is a list of ``(idx, y)``: the indices of a problem's
-    examples in ``kern`` and their labels (+-1.0), as sequences. ``C`` must
-    be positive. Problems are sorted by size and solved in lockstep, in
-    chunks of at most ``SOLVE_TERMS`` padded entries. The problems that
+    ``problems`` is a list of ``(idx, y, d)``: the indices of a problem's
+    examples in ``kern``, their labels (+-1.0), as sequences, and its
+    kernel degree, 1 or 2. ``C`` must be positive. Problems are sorted by
+    size and solved in lockstep, in chunks of at most ``SOLVE_TERMS``
+    padded entries. The problems that
     reach ``KKT_TOL`` in the same round are yielded together, as
     ``(ps, Y, alpha, grad, iterations)``: ``ps`` lists them as indices into
     ``problems``, and row ``r`` of the padded ``Y``, ``alpha`` and ``grad``
@@ -219,7 +227,7 @@ def _smo(kern, problems, C: float):
     the last yield, the first such problem in order raises ConvergenceError.
     """
     C = float(C)
-    sizes = [len(y) for _, y in problems]
+    sizes = [len(y) for _, y, _ in problems]
     caps = [100 * n if MAX_ITER is None else MAX_ITER for n in sizes]
     capped = {}
     order = sorted(range(len(problems)), key=sizes.__getitem__)
@@ -260,27 +268,31 @@ def _smo_lockstep(kern, problems, caps, C: float):
     the working set is the first maximal / minimal ``-y * grad`` over the
     masks, the clipped two-variable update runs on Python floats, and the
     gradient update keeps the scalar operand order. A round gathers the
-    kernel rows of both working-set members at once and updates both
-    columns of the masks at once, through flat offsets into the padded
-    arrays that change only when rows leave them. The problems that reach
-    their cap or ``KKT_TOL`` in a round leave the arrays together, yielded
-    as ``(ks, Y, alpha, grad, iterations)``: ``ks`` are their positions in
+    kernel rows of both working-set members at once, squares them in the
+    rows of degree-2 problems, which come first, and updates both columns
+    of the masks at once, through flat offsets into the padded arrays that
+    change only when rows leave them. The problems that reach their cap or
+    ``KKT_TOL`` in a round leave the arrays together, yielded as
+    ``(ks, Y, alpha, grad, iterations)``: ``ks`` are their positions in
     ``problems`` and the rest their padded rows.
     """
-    sizes = [len(y) for _, y in problems]
-    L = max(sizes)
+    # problem of each row: degree 2 first, so that their rows stay a prefix
+    ids = np.array(sorted(range(len(problems)), key=lambda p: -problems[p][2]),
+                   dtype=np.intp)
+    n_squared = sum(d == 2 for *_, d in problems)
+    L = max(len(y) for _, y, _ in problems)
     G = np.zeros((len(problems), L), dtype=np.intp)
     Y = np.zeros(G.shape)
-    for p, (idx, y) in enumerate(problems):
-        G[p, :sizes[p]] = idx
-        Y[p, :sizes[p]] = y
+    for row, p in enumerate(ids.tolist()):
+        idx, y, _ = problems[p]
+        G[row, :len(y)] = idx
+        Y[row, :len(y)] = y
     alpha = np.zeros(G.shape)
     grad = -np.ones(G.shape)  # gradient of (1/2 a'Qa - sum a), Q_ij = y_i y_j K_ij
     # up: y = +1 with alpha < C, or y = -1 with alpha > 0;
     # low: y = -1 with alpha < C, or y = +1 with alpha > 0
     up, low = Y > 0, Y < 0
-    cap = np.asarray(caps)
-    ids = np.arange(len(problems))  # problem of each remaining row
+    cap = np.asarray(caps)[ids]
     it = min_cap = 0
     relaid = True  # the rows changed: their flat offsets and smallest cap
     while True:
@@ -293,6 +305,7 @@ def _smo_lockstep(kern, problems, caps, C: float):
             keep = ~done
             if not keep.any():
                 return
+            n_squared = int(np.count_nonzero(keep[:n_squared]))
             ids, cap, ij = ids[keep], cap[keep], ij[keep]
             # one array at a time, so that one old copy at most is alive
             G = G[keep]
@@ -316,6 +329,8 @@ def _smo_lockstep(kern, problems, caps, C: float):
         # Q rows (y_i * y) * K_i and (y_j * y) * K_j, written over the
         # kernel rows; Q_ii = K_ii and Q_jj = K_jj, as y * y = 1
         K = kern.gather_keys(keys.take(flat), G)
+        if n_squared:  # (x.y + 1)^2, exact on small integers
+            np.square(K[:n_squared], out=K[:n_squared])
         Q = np.multiply(y[:, :, None] * Y[:, None, :], K, out=K)
         # one (9, P) array of the update's operands, read as nine lists
         new = _pair_updates(*np.concatenate((
@@ -472,39 +487,42 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1) -> BinarySvmModel:
     if not ((y > 0).any() and (y < 0).any()):
         raise TrainingError("both classes must be present")
     X = to_csr(vectors, max((v.ids[-1] + 1 for v in vectors if v.ids), default=0))
-    return _train(X, [(np.arange(len(y)), y)], [vectors], C, d)[0]
+    return _train(X, [(np.arange(len(y)), y, d)], [vectors], C)[0]
 
 
-def _train(X, problems, sources, C: float, d: int) -> list[BinarySvmModel]:
-    """The model of every problem ``(idx, y)``, in problem order, all solved
-    on one kernel over the rows of the CSR matrix ``X``: ``idx`` are the
-    problem's rows of ``X`` and ``y`` their labels, and ``sources[p][i]`` is
-    the feature vector that problem ``p``'s model stores for row ``i``. The
-    problems that converge in the same solver round are finished together,
-    by ``_finish_batch``, and dropped from ``problems``, so that the
-    solver's arrays and the models are not all alive at once."""
-    if error := hyperparameter_error(d, C):
-        raise TrainingError(error)
-    kern = _kernel_matrix(X, d)
+def _train(X, problems, sources, C: float) -> list[BinarySvmModel]:
+    """The model of every problem ``(idx, y, d)``, in problem order, all
+    solved on one kernel over the rows of the CSR matrix ``X``: ``idx`` are
+    the problem's rows of ``X``, ``y`` their labels and ``d`` its kernel
+    degree, and ``sources[p][i]`` is the feature vector that problem
+    ``p``'s model stores for row ``i``. The problems that converge in the
+    same solver round are finished together, by ``_finish_batch``, and
+    dropped from ``problems``, so that the solver's arrays and the models
+    are not all alive at once."""
+    for d in dict.fromkeys(d for *_, d in problems):
+        if error := hyperparameter_error(d, C):
+            raise TrainingError(error)
+    kern = _kernel_matrix(X)
     models = [None] * len(problems)
     for ps, Y, alpha, grad, n_iter in _smo(kern, problems, C):
-        batch = _finish_batch(kern, [problems[p][0] for p in ps],
-                              [sources[p] for p in ps], Y, alpha, grad, n_iter, C, d)
+        batch = _finish_batch(kern, [problems[p] for p in ps],
+                              [sources[p] for p in ps], Y, alpha, grad, n_iter, C)
         for p, model in zip(ps, batch):
             models[p] = model
             problems[p] = None
     return models
 
 
-def _finish_batch(kern, idxs, sources, Y: np.ndarray, alpha: np.ndarray,
-                  grad: np.ndarray, n_iter: int, C: float, d: int) -> list[BinarySvmModel]:
+def _finish_batch(kern, problems, sources, Y: np.ndarray, alpha: np.ndarray,
+                  grad: np.ndarray, n_iter: int, C: float) -> list[BinarySvmModel]:
     """The models of problems solved in the same round, as ``_smo`` yields
     them: row ``r`` of the padded ``Y``, ``alpha`` and ``grad`` is the
-    problem whose examples are ``idxs[r]`` in the kernel, and
-    ``sources[r][i]`` is the feature vector that its model stores for
-    kernel row ``i``. Every value equals that of finishing each
-    problem on its own: only the decision values take a product per
-    problem, and the rest are elementwise operations and extrema, which
+    problem ``problems[r]``, ``(idx, y, d)`` with its examples ``idx`` in
+    the kernel and its degree ``d``, and ``sources[r][i]`` is the feature
+    vector that its model stores for kernel row ``i``. Every value equals
+    that of finishing each problem on its own: only the decision values
+    take a product per problem, of the kernel values it reads (squared at
+    degree 2), and the rest are elementwise operations and extrema, which
     padding cannot change."""
     active = alpha > ALPHA_FLOOR
     coef = alpha * Y
@@ -517,9 +535,12 @@ def _finish_batch(kern, idxs, sources, Y: np.ndarray, alpha: np.ndarray,
     # product would sum in another order
     U = np.zeros(Y.shape)
     actives = []
-    for r, (idx, start, end) in enumerate(zip(idxs, [0] + ends, ends)):
+    for r, ((idx, _, d), start, end) in enumerate(zip(problems, [0] + ends, ends)):
         act = active_cols[start:end]
-        U[r, :len(idx)] = kern.columns(idx, act) @ coef[r, act]
+        K = kern.columns(idx, act)
+        if d == 2:
+            np.square(K, out=K)
+        U[r, :len(idx)] = K @ coef[r, act]
         actives.append(act)
     pos, neg = Y > 0, Y < 0
     b = -(np.where(neg, U, -np.inf).max(axis=1)
@@ -533,8 +554,8 @@ def _finish_batch(kern, idxs, sources, Y: np.ndarray, alpha: np.ndarray,
                      - np.where(low, score, np.inf).min(axis=1))
 
     models = []
-    for r, (idx, vectors, act, y, a, b_r, kkt_r) in enumerate(zip(
-            idxs, sources, actives, Y.tolist(), alpha.tolist(), b.tolist(),
+    for r, ((idx, _, d), vectors, act, y, a, b_r, kkt_r) in enumerate(zip(
+            problems, sources, actives, Y.tolist(), alpha.tolist(), b.tolist(),
             kkt.tolist())):
         n = len(idx)
         info = {
@@ -694,12 +715,12 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0,
                    d: int = 1) -> PairwiseModel:
     """Train one binary model per unordered pair of the labels in
     ``dataset``, so both sides of every pair have training examples: the
-    one-subset case of ``train_pairwise_slices``. Each pair model is
-    identical to ``train_binary_svm`` on the pair alone. If a pair reaches
-    its iteration cap, the first such pair in pair order raises
+    one-subset, one-degree case of ``train_pairwise_slices``. Each pair
+    model is identical to ``train_binary_svm`` on the pair alone. If a pair
+    reaches its iteration cap, the first such pair in pair order raises
     ConvergenceError.
     """
-    return train_pairwise_slices([encode(dataset, mode)], C, d)[0]
+    return train_pairwise_slices([encode(dataset, mode)], C, (d,))[0]
 
 
 class _SliceVectors(dict):
@@ -716,19 +737,22 @@ class _SliceVectors(dict):
         return vector
 
 
-def train_pairwise_slices(trains, C: float = 1.0, d: int = 1) -> list[PairwiseModel]:
-    """The pairwise model of each training set of ``trains``, one or more
+def train_pairwise_slices(trains, C: float = 1.0, degrees=(1,)) -> list[PairwiseModel]:
+    """The pairwise model of each training set of ``trains`` at each kernel
+    degree of ``degrees``, degree by degree: ``trains`` are one or more
     slices of one corpus encoding under one feature set
-    (``features.EncodedDataset``), all from one solve on one kernel over the
-    corpus rows they use; each equals ``train_pairwise`` of that slice
-    alone. Errors are those of training the slices one by one: the first
-    slice that cannot train (empty, or one label) raises, unless a pair of
-    an earlier slice reaches its iteration cap, in which case the first such
-    pair in (slice, pair) order raises ConvergenceError."""
+    (``features.EncodedDataset``), and every model comes from one solve on
+    one kernel over the corpus rows they use, which the degrees share; each
+    equals ``train_pairwise`` of its slice alone at its degree. Errors are
+    those of training the degrees one after another, each on the slices one
+    by one: the first slice that cannot train (empty, or one label) raises,
+    unless a pair of an earlier slice at the first degree reaches its
+    iteration cap; otherwise the first pair in (degree, slice, pair) order
+    that reaches its cap raises ConvergenceError."""
     trains = list(trains)
     rows = np.unique(np.concatenate([sub.rows for sub in trains]))
     X = trains[0].corpus.rows(rows, trains[0].mode)
-    problems, sources, fits, error = [], [], [], None
+    fits, error = [], None
     for sub in trains:
         if len(sub) == 0:
             error = ValueError("cannot train on an empty dataset")
@@ -740,19 +764,27 @@ def train_pairwise_slices(trains, C: float = 1.0, d: int = 1) -> list[PairwiseMo
         for pos, ex in zip(np.searchsorted(rows, sub.rows).tolist(), sub):
             by_label.setdefault(ex.label, []).append(pos)
         pairs = list(combinations(sub.labels, 2))
-        for a, b in pairs:
-            y = [1.0] * len(by_label[a]) + [-1.0] * len(by_label[b])
-            problems.append((np.array(by_label[a] + by_label[b]), np.array(y)))
-        sources += [_SliceVectors(X, sub.used)] * len(pairs)
-        fits.append((sub, pairs))
-    if error is not None and not fits:
-        raise error
-    models = iter(_train(X, problems, sources, C, d))
+        posed = [(np.array(by_label[a] + by_label[b]),
+                  np.array([1.0] * len(by_label[a]) + [-1.0] * len(by_label[b])))
+                 for a, b in pairs]
+        fits.append((sub, pairs, posed, _SliceVectors(X, sub.used)))
+    if error is not None:
+        if not fits:
+            raise error
+        # one degree after another, the first one raises: the slice's error,
+        # or that of a capped pair before it
+        degrees = degrees[:1]
+    problems, sources = [], []
+    for d in degrees:
+        for _, pairs, posed, vectors in fits:
+            problems += [(idx, y, d) for idx, y in posed]
+            sources += [vectors] * len(pairs)
+    models = iter(_train(X, problems, sources, C))
     if error is not None:
         raise error
     return [PairwiseModel(sub.labels, dict(zip(pairs, models)), sub.label_counts,
                           sub.vocab, sub.mode, C, d)
-            for sub, pairs in fits]
+            for d in degrees for sub, pairs, *_ in fits]
 
 
 def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:

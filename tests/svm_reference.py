@@ -18,10 +18,12 @@ def train_pairwise_each(dataset, subsets, mode, C=1.0, d=1):
     return [train_pairwise(dataset.subset(s), mode, C, d) for s in subsets]
 
 
-def train_pairwise_each_slice(trains, C=1.0, d=1):
-    """The pairwise model of every training slice, each trained on its own:
-    what ``train_pairwise_slices(trains, C, d)`` must return."""
-    return [train_pairwise(train, train.mode, C, d) for train in trains]
+def train_pairwise_each_slice(trains, C=1.0, degrees=(1,)):
+    """The pairwise model of every training slice at every degree, each
+    trained on its own, degree by degree: what
+    ``train_pairwise_slices(trains, C, degrees)`` must return."""
+    return [train_pairwise(train, train.mode, C, d) for d in degrees
+            for train in trains]
 
 
 def reference_smo(K: np.ndarray, y: np.ndarray, C: float, kkt_tol: float,
@@ -105,17 +107,17 @@ def reference_smo(K: np.ndarray, y: np.ndarray, C: float, kkt_tol: float,
 
 def finish_one(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
                grad: np.ndarray, n_iter: int, C: float, d: int) -> BinarySvmModel:
-    """The model of one solved problem: its examples are ``idx`` in the
-    kernel, with labels ``y``; ``vectors[i]`` is the feature vector that
-    the model stores for kernel row ``i``."""
+    """The model of one solved problem of degree ``d``: its examples are
+    ``idx`` in the kernel, with labels ``y``; ``vectors[i]`` is the feature
+    vector that the model stores for kernel row ``i``."""
     # bias-free decision value of every training example, summed over the
-    # active multipliers: K[idx][:, idx[active]], filled C-ordered from
+    # active multipliers: K[idx][:, idx[active]] ** d, filled C-ordered from
     # gathers of a few active rows each (exact, as the kernel is symmetric)
     active = np.flatnonzero(alpha > ALPHA_FLOOR)
     cols = np.empty((len(idx), len(active)))
     for s in range(0, len(active), 16):
         cols[:, s:s + 16] = kern.gather(idx[None, active[s:s + 16]], idx[None])[0].T
-    u = cols @ (alpha[active] * y[active])
+    u = cols ** d @ (alpha[active] * y[active])
     b = -(u[y < 0].max() + u[y > 0].min()) / 2.0
 
     info = {

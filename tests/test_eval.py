@@ -13,7 +13,7 @@ from svm_reference import train_pairwise_each_slice
 from synth import (domain_corpus, modality_corpus, random_token_corpus,
                    table1_corpus)
 from tamkit import evaluate
-from tamkit.corpus import Dataset, Example, split_folds
+from tamkit.corpus import Dataset, Example, serialize_corpus, split_folds
 from tamkit.evaluate import (
     METHODS,
     ConfigError,
@@ -26,12 +26,15 @@ from tamkit.evaluate import (
     cross_domain_eval,
     cross_validate,
     effective_features,
+    evaluate_grid,
     evaluate_model,
     grid_cell,
     sign_test,
 )
+from tamkit.cli import GRID, main
 from tamkit.evaluate import _binom_tail_below
-from tamkit.features import FeatureSet
+from tamkit.features import EncodedDataset, FeatureSet
+from tamkit.svm import TrainingError
 
 
 class TestBaseline:
@@ -282,6 +285,81 @@ class TestGridCell:
             grid_cell(LearnerSpec("svm"), ds, plan, FeatureSet.FS2)
 
 
+# every cell of the cv --all matrix, one feature set after another
+GRID_CELLS = [(spec, mode) for mode in FeatureSet for spec in GRID
+              if mode in spec.feature_sets]
+# two or three labels; an empty sentence without tokens has no feature
+# under feature set 2 or 3, and one with empty tokens none under set 3
+GRID_EXAMPLES = st.builds(
+    Example, st.sampled_from("xyz"), st.text(alphabet="abた", max_size=4),
+    st.none() | st.lists(st.sampled_from(("a", "b", "c")), max_size=2))
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and message of the usage or
+    training error it raises."""
+    try:
+        return run()
+    except (ConfigError, TrainingError) as exc:
+        return type(exc), str(exc)
+
+
+class TestEvaluateGrid:
+    """``evaluate_grid`` runs one feature set as one unit: its slices and
+    held-out rows are shared by every learner, and both SVM degrees train
+    in one solve. Its reports are those of each cell on its own."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(GRID_EXAMPLES, min_size=4, max_size=14), st.integers(2, 4),
+           st.integers(0, 3))
+    def test_equals_each_cell_on_its_own(self, examples, folds, seed):
+        ds = Dataset(examples)
+        plan = split_folds(ds, min(folds, len(ds)), seed)
+        each = _outcome(lambda: {
+            (spec, mode): (cross_validate(spec, ds, plan, mode),
+                           closed_test(spec, ds, mode))
+            for spec, mode in GRID_CELLS})
+        assert _outcome(lambda: evaluate_grid(GRID_CELLS, ds, plan)) == each
+
+    def test_featureless_examples(self):
+        ds = Dataset([Example(label, "", ()) for label in "xxxyyz"]
+                     + [Example("y", "た", ("a",))])
+        plan = split_folds(ds, 3, seed=0)
+        assert evaluate_grid(GRID_CELLS, ds, plan) == {
+            (spec, mode): (cross_validate(spec, ds, plan, mode),
+                           closed_test(spec, ds, mode))
+            for spec, mode in GRID_CELLS}
+
+    @pytest.mark.parametrize("folds", [2, 3])
+    def test_cv_all_work_per_feature_set(self, monkeypatch, tmp_path, folds):
+        # per feature set: one training slice per fold plus the closed set,
+        # a held-out batch each, one label-count table each (the decision
+        # list and the five k-NN cells share it), and one SVM solve
+        counts = {"slices": 0, "batches": 0, "tables": 0, "solves": 0}
+
+        def counted(key, original):
+            def run(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            return run
+
+        for key, name in (("slices", "__init__"), ("batches", "held_out"),
+                          ("tables", "label_counts_by_feature")):
+            monkeypatch.setattr(EncodedDataset, name,
+                                counted(key, getattr(EncodedDataset, name)))
+        monkeypatch.setattr(evaluate, "train_pairwise_slices",
+                            counted("solves", evaluate.train_pairwise_slices))
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text(serialize_corpus(modality_corpus(40, seed=2)),
+                          encoding="utf-8")
+        assert main(["cv", "--all", "-i", str(corpus), "--folds", str(folds),
+                     "-o", str(tmp_path / "grid.txt")]) == 0
+        n_sets = len(FeatureSet)
+        assert counts == {"slices": n_sets * (folds + 1),
+                          "batches": n_sets * (folds + 1),
+                          "tables": n_sets * (folds + 1), "solves": n_sets}
+
+
 class TestEncodedHarness:
     """The harness trains every fold on a slice of one encoding of the
     corpus and predicts from its rows; its reports are those of fitting
@@ -511,6 +589,17 @@ class TestCrossDomain:
         # against a closed run, which on this data is more accurate
         closed = closed_test(spec, ds, FeatureSet.FS3)
         assert report.precision <= closed.precision + 1e-12
+
+    @pytest.mark.parametrize("folds", [0, -3])
+    def test_fewer_than_one_fold_is_a_usage_error(self, folds):
+        # as the cross-domain command rejects it; folds=1 is one withheld group
+        train = domain_corpus(40, seed=1)
+        test = Dataset(list(train)[:10])
+        with pytest.raises(ConfigError, match="at least 1 fold"):
+            cross_domain_eval(train, test, LearnerSpec("dlist"), FeatureSet.FS1,
+                              folds=folds)
+        assert cross_domain_eval(train, test, LearnerSpec("dlist"), FeatureSet.FS1,
+                                 folds=1).total == 10
 
     def test_domain_shift_degrades_precision(self):
         domain_a = domain_corpus(200, seed=5)

@@ -115,6 +115,18 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary.from_list([["suffix", "a"], ["token", "b"], ["suffix", "a"]])
 
+    def test_feature_map_is_built_on_first_lookup(self):
+        # a training slice is read by id: slicing it builds no feature -> id
+        # map, and a lookup builds the one the ids give
+        whole = CorpusEncoding(modality_corpus(20, seed=1)).dataset(FeatureSet.FS1)
+        vocab = whole.subset(range(0, 20, 2)).vocab
+        assert vocab._ids is None
+        assert [vocab.lookup(feat) for feat in vocab] == list(range(len(vocab)))
+        assert vocab.lookup(Feature(TOKEN, "unseen")) is None
+        # a model file's repeated entry is still found without a lookup
+        with pytest.raises(ValueError, match="repeat"):
+            Vocabulary.from_list(vocab.to_list() + vocab.to_list()[:1])
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.builds(Example, st.just("x"),
                               st.text(alphabet="ab c\u3042", max_size=12),

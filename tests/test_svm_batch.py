@@ -1,7 +1,7 @@
 """Property tests: batched pairwise prediction, the lockstep solver, the
-batch finisher and the joint training of many subsets against the
-per-example, per-pair, scalar, per-problem and per-subset reference
-paths."""
+batch finisher, and the joint training of many subsets and of both kernel
+degrees against the per-example, per-pair, scalar, per-problem, per-subset
+and per-degree reference paths."""
 
 import json
 import random
@@ -186,7 +186,8 @@ N_IDS = 5  # feature ids of the solver problems: few, so vectors repeat
 @st.composite
 def solver_batches(draw):
     """A pool of feature vectors (duplicates likely) and a batch of
-    two-class problems of mixed sizes over it, as (indices, labels)."""
+    two-class problems of mixed sizes and kernel degrees over it, as
+    (indices, labels, degree)."""
     id_sets = st.lists(st.integers(0, N_IDS - 1), max_size=3)
     pool = [FeatureVector(ids) for ids in draw(st.lists(id_sets, min_size=2,
                                                          max_size=16))]
@@ -197,7 +198,7 @@ def solver_batches(draw):
         signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=len(idx),
                               max_size=len(idx)))
         signs[0], signs[1] = 1.0, -1.0  # both classes present
-        problems.append((np.array(idx), np.array(signs)))
+        problems.append((np.array(idx), np.array(signs), draw(degrees)))
     return pool, problems
 
 
@@ -218,13 +219,13 @@ def solve(kern, problems, C):
     return solved
 
 
-def assert_lockstep_equals_scalar(pool, problems, C, d, kern):
+def assert_lockstep_equals_scalar(pool, problems, C, kern):
     X = to_csr(pool, N_IDS)
-    K = svm._poly(X @ X.T, d)
+    K = {d: svm._poly(X @ X.T, d) for d in (1, 2)}
     expected, capped = [], None
-    for idx, y in problems:
+    for idx, y, d in problems:
         try:
-            expected.append(reference_smo(K[np.ix_(idx, idx)], y, C, KKT_TOL,
+            expected.append(reference_smo(K[d][np.ix_(idx, idx)], y, C, KKT_TOL,
                                           100 * len(y)))
         except ConvergenceError as exc:
             capped = capped or exc
@@ -243,15 +244,16 @@ def assert_lockstep_equals_scalar(pool, problems, C, d, kern):
 
 
 @settings(max_examples=120, deadline=None)
-@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees,
-       st.booleans(), st.sampled_from((1, 24, svm.SOLVE_TERMS)))
-def test_lockstep_smo_equals_scalar_solver(batch, C, d, dense, solve_terms):
-    # solve_terms < SOLVE_TERMS splits the batch into several chunks
+@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), st.booleans(),
+       st.sampled_from((1, 24, svm.SOLVE_TERMS)))
+def test_lockstep_smo_equals_scalar_solver(batch, C, dense, solve_terms):
+    # solve_terms < SOLVE_TERMS splits the batch into several chunks; the
+    # problems of both degrees share the kernel of x.y + 1
     pool, problems = batch
     X = to_csr(pool, N_IDS)
-    kern = svm._kernel_matrix(X, d) if dense else svm.KernelCache(X, d, 2)
+    kern = svm._kernel_matrix(X) if dense else svm.KernelCache(X, 2)
     with mock.patch.object(svm, "SOLVE_TERMS", solve_terms):
-        assert_lockstep_equals_scalar(pool, problems, C, d, kern)
+        assert_lockstep_equals_scalar(pool, problems, C, kern)
 
 
 def test_problems_of_different_sizes_converge_in_one_round():
@@ -259,26 +261,26 @@ def test_problems_of_different_sizes_converge_in_one_round():
     # converges after one step: all three leave the solver in one batch,
     # the short rows padded to the longer one's width
     pool = [FeatureVector([0]), FeatureVector([1]), FeatureVector([0])]
-    short = (np.array([0, 1]), np.array([1.0, -1.0]))
-    longer = (np.array([0, 1, 2]), np.array([1.0, -1.0, 1.0]))
+    short = (np.array([0, 1]), np.array([1.0, -1.0]), 1)
+    longer = (np.array([0, 1, 2]), np.array([1.0, -1.0, 1.0]), 1)
     problems = [short, longer, short]
-    kern = svm._kernel_matrix(to_csr(pool, N_IDS), 1)
+    kern = svm._kernel_matrix(to_csr(pool, N_IDS))
     batches = [(sorted(ps), Y.shape) for ps, Y, *_ in svm._smo(kern, problems, 1.0)]
     assert batches == [([0, 1, 2], (3, 3))]
-    assert_lockstep_equals_scalar(pool, problems, 1.0, 1, kern)
+    assert_lockstep_equals_scalar(pool, problems, 1.0, kern)
 
 
-def assert_batch_finisher_equals_finishing_each(pool, problems, C, d):
-    kern = svm._kernel_matrix(to_csr(pool, N_IDS), d)
+def assert_batch_finisher_equals_finishing_each(pool, problems, C):
+    kern = svm._kernel_matrix(to_csr(pool, N_IDS))
     sources = [pool] * len(problems)
     try:
         for ps, Y, alpha, grad, n_iter in svm._smo(kern, problems, C):
-            batch = svm._finish_batch(kern, [problems[p][0] for p in ps],
+            batch = svm._finish_batch(kern, [problems[p] for p in ps],
                                       [sources[p] for p in ps], Y, alpha, grad,
-                                      n_iter, C, d)
+                                      n_iter, C)
             assert len(batch) == len(ps)
             for r, (p, model) in enumerate(zip(ps, batch)):
-                idx, y = problems[p]
+                idx, y, d = problems[p]
                 n = len(y)
                 one = finish_one(kern, idx, y, sources[p], alpha[r, :n].copy(),
                                  grad[r, :n].copy(), n_iter, C, d)
@@ -292,18 +294,17 @@ def assert_batch_finisher_equals_finishing_each(pool, problems, C, d):
 
 
 @settings(max_examples=120, deadline=None)
-@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees)
-def test_batch_finisher_equals_finishing_each_problem(batch, C, d):
-    assert_batch_finisher_equals_finishing_each(*batch, C, d)
+@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)))
+def test_batch_finisher_equals_finishing_each_problem(batch, C):
+    assert_batch_finisher_equals_finishing_each(*batch, C)
 
 
 # the fixture only sets module constants, so it may serve every example
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), degrees)
-def test_row_cache_batch_finisher_equals_finishing_each_problem(row_cache, batch,
-                                                                C, d):
-    assert_batch_finisher_equals_finishing_each(*batch, C, d)
+@given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)))
+def test_row_cache_batch_finisher_equals_finishing_each_problem(row_cache, batch, C):
+    assert_batch_finisher_equals_finishing_each(*batch, C)
 
 
 def pair_problems(ds, model):
@@ -398,7 +399,8 @@ def assert_joint_equals_each(ds, mode, d, data):
     if len({ds[i].label for i in without_last}) >= 2:
         subsets.append(without_last)
     subsets.append(range(len(ds)))
-    joint = outcome(lambda: train_pairwise_slices(slices(ds, subsets, mode), d=d))
+    joint = outcome(lambda: train_pairwise_slices(slices(ds, subsets, mode),
+                                                  degrees=(d,)))
     assert joint == outcome(lambda: train_pairwise_each(ds, subsets, mode, d=d))
 
 
@@ -426,7 +428,8 @@ def test_joint_errors_equal_training_each_subset(ds, mode, d, data):
     subsets = data.draw(subset_lists(ds))
     max_iter = data.draw(st.sampled_from((None, 1, 2, 3, 5, 8)))
     with mock.patch.object(svm, "MAX_ITER", max_iter):
-        joint = outcome(lambda: train_pairwise_slices(slices(ds, subsets, mode), d=d))
+        joint = outcome(lambda: train_pairwise_slices(slices(ds, subsets, mode),
+                                                  degrees=(d,)))
         each = outcome(lambda: train_pairwise_each(ds, subsets, mode, d=d))
     assert joint == each
 
@@ -447,3 +450,70 @@ def test_error_of_first_untrainable_subset_after_a_capped_one():
             train_pairwise(ds, FeatureSet.FS3)
     assert info.value.dual_value == alone.value.dual_value
     assert str(info.value) == str(alone.value)
+
+
+def each_degree(trains, degrees):
+    """The models of ``trains`` at each degree of ``degrees``, one solve
+    per degree, one degree after another."""
+    return [model for d in degrees
+            for model in train_pairwise_slices(trains, degrees=(d,))]
+
+
+def assert_degrees_in_one_solve_equal_each_degree(ds, mode, data):
+    # every subset can train, and the whole dataset is the last one
+    subsets = [s for s in data.draw(subset_lists(ds))
+               if len({ds[i].label for i in s}) >= 2] + [range(len(ds))]
+    trains = slices(ds, subsets, mode)
+    degrees = data.draw(st.sampled_from(((1, 2), (2, 1))))
+    both = outcome(lambda: train_pairwise_slices(trains, degrees=degrees))
+    assert both == outcome(lambda: each_degree(trains, degrees))
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora, modes, st.data())
+def test_degrees_in_one_solve_equal_each_degree(ds, mode, data):
+    # support vectors, multipliers, bias and every info key, bit for bit
+    assert_degrees_in_one_solve_equal_each_degree(ds, mode, data)
+
+
+# the fixture only sets module constants, so it may serve every example
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpora, modes, st.data())
+def test_row_cache_degrees_in_one_solve_equal_each_degree(row_cache, ds, mode,
+                                                          data):
+    assert_degrees_in_one_solve_equal_each_degree(ds, mode, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora, modes, st.data())
+def test_degrees_in_one_solve_raise_as_one_after_another(ds, mode, data):
+    # an untrainable subset, or a pair at its iteration cap in either
+    # degree: the error that training the degrees one after another raises
+    subsets = data.draw(subset_lists(ds))
+    degrees = data.draw(st.sampled_from(((1, 2), (2, 1))))
+    max_iter = data.draw(st.sampled_from((None, 1, 2, 3, 5, 8, 13)))
+    trains = slices(ds, subsets, mode)
+    with mock.patch.object(svm, "MAX_ITER", max_iter):
+        both = outcome(lambda: train_pairwise_slices(trains, degrees=degrees))
+        each = outcome(lambda: each_degree(trains, degrees))
+    assert both == each
+
+
+def test_second_degree_capped_or_untrainable_slice_after_it():
+    # pair (a, b) takes 17 iterations at d=1 and 21 at d=2, so a cap of 18
+    # stops only the second degree; a later one-label slice stops the first
+    # degree before the second runs
+    ds = Dataset([Example(lab, "", toks) for lab, toks in (
+        ("a", ("t0", "t1")), ("a", ("t1",)), ("a", ("t2",)),
+        ("b", ("t1", "t3")), ("b", ("t3",)), ("b", ("t4",)), ("c", ("t5",)))])
+    assert [m.info["iterations"] for d in (1, 2)
+            for m in train_pairwise(ds, FeatureSet.FS3, d=d).models.values()
+            ][::3] == [17, 21]
+    with mock.patch.object(svm, "MAX_ITER", 18):
+        for subsets, error in (([range(7)], ConvergenceError),
+                               ([range(7), [0, 1, 2]], TrainingError)):
+            trains = slices(ds, subsets, FeatureSet.FS3)
+            both = outcome(lambda: train_pairwise_slices(trains, degrees=(1, 2)))
+            assert both == outcome(lambda: each_degree(trains, (1, 2)))
+            assert both[0] is error
