@@ -37,36 +37,51 @@ solver, ``_smo``, which runs them in lockstep: padded arrays hold all
 problems, each round takes one step of every unfinished problem with a
 few array operations, and a problem leaves the arrays when it converges or
 reaches its iteration cap. So the problems of both degrees in one chunk
-take as many rounds as the slowest of them, not the sum of the degrees'. Each problem does exactly the
-arithmetic of the scalar one-problem solver, so its multipliers, gradient
-and iteration count are bit-identical to it. The problems that converge in
-the same round are finished together by ``_finish_batch``: the bias
-extrema and the KKT violation of all of them come from masked extrema over
-their padded rows, and only each problem's decision values take a product
-of their own, the same one as finishing it alone. So a pair model is
-identical to one trained on the pair alone; its support vectors are read
-off the kernel's rows against its slice's columns. The scalar solver, the
-one-problem finisher and per-subset training are kept in
-``tests/svm_reference.py`` as oracles.
+take as many rounds as the slowest of them, not the sum of the degrees'.
+Each problem does exactly the arithmetic of the scalar one-problem solver,
+so its multipliers, gradient and iteration count are bit-identical to it.
+The problems that converge in the same round are finished together by
+``_finish_batch``: the bias extrema and the KKT violation of all of them
+come from masked extrema over their padded rows, and only each problem's
+decision values take a product of their own, the same one as finishing it
+alone. So a pair classifier is identical to one trained on the pair alone.
+The scalar solver, the one-problem finisher and per-subset training are
+kept in ``tests/svm_reference.py`` as oracles.
 
-A ``PairwiseModel`` stacks the distinct support vectors of all pairs into
-one sparse matrix, a row per vocabulary entry, when it is built, and
-``predict_batch`` computes every kernel value of a block of test rows (CSR
-rows of an encoded batch, or of extracted vectors) with one product. Each
-pair then sums its terms left to right in stored support-vector order, so
-every raw decision value is bit-identical to ``decide``, and a value of
-exactly 0 votes for the positive side in both paths. Both break vote ties
-with ``corpus.best_label``. ``decide`` and ``classify_pairwise`` stay as
+No object is built per pair. The pair classifiers stay packed arrays
+(``_PairArrays``) from the solver to the vote, as in LIBSVM's one-vs-one
+models (Chang & Lin 2011): ``_finish_batch`` writes every problem's
+support vectors (the kernel rows of its active multipliers, in stored
+order), labels and multipliers into flat arrays, next to every bias and
+diagnostic, and ``train_pairwise_slices`` builds each ``PairwiseModel``
+from its part of them. A model stores each support vector once, in a
+table of the distinct support-vector rows (by content, in its slice's
+columns), and each pair as a row of table columns and coefficients
+(alpha * y) over it. A model built from ``BinarySvmModel``s (read from a
+file, or by hand) fills the same arrays, and ``PairwiseModel.models``
+reads the pairs back as ``BinarySvmModel``s, built on first read, for
+model files and for ``decide`` and ``classify_pairwise``, which stay as
 the reference.
+
+``predict_batch`` computes every kernel value of a block of test rows (CSR
+rows of an encoded batch, or of extracted vectors) with one product with
+the table, gathers every pair's terms, padded to the longest support set
+with coefficient 0, and sums them in stored support-vector order, so every
+raw decision value is bit-identical to ``decide``, and a value of exactly
+0 votes for the positive side in both paths. Both break vote ties with
+``corpus.best_label``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, OrderedDict
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .corpus import Dataset, best_label, is_positive_int, read_label_counts, read_list
 from .features import (FeatureSet, FeatureVector, Vocabulary, encode, read_mode,
@@ -77,6 +92,7 @@ MAX_ITER = None        # SMO iteration cap per problem; None is 100 per example
 UPDATE_EPS = 1e-12     # floor for the two-variable quadratic coefficient
 ALPHA_FLOOR = 1e-12    # multipliers at or below this are treated as zero
 KERNEL_ENTRIES = 1 << 24  # kernel values (128 MB) held: dense Gram up to 4096 examples
+GRAM_BLOCK = 1 << 18   # kernel values per row block of the dense Gram build
 BLOCK_TERMS = 1 << 15  # kernel terms per block in PairwiseModel.predict_batch
 SOLVE_TERMS = 1 << 16  # padded entries per lockstep chunk of SMO problems
 
@@ -196,11 +212,20 @@ def _kernel_matrix(X):
     """x.y + 1 for the rows x, y of ``X``, within ``KERNEL_ENTRIES`` values:
     the dense Gram matrix when all l * l fit, else a cache of as many rows
     as fit. The values are the same for every degree: a degree-2 problem
-    squares those it reads, which is exact, as they are small integers."""
+    squares those it reads, which is exact, as they are small integers.
+    The dense matrix is filled in blocks of about ``GRAM_BLOCK`` values,
+    so that the sparse product of all rows is never held beside it."""
     l = X.shape[0]
-    if l * l <= KERNEL_ENTRIES:
-        return _DenseGram(_poly(X @ X.T, 1))
-    return KernelCache(X, KERNEL_ENTRIES // l)
+    if l * l > KERNEL_ENTRIES:
+        return KernelCache(X, KERNEL_ENTRIES // l)
+    K = np.empty((l, l))
+    Xt = X.T.tocsr()
+    step = max(1, GRAM_BLOCK // l)
+    for start in range(0, l, step):
+        rows = X if step >= l else X[start:start + step]  # a slice is a copy
+        (rows @ Xt).toarray(out=K[start:start + step])
+    K += 1.0
+    return _DenseGram(K)
 
 
 def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
@@ -218,10 +243,11 @@ def _smo(kern, problems, C: float):
     size and solved in lockstep, in chunks of at most ``SOLVE_TERMS``
     padded entries. The problems that
     reach ``KKT_TOL`` in the same round are yielded together, as
-    ``(ps, Y, alpha, grad, iterations)``: ``ps`` lists them as indices into
-    ``problems``, and row ``r`` of the padded ``Y``, ``alpha`` and ``grad``
-    arrays holds problem ``ps[r]``'s labels, multipliers and gradient, with
-    label 0 and multiplier 0 past its size. So a caller can finish them
+    ``(ps, G, Y, alpha, grad, iterations)``: ``ps`` lists them as indices
+    into ``problems``, and row ``r`` of the padded ``G``, ``Y``, ``alpha``
+    and ``grad`` arrays holds problem ``ps[r]``'s examples (its ``idx``),
+    labels, multipliers and gradient, with example 0, label 0 and
+    multiplier 0 past its size. So a caller can finish them
     before the others. A problem that reaches its iteration cap
     (``MAX_ITER``, or 100 per example when None) first is not yielded; after
     the last yield, the first such problem in order raises ConvergenceError.
@@ -239,7 +265,7 @@ def _smo(kern, problems, C: float):
                and (stop + 1 - start) * sizes[order[stop]] <= SOLVE_TERMS):
             stop += 1
         chunk = order[start:stop]
-        for ks, Y, alpha, grad, n_iter in _smo_lockstep(
+        for ks, G, Y, alpha, grad, n_iter in _smo_lockstep(
                 kern, [problems[p] for p in chunk], [caps[p] for p in chunk], C):
             ps = [chunk[k] for k in ks.tolist()]
             converged = []
@@ -249,8 +275,8 @@ def _smo(kern, problems, C: float):
                 else:
                     capped[p] = _dual_value(alpha[r, :sizes[p]], grad[r, :sizes[p]])
             if converged:
-                yield ([ps[r] for r in converged], Y[converged], alpha[converged],
-                       grad[converged], n_iter)
+                yield ([ps[r] for r in converged], G[converged], Y[converged],
+                       alpha[converged], grad[converged], n_iter)
         start = stop
     if capped:
         p = min(capped)
@@ -273,7 +299,7 @@ def _smo_lockstep(kern, problems, caps, C: float):
     of the masks at once, through flat offsets into the padded arrays that
     change only when rows leave them. The problems that reach their cap or
     ``KKT_TOL`` in a round leave the arrays together, yielded as
-    ``(ks, Y, alpha, grad, iterations)``: ``ks`` are their positions in
+    ``(ks, G, Y, alpha, grad, iterations)``: ``ks`` are their positions in
     ``problems`` and the rest their padded rows.
     """
     # problem of each row: degree 2 first, so that their rows stay a prefix
@@ -301,7 +327,7 @@ def _smo_lockstep(kern, problems, caps, C: float):
         if it >= min_cap:  # no row reaches its cap before the smallest one
             done |= cap <= it
         if done.any():
-            yield ids[done], Y[done], alpha[done], grad[done], it
+            yield ids[done], G[done], Y[done], alpha[done], grad[done], it
             keep = ~done
             if not keep.any():
                 return
@@ -445,8 +471,9 @@ class BinarySvmModel:
     def from_dict(cls, payload) -> "BinarySvmModel":
         """Model from its ``to_dict`` payload. Raises ValueError unless ``d``
         and ``C`` pass :func:`hyperparameter_error`, every support vector
-        has a label of -1 or +1, a finite multiplier, and integer feature
-        ids, and the bias is finite. ``PairwiseModel`` checks the ids
+        has a label of -1 or +1, a finite, non-negative multiplier, and
+        integer feature ids, and the bias is finite; a boolean is none of
+        these. Multipliers above C load. ``PairwiseModel`` checks the ids
         against its vocabulary."""
         if error := hyperparameter_error(payload["d"], payload["C"]):
             raise ValueError(error)
@@ -457,10 +484,15 @@ class BinarySvmModel:
         if not all(type(i) is int for ids in sv_ids for i in ids):
             raise ValueError("support-vector feature ids must be integers")
         for v in y:
-            if v not in (-1, 1):
+            if isinstance(v, bool) or v not in (-1, 1):
                 raise ValueError(f"support-vector label {v!r} is not -1 or +1")
-        if not all(math.isfinite(v) for v in (*alpha, payload["b"])):
-            raise ValueError("support-vector multipliers and the bias must be finite")
+        numbers = (*alpha, payload["b"])
+        if (any(isinstance(v, bool) for v in numbers)
+                or not all(map(math.isfinite, numbers))):
+            raise ValueError("support-vector multipliers and the bias must be "
+                             "finite numbers")
+        if any(a < 0 for a in alpha):
+            raise ValueError("support-vector multipliers must not be negative")
         return cls(
             (FeatureVector(ids) for ids in sv_ids),
             y,
@@ -469,6 +501,70 @@ class BinarySvmModel:
             payload["C"],
             payload["d"],
         )
+
+
+class _PairArrays(NamedTuple):
+    """Two-class classifiers, packed: classifier ``p`` keeps ``counts[p]``
+    support vectors, in stored order, at its offset (``starts()[p]``) in the
+    flat ``rows``, ``y`` (+-1.0) and ``alpha``. ``rows`` index the kernel
+    rows its solver read, or the support-vector table of a
+    ``PairwiseModel``. ``b`` holds every bias, and ``info`` a list of every
+    classifier's diagnostic per key."""
+
+    counts: np.ndarray
+    rows: np.ndarray
+    y: np.ndarray
+    alpha: np.ndarray
+    b: np.ndarray
+    info: dict[str, list]
+
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.counts) - self.counts
+
+    def select(self, ps) -> "_PairArrays":
+        """The classifiers ``ps``, in that order."""
+        ps = np.asarray(ps, dtype=np.intp)
+        counts = self.counts[ps]
+        starts = np.cumsum(counts) - counts
+        flat = np.repeat(self.starts()[ps] - starts, counts) + np.arange(counts.sum())
+        return _PairArrays(counts, self.rows[flat], self.y[flat], self.alpha[flat],
+                           self.b[ps], {key: [values[p] for p in ps.tolist()]
+                                        for key, values in self.info.items()})
+
+    @classmethod
+    def concatenate(cls, parts) -> "_PairArrays":
+        """The classifiers of every part of ``parts``, part after part."""
+        *arrays, infos = zip(*parts)
+        return cls(*map(np.concatenate, arrays),
+                   {key: [v for info in infos for v in info[key]] for key in infos[0]})
+
+    def binary_models(self, vectors, C: float, d: int) -> list[BinarySvmModel]:
+        """Every classifier as a ``BinarySvmModel`` whose support vector of
+        row ``r`` is ``vectors[r]``."""
+        rows, y, alpha = self.rows.tolist(), self.y.tolist(), self.alpha.tolist()
+        ends = np.cumsum(self.counts).tolist()
+        infos = ([dict(zip(self.info, values)) for values in zip(*self.info.values())]
+                 if self.info else [{}] * len(ends))
+        return [BinarySvmModel([vectors[r] for r in rows[s:e]], y[s:e], alpha[s:e],
+                               b, C, d, info)
+                for s, e, b, info in zip([0] + ends, ends, self.b.tolist(), infos)]
+
+
+def _distinct_rows(X) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for the CSR matrix ``X`` with sorted indices:
+    ``X[first]`` are its distinct rows by content, and row ``r`` equals row
+    ``first[inverse[r]]``. Rows are compared as their ids, padded with -1,
+    each read as one opaque value: a fifth of the cost of ``np.unique``
+    with ``axis=0``."""
+    lengths = np.diff(X.indptr)
+    padded = np.full((X.shape[0], lengths.max(initial=0) + 1), -1,
+                     dtype=X.indices.dtype)
+    padded[np.repeat(np.arange(X.shape[0]), lengths),
+           np.arange(X.nnz) - np.repeat(X.indptr[:-1], lengths)] = X.indices
+    rows = padded.view(np.dtype((np.void, padded.itemsize * padded.shape[1])))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True,
+                                  return_inverse=True)
+    return first, inverse
 
 
 def train_binary_svm(examples, C: float = 1.0, d: int = 1) -> BinarySvmModel:
@@ -487,61 +583,59 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1) -> BinarySvmModel:
     if not ((y > 0).any() and (y < 0).any()):
         raise TrainingError("both classes must be present")
     X = to_csr(vectors, max((v.ids[-1] + 1 for v in vectors if v.ids), default=0))
-    return _train(X, [(np.arange(len(y)), y, d)], [vectors], C)[0]
+    return _train(X, [(np.arange(len(y)), y, d)], C).binary_models(vectors, C, d)[0]
 
 
-def _train(X, problems, sources, C: float) -> list[BinarySvmModel]:
-    """The model of every problem ``(idx, y, d)``, in problem order, all
-    solved on one kernel over the rows of the CSR matrix ``X``: ``idx`` are
-    the problem's rows of ``X``, ``y`` their labels and ``d`` its kernel
-    degree, and ``sources[p][i]`` is the feature vector that problem
-    ``p``'s model stores for row ``i``. The problems that converge in the
+def _train(X, problems, C: float) -> _PairArrays:
+    """Every problem ``(idx, y, d)`` solved on one kernel over the rows of
+    the CSR matrix ``X``, packed in problem order, with its support vectors
+    as rows of ``X``: ``idx`` are the problem's rows of ``X``, ``y`` their
+    labels and ``d`` its kernel degree. The problems that converge in the
     same solver round are finished together, by ``_finish_batch``, and
-    dropped from ``problems``, so that the solver's arrays and the models
-    are not all alive at once."""
+    dropped from ``problems``, so that the solver's arrays and the finished
+    problems are not all alive at once."""
     for d in dict.fromkeys(d for *_, d in problems):
         if error := hyperparameter_error(d, C):
             raise TrainingError(error)
     kern = _kernel_matrix(X)
-    models = [None] * len(problems)
-    for ps, Y, alpha, grad, n_iter in _smo(kern, problems, C):
-        batch = _finish_batch(kern, [problems[p] for p in ps],
-                              [sources[p] for p in ps], Y, alpha, grad, n_iter, C)
-        for p, model in zip(ps, batch):
-            models[p] = model
+    order, batches = [], []
+    for ps, G, Y, alpha, grad, n_iter in _smo(kern, problems, C):
+        batches.append(_finish_batch(kern, [problems[p] for p in ps], G, Y, alpha,
+                                     grad, n_iter, C))
+        order += ps
+        for p in ps:
             problems[p] = None
-    return models
+    return _PairArrays.concatenate(batches).select(np.argsort(order))
 
 
-def _finish_batch(kern, problems, sources, Y: np.ndarray, alpha: np.ndarray,
-                  grad: np.ndarray, n_iter: int, C: float) -> list[BinarySvmModel]:
-    """The models of problems solved in the same round, as ``_smo`` yields
-    them: row ``r`` of the padded ``Y``, ``alpha`` and ``grad`` is the
-    problem ``problems[r]``, ``(idx, y, d)`` with its examples ``idx`` in
-    the kernel and its degree ``d``, and ``sources[r][i]`` is the feature
-    vector that its model stores for kernel row ``i``. Every value equals
-    that of finishing each problem on its own: only the decision values
-    take a product per problem, of the kernel values it reads (squared at
-    degree 2), and the rest are elementwise operations and extrema, which
-    padding cannot change."""
+def _finish_batch(kern, problems, G: np.ndarray, Y: np.ndarray, alpha: np.ndarray,
+                  grad: np.ndarray, n_iter: int, C: float) -> _PairArrays:
+    """The classifiers of problems solved in the same round, as ``_smo``
+    yields them, packed in row order: row ``r`` of the padded ``G``, ``Y``,
+    ``alpha`` and ``grad`` is the problem ``problems[r]``, ``(idx, y, d)``
+    with its examples ``idx`` in the kernel and its degree ``d``, and its
+    support vectors are its active rows of ``G``. Every value equals that
+    of finishing each problem on its own: only the decision values take a
+    product per problem, of the kernel values it reads (squared at degree
+    2), and the rest are elementwise operations, extrema and the masked
+    entries of the padded rows, which padding cannot change."""
     active = alpha > ALPHA_FLOOR
     coef = alpha * Y
+    counts = active.sum(axis=1)
     # the active columns of every row, in row order
     active_cols = np.nonzero(active)[1]
-    ends = np.cumsum(active.sum(axis=1)).tolist()
+    ends = np.cumsum(counts).tolist()
     # bias-free decision value of every training example, summed over the
     # active multipliers: one (n, a) @ (a,) product per problem, in the
     # operand order of the one-problem finisher, as a padded or stacked
     # product would sum in another order
     U = np.zeros(Y.shape)
-    actives = []
     for r, ((idx, _, d), start, end) in enumerate(zip(problems, [0] + ends, ends)):
         act = active_cols[start:end]
         K = kern.columns(idx, act)
         if d == 2:
             np.square(K, out=K)
         U[r, :len(idx)] = K @ coef[r, act]
-        actives.append(act)
     pos, neg = Y > 0, Y < 0
     b = -(np.where(neg, U, -np.inf).max(axis=1)
           + np.where(pos, U, np.inf).min(axis=1)) / 2.0
@@ -552,30 +646,14 @@ def _finish_batch(kern, problems, sources, Y: np.ndarray, alpha: np.ndarray,
     low = (neg & (alpha < C)) | (pos & (alpha > 0))
     kkt = np.maximum(0.0, np.where(up, score, -np.inf).max(axis=1)
                      - np.where(low, score, np.inf).min(axis=1))
-
-    models = []
-    for r, ((idx, _, d), vectors, act, y, a, b_r, kkt_r) in enumerate(zip(
-            problems, sources, actives, Y.tolist(), alpha.tolist(), b.tolist(),
-            kkt.tolist())):
-        n = len(idx)
-        info = {
-            "iterations": n_iter,
-            "dual_value": _dual_value(alpha[r, :n], grad[r, :n]),
-            "kkt_violation": kkt_r,
-            "alpha": tuple(a[:n]),
-            "n_train": n,
-        }
-        cols = act.tolist()
-        models.append(BinarySvmModel(
-            [vectors[i] for i in idx[act].tolist()],
-            [y[c] for c in cols],
-            [a[c] for c in cols],
-            b_r,
-            C,
-            d,
-            info,
-        ))
-    return models
+    sizes = [len(idx) for idx, _, _ in problems]
+    return _PairArrays(counts, G[active], Y[active], alpha[active], b, {
+        "iterations": [n_iter] * len(sizes),
+        "dual_value": [_dual_value(alpha[r, :n], grad[r, :n])
+                       for r, n in enumerate(sizes)],
+        "kkt_violation": kkt.tolist(),
+        "n_train": sizes,
+    })
 
 
 def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:
@@ -588,49 +666,94 @@ def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:
 
 
 class PairwiseModel:
-    """One binary classifier per unordered label pair, combined by voting.
-    Raises ValueError unless every pair has the model's degree and every
-    support-vector feature id is in [0, len(vocab))."""
+    """One binary classifier per unordered label pair, combined by voting:
+    pair ``(a, b)`` of ``pairs`` decides a (positive side) against b.
+
+    The classifiers are held packed, as ``_PairArrays`` over one table of
+    the distinct support vectors of all pairs, whether the model comes from
+    ``BinarySvmModel``s (this constructor) or from training. ``models``
+    reads them back as ``BinarySvmModel``s. Raises ValueError unless every
+    pair has the model's degree and box constant, and every support-vector
+    feature id is in [0, len(vocab))."""
 
     def __init__(self, labels, models, label_counts, vocab: Vocabulary,
                  mode: FeatureSet, C: float, d: int):
+        models = dict(models)
+        binaries = list(models.values())
+        if any(m.d != int(d) or m.C != float(C) for m in binaries):
+            raise ValueError("every pair classifier must use the model's degree "
+                             "and box constant")
+        vectors = [sv for m in binaries for sv in m.support_vectors]
+        for sv in vectors:  # ids are sorted
+            if sv.ids and (sv.ids[0] < 0 or sv.ids[-1] >= len(vocab)):
+                raise ValueError(f"support vector {sv!r} has a feature id "
+                                 f"outside [0, {len(vocab)})")
+        S = to_csr(vectors, len(vocab))
+        first, cols = _distinct_rows(S)
+        # the diagnostics that every pair carries
+        keys = [k for k in (binaries[0].info if binaries else ())
+                if all(k in m.info for m in binaries)]
+        arrays = _PairArrays(
+            np.array([len(m.support_vectors) for m in binaries], dtype=np.intp),
+            cols,
+            np.array([v for m in binaries for v in m.sv_labels], dtype=float),
+            np.array([a for m in binaries for a in m.sv_alpha], dtype=float),
+            np.array([m.b for m in binaries], dtype=float),
+            {k: [m.info[k] for m in binaries] for k in keys})
+        self._setup(labels, models, label_counts, vocab, mode, C, d, S[first], arrays)
+
+    @classmethod
+    def _packed(cls, labels, pairs, label_counts, vocab: Vocabulary,
+                mode: FeatureSet, C: float, d: int, table, arrays: _PairArrays):
+        """The model of the classifiers ``arrays`` of ``pairs``, whose
+        ``rows`` index the rows of ``table``, a CSR matrix of distinct
+        support vectors against ``vocab``."""
+        model = cls.__new__(cls)
+        model._setup(labels, pairs, label_counts, vocab, mode, C, d, table, arrays)
+        return model
+
+    def _setup(self, labels, pairs, label_counts, vocab, mode, C, d, table, arrays):
         self.labels: tuple[str, ...] = tuple(labels)
-        # models[(a, b)] decides a (positive side) vs b; pairs sorted a < b
-        self.models: dict[tuple[str, str], BinarySvmModel] = dict(models)
+        self.pairs: tuple[tuple[str, str], ...] = tuple(pairs)
         self.label_counts = Counter(label_counts)
         self.vocab = vocab
         self.mode = FeatureSet(mode)
         self.C = float(C)
         self.d = int(d)
-        # The batch layout: column c of ``_sv_t`` (a row per vocabulary entry)
-        # is the c-th distinct support vector of all pairs. Row j of ``_cols``
-        # / ``_coef`` lists pair j's columns and coefficients (alpha * y) in
-        # stored order, padded to the longest support set with coefficient
-        # 0.0, which added last leaves every running sum unchanged.
-        pairs = list(self.models.values())
-        if any(m.d != self.d for m in pairs):
-            raise ValueError("every pair classifier must use the model's degree")
-        label_index = {lab: k for k, lab in enumerate(self.labels)}
-        column: dict[FeatureVector, int] = {}
-        width = max([1] + [len(m.support_vectors) for m in pairs])
-        self._cols = np.zeros((len(pairs), width), dtype=np.intp)
-        self._coef = np.zeros((len(pairs), width))
-        for j, m in enumerate(pairs):
-            n_sv = len(m.support_vectors)
-            self._cols[j, :n_sv] = [column.setdefault(sv, len(column))
-                                    for sv in m.support_vectors]
-            self._coef[j, :n_sv] = [a * yv for yv, a in zip(m.sv_labels, m.sv_alpha)]
-        self._bias = np.array([m.b for m in pairs])
-        for sv in column:  # ids are sorted
-            if sv.ids and (sv.ids[0] < 0 or sv.ids[-1] >= len(vocab)):
-                raise ValueError(f"support vector {sv!r} has a feature id "
-                                 f"outside [0, {len(vocab)})")
-        # padding points at column 0, so keep one even with no support vectors
-        self._sv_t = to_csr(list(column) or [FeatureVector()], len(vocab)).T.tocsr()
+        self._arrays = arrays
+        # column c of ``_sv_t`` (a row per vocabulary entry) is row c of the
+        # table; padding points at column 0, so keep one even with no
+        # support vectors
+        if table.shape[0] == 0:
+            table = csr_matrix((1, len(vocab)))
+        self._sv_t = table.T.tocsr()
+        # The batch layout: entry (k, j) of ``_gather`` / ``_coef`` is the
+        # table column / coefficient (alpha * y) of pair j's k-th support
+        # vector, padded to the longest support set with coefficient 0.0,
+        # which added last leaves every running sum unchanged.
+        counts = arrays.counts
+        pair = np.repeat(np.arange(len(counts)), counts)
+        slot = np.arange(len(pair)) - arrays.starts()[pair]
+        shape = (max(1, counts.max(initial=0)), len(counts))
+        self._gather = np.zeros(shape, dtype=np.intp)
+        self._gather[slot, pair] = arrays.rows
+        self._coef = np.zeros(shape)
+        self._coef[slot, pair] = arrays.alpha * arrays.y
         # test rows per block, so that one block's terms stay near BLOCK_TERMS
-        self._block_rows = max(1, BLOCK_TERMS // max(1, self._cols.size))
-        self._pos = np.array([label_index[a] for a, _ in self.models], dtype=np.intp)
-        self._neg = np.array([label_index[b] for _, b in self.models], dtype=np.intp)
+        self._block_rows = max(1, BLOCK_TERMS // max(1, self._gather.size))
+        label_index = {lab: k for k, lab in enumerate(self.labels)}
+        self._pos = np.array([label_index[a] for a, _ in self.pairs], dtype=np.intp)
+        self._neg = np.array([label_index[b] for _, b in self.pairs], dtype=np.intp)
+
+    @cached_property
+    def models(self) -> dict[tuple[str, str], BinarySvmModel]:
+        """The pair classifiers as ``BinarySvmModel``s, in ``pairs`` order,
+        built from the packed arrays when first read."""
+        table = self._sv_t.T.tocsr()
+        ends, ids = table.indptr.tolist(), table.indices.tolist()
+        vectors = [FeatureVector(ids[s:e]) for s, e in zip(ends, ends[1:])]
+        return dict(zip(self.pairs, self._arrays.binary_models(vectors, self.C,
+                                                                self.d)))
 
     def predict(self, example) -> str:
         return self.predict_batch([example])[0]
@@ -657,19 +780,23 @@ class PairwiseModel:
 
     def decision_values(self, X) -> np.ndarray:
         """Raw decision value of every pair classifier (columns, in
-        ``self.models`` order) for every row of the CSR block ``X``, whose
+        ``pairs`` order) for every row of the CSR block ``X``, whose
         columns are ``self.vocab``.
 
-        One sparse product with the stacked support vectors gives every
-        kernel value. Each pair then sums its terms left to right in stored
-        support-vector order, as ``decide`` does, so every value is
-        bit-identical to ``decide(m, fv)[0]`` for the row's vector ``fv``.
+        One sparse product with the support-vector table gives every kernel
+        value. Each pair then sums its terms in stored support-vector order,
+        as ``decide`` does, so every value is bit-identical to
+        ``decide(m, fv)[0]`` for the row's vector ``fv``.
         """
         K = _poly(X @ self._sv_t, self.d)
-        terms = K[:, self._cols]  # (rows, pairs, padded support vectors)
+        terms = K[:, self._gather]  # (rows, padded support vectors, pairs)
         terms *= self._coef
-        # cumsum adds sequentially; a pairwise-summing reduction would not
-        return np.cumsum(terms, axis=2, out=terms)[:, :, -1] + self._bias
+        # the gather lays rows out fastest, so numpy adds each pair's terms
+        # one after another; with one pair, the terms of a lone row are one
+        # contiguous run, which it would sum pairwise
+        if terms.shape[2] == 1:
+            return np.cumsum(terms, axis=1)[:, -1] + self._arrays.b
+        return terms.sum(axis=1) + self._arrays.b
 
     def to_dict(self) -> dict:
         return {
@@ -685,17 +812,21 @@ class PairwiseModel:
     @classmethod
     def from_dict(cls, payload) -> "PairwiseModel":
         """Model from its ``to_dict`` payload. Raises ValueError unless the
-        labels are a list and every pair of labels with a training count
-        has a classifier. Older files may also list labels absent from
-        training (without a count), and pairs with one such side, which are
-        ignored: each voted for its present side, one vote for every present
-        label, changing no winner."""
+        labels are a list, no label pair is listed twice (in either order),
+        and every pair of labels with a training count has a classifier.
+        Older files may also list labels absent from training (without a
+        count), and pairs with one such side, which are ignored: each voted
+        for its present side, one vote for every present label, changing no
+        winner."""
         if error := hyperparameter_error(payload["d"], payload["C"]):
             raise ValueError(error)
         mode = read_mode(payload["mode"])
         vocab = Vocabulary.from_list(payload["vocab"], mode)
-        models = {(a, b): BinarySvmModel.from_dict(m)
-                  for a, b, m in payload["models"]}
+        models = {}
+        for a, b, m in payload["models"]:
+            if (a, b) in models or (b, a) in models:
+                raise ValueError(f"the label pair {(a, b)} is listed twice")
+            models[(a, b)] = BinarySvmModel.from_dict(m)
         label_counts = read_label_counts(payload["label_counts"])
         for pair in combinations(sorted(label_counts), 2):
             if pair not in models:
@@ -723,27 +854,15 @@ def train_pairwise(dataset: Dataset, mode: FeatureSet, C: float = 1.0,
     return train_pairwise_slices([encode(dataset, mode)], C, (d,))[0]
 
 
-class _SliceVectors(dict):
-    """A training slice's rows of ``X`` as feature vectors against its
-    columns ``used``: ``self[r]`` is built when first read."""
-
-    def __init__(self, X, used):
-        self._ids, self._ends = X.indices, X.indptr.tolist()
-        self._local = np.searchsorted(used, np.arange(X.shape[1]))  # a used column's id
-
-    def __missing__(self, r: int) -> FeatureVector:
-        ids = self._local[self._ids[self._ends[r]:self._ends[r + 1]]]
-        vector = self[r] = FeatureVector(ids.tolist())
-        return vector
-
-
 def train_pairwise_slices(trains, C: float = 1.0, degrees=(1,)) -> list[PairwiseModel]:
     """The pairwise model of each training set of ``trains`` at each kernel
     degree of ``degrees``, degree by degree: ``trains`` are one or more
     slices of one corpus encoding under one feature set
     (``features.EncodedDataset``), and every model comes from one solve on
     one kernel over the corpus rows they use, which the degrees share; each
-    equals ``train_pairwise`` of its slice alone at its degree. Errors are
+    equals ``train_pairwise`` of its slice alone at its degree. A model's
+    support-vector table is the distinct rows, by content, of its
+    classifiers' support vectors, in its slice's columns. Errors are
     those of training the degrees one after another, each on the slices one
     by one: the first slice that cannot train (empty, or one label) raises,
     unless a pair of an earlier slice at the first degree reaches its
@@ -767,24 +886,28 @@ def train_pairwise_slices(trains, C: float = 1.0, degrees=(1,)) -> list[Pairwise
         posed = [(np.array(by_label[a] + by_label[b]),
                   np.array([1.0] * len(by_label[a]) + [-1.0] * len(by_label[b])))
                  for a, b in pairs]
-        fits.append((sub, pairs, posed, _SliceVectors(X, sub.used)))
+        fits.append((sub, pairs, posed))
     if error is not None:
         if not fits:
             raise error
         # one degree after another, the first one raises: the slice's error,
         # or that of a capped pair before it
         degrees = degrees[:1]
-    problems, sources = [], []
-    for d in degrees:
-        for _, pairs, posed, vectors in fits:
-            problems += [(idx, y, d) for idx, y in posed]
-            sources += [vectors] * len(pairs)
-    models = iter(_train(X, problems, sources, C))
+    problems = [(idx, y, d) for d in degrees for *_, posed in fits for idx, y in posed]
+    solved = _train(X, problems, C)
     if error is not None:
         raise error
-    return [PairwiseModel(sub.labels, dict(zip(pairs, models)), sub.label_counts,
-                          sub.vocab, sub.mode, C, d)
-            for d in degrees for sub, pairs, *_ in fits]
+    first, content = _distinct_rows(X)
+    models, start = [], 0
+    for d in degrees:
+        for sub, pairs, _ in fits:
+            arrays = solved.select(range(start, start + len(pairs)))
+            start += len(pairs)
+            classes, cols = np.unique(content[arrays.rows], return_inverse=True)
+            models.append(PairwiseModel._packed(
+                sub.labels, pairs, sub.label_counts, sub.vocab, sub.mode, C, d,
+                X[first[classes]][:, sub.used], arrays._replace(rows=cols)))
+    return models
 
 
 def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:

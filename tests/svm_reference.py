@@ -124,7 +124,6 @@ def finish_one(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
         "iterations": n_iter,
         "dual_value": _dual_value(alpha, grad),
         "kkt_violation": kkt_violation(u, y, alpha, C),
-        "alpha": tuple(float(a) for a in alpha),
         "n_train": len(y),
     }
     return BinarySvmModel(

@@ -58,7 +58,8 @@ def test_criterion_03_svm_grid_oracle_equivalence():
         model = train_binary_svm(list(zip(vectors, y)), C=1.0, d=d)
         oracle = dual_grid_oracle(vectors, y, d=d, step=0.05)
         gap = oracle - model.info["dual_value"]
-        feas = abs(float(full_alpha(model) @ np.asarray(y, dtype=float)))
+        feas = abs(float(full_alpha(model, vectors, y)
+                             @ np.asarray(y, dtype=float)))
         assert gap <= 1e-6
         assert feas <= 1e-8
         assert model.info["kkt_violation"] <= 1e-3

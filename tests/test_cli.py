@@ -549,14 +549,20 @@ class TestModelFiles:
                                       "d '2'", "d 0", "d -1", "d 60",
                                       "pair d true", "C -1", "C 0", "C 1e400",
                                       "pair C 0", "mode true", "mode 1.0",
-                                      "mode 2"])
+                                      "mode 2", "negative alpha", "label true",
+                                      "alpha true", "pair C 2",
+                                      "pair listed twice",
+                                      "pair listed reversed"])
     def test_malformed_svm_payload_is_data_error(self, tmp_path, corpus_file,
                                                  capsys, case):
         # a negative id corrupted the heap in the sparse-matrix build, a
         # label of 3, a NaN multiplier or a missing pair changed predictions
         # without any error, and a pair label outside the model's labels
         # raised a KeyError traceback; a degree, C or mode that the command
-        # line refuses loaded, a degree of 0 or -1 halving precision
+        # line refuses loaded, a degree of 0 or -1 halving precision; a
+        # negative multiplier, a label of true and a pair listed twice
+        # loaded, the last one silently overriding, or, reversed, casting
+        # an extra vote
         path, document = self._train_svm_file(corpus_file, tmp_path)
         payload = document["payload"]
         pair = payload["models"][0][2]
@@ -571,6 +577,19 @@ class TestModelFiles:
             pair["d"] = True
         elif case == "pair C 0":
             pair["C"] = 0
+        elif case == "pair C 2":
+            pair["C"] = payload["C"] * 2
+        elif case == "negative alpha":
+            pair["alpha"][0] = -5.0
+        elif case == "label true":
+            pair["y"][pair["y"].index(1)] = True
+        elif case == "alpha true":
+            pair["alpha"][0] = True
+        elif case.startswith("pair listed"):
+            a, b, _ = payload["models"][0]
+            if case.endswith("reversed"):
+                a, b = b, a
+            payload["models"].append([a, b, copy.deepcopy(pair)])
         elif case.startswith("mode "):  # 2 drops the tokens of feature set 1
             payload["mode"] = value
         elif case == "no models":
@@ -606,6 +625,17 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: malformed svm model payload (")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_svm_multiplier_above_C_loads(self, tmp_path, corpus_file):
+        # merged duplicate examples may carry multipliers up to m * C
+        path, document = self._train_svm_file(corpus_file, tmp_path)
+        pair = document["payload"]["models"][0][2]
+        pair["alpha"][0] = 5 * document["payload"]["C"]
+        above = tmp_path / "above.json"
+        above.write_text(json.dumps(document), encoding="utf-8")
+        assert load_model(above).models[tuple(document["payload"]["models"][0][:2])
+                                        ].sv_alpha[0] == 5 * document["payload"]["C"]
+        self._predictions(corpus_file, above, tmp_path / "above.jsonl")
 
     @pytest.mark.parametrize("method, case", [
         ("knn", "sentence 5"), ("knn", "k 2.5"), ("knn", "k true"),

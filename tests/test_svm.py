@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from svm_reference import kkt_feasible_bias
+from svm_reference import kkt_feasible_bias, reference_smo
 from synth import random_token_corpus
 from tamkit import svm
 from tamkit.corpus import Dataset, Example
@@ -52,8 +52,15 @@ def dual_grid_oracle(vectors, y, d, C=1.0, step=0.05):
     return float(values.max())
 
 
-def full_alpha(model):
-    return np.asarray(model.info["alpha"])
+def full_alpha(model, vectors, y):
+    """Every multiplier of the problem that ``model`` was trained on, zeros
+    included: those of the scalar reference solver on the same problem,
+    after checking that the model keeps exactly its active ones."""
+    y = np.asarray(y, dtype=float)
+    alpha, _, _ = reference_smo(gram(vectors, model.d), y, model.C, svm.KKT_TOL,
+                                100 * len(y))
+    assert model.sv_alpha == tuple(alpha[alpha > svm.ALPHA_FLOOR].tolist())
+    return alpha
 
 
 def bias_free_values(train_vectors, model):
@@ -70,7 +77,7 @@ def per_example_kkt(train_vectors, y, model, tol):
     """Optimality of every training example under the best feasible bias."""
     u = bias_free_values(train_vectors, model)
     y = np.asarray(y, dtype=float)
-    alpha = full_alpha(model)
+    alpha = full_alpha(model, train_vectors, y)
     b = kkt_feasible_bias(u, y, alpha, model.C)
     margins = y * (u + b)
     worst = 0.0
@@ -124,7 +131,7 @@ class TestBinaryTraining:
             vectors, y = _random_problem(rng)
             model = train_binary_svm(list(zip(vectors, y)), C=1.0,
                                      d=rng.choice([1, 2]))
-            alpha = full_alpha(model)
+            alpha = full_alpha(model, vectors, y)
             assert abs(float(alpha @ np.asarray(y, dtype=float))) <= 1e-8
             assert all(0 < a <= 1.0 for a in model.sv_alpha)
 
@@ -216,8 +223,10 @@ class TestBinaryTraining:
         dense = train_binary_svm(list(zip(vectors, y)), C=1.0, d=2)
         request.getfixturevalue("row_cache")
         cached = train_binary_svm(list(zip(vectors, y)), C=1.0, d=2)
-        assert full_alpha(dense).tolist() == full_alpha(cached).tolist()
+        assert dense.support_vectors == cached.support_vectors
+        assert dense.sv_alpha == cached.sv_alpha
         assert dense.b == cached.b
+        assert dense.info == cached.info
 
 
 def _random_problem(rng, max_l=4, max_feat=4):
