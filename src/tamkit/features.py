@@ -15,14 +15,29 @@ A vocabulary maps features to dense contiguous ids and never changes
 afterwards. Vectors are binary (presence only), so the inner product of two
 vectors is the size of their id-set intersection.
 
+Rows of vectors are held as a :class:`BinaryCSR`: compressed sparse rows
+with row pointers ``indptr`` and each row's column ids ``indices``,
+strictly increasing, and no data array, as every value is 1. All the
+sparse algebra the learners need is on it. Intersection counts (``X @
+Y``: the SVM kernel's x.y) and the label counts of each feature are
+integer products, exact in any order. Maxent's float products are row
+sums (``X @ W``, its scores) and column sums (``X.T @ P``, its expected
+counts), and their summation order is a rule: each output starts at 0.0
+and adds its terms one after another, a row's in increasing column order
+and a column's in increasing row order. Maxent weights and scores are
+bit-identical only under that rule; numpy's pairwise summation, which it
+applies to a contiguous run of eight or more terms, would round
+otherwise.
+
 A :class:`CorpusEncoding` extracts every example of a corpus once, into
-one CSR matrix over one sorted vocabulary; as every ``suffix`` feature
-sorts before every ``token`` feature, feature sets 2 and 3 are column
-ranges of feature set 1. A training set is an :class:`EncodedDataset`
-slice of it, built by CSR row and column indexing: its vocabulary is the
-columns its examples use, in order, so it is exactly what :func:`encode`,
-the one training encoder, gives for those examples alone. Held-out rows of
-the same corpus are the same indexing against a slice's columns
+one binary CSR matrix over one sorted vocabulary; as every ``suffix``
+feature sorts before every ``token`` feature, feature sets 2 and 3 are
+column ranges of feature set 1. A training set is an
+:class:`EncodedDataset` slice of it, built by a row gather and a monotone
+column remap: its vocabulary is the columns its examples use, in order,
+so it is exactly what :func:`encode`, the one training encoder, gives for
+those examples alone. Held-out rows of the same corpus are the same
+gather and remap against a slice's columns
 (:meth:`EncodedDataset.held_out`), as :func:`extract`, which drops features
 the vocabulary does not know, gives them for any input. Slices and
 held-out rows are built where they are used, not memoised.
@@ -32,10 +47,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .corpus import Dataset, is_positive_int
 
@@ -181,13 +196,145 @@ class FeatureVector:
         return f"FeatureVector({list(self.ids)})"
 
 
+class BinaryCSR:
+    """A 0/1 matrix in compressed sparse rows with no data array, as every
+    stored value is 1: row ``r`` holds the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, strictly increasing.
+
+    Three products serve the learners. ``X @ Y`` of two binary matrices is
+    an integer matrix of intersection counts (the kernel values x.y), exact
+    in any order; so are row and column sums of integer matrices, such as
+    ``column_sums`` of one-hot labels. ``row_sums(W)`` (``X @ W``) and
+    ``column_sums(P)`` (``X.T @ P``) of floats add in one fixed order:
+    every output starts at 0.0 and adds its terms one after another, a
+    row's in increasing column order and a column's in increasing row order,
+    which keeps maxent weights bit-identical to a sequential loop in that
+    order. The matrix is not changed after construction, so slices may
+    share its arrays."""
+
+    def __init__(self, indptr, indices, shape):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._column_keys: dict[int, np.ndarray] = {}  # by the width of P
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def row_lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @cached_property
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), self.row_lengths())
+
+    def take(self, rows) -> "BinaryCSR":
+        """The rows ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        flat = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return BinaryCSR(indptr, self.indices[flat], (len(rows), self.shape[1]))
+
+    def block(self, start: int, stop: int) -> "BinaryCSR":
+        """The rows ``[start, stop)``, sharing this matrix's indices."""
+        stop = min(stop, self.shape[0])
+        a, b = self.indptr[start], self.indptr[stop]
+        return BinaryCSR(self.indptr[start:stop + 1] - a, self.indices[a:b],
+                         (stop - start, self.shape[1]))
+
+    def select(self, cols) -> "BinaryCSR":
+        """The columns ``cols`` (increasing), renumbered by their position
+        in ``cols``; entries in other columns are dropped. The renumbering
+        keeps their order, so each row's columns stay sorted."""
+        cols = np.asarray(cols, dtype=np.int64)
+        position = np.full(self.shape[1], -1, dtype=np.int64)
+        position[cols] = np.arange(len(cols))
+        mapped = position[self.indices]
+        keep = mapped >= 0
+        kept = np.zeros(self.nnz + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return BinaryCSR(kept[self.indptr], mapped[keep], (self.shape[0], len(cols)))
+
+    @property
+    def T(self) -> "BinaryCSR":
+        """The transpose: row ``c`` lists the rows that have column ``c``."""
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.shape[1]), out=indptr[1:])
+        order = np.argsort(self.indices, kind="stable")
+        return BinaryCSR(indptr, self.row_ids[order], self.shape[::-1])
+
+    def __matmul__(self, other: "BinaryCSR") -> np.ndarray:
+        """The integer product with the binary matrix ``other``: entry
+        ``(i, j)`` counts the ``k`` with ``self[i, k] = other[k, j] = 1``,
+        from every stored entry of ``other``'s rows that ``self``'s entries
+        name."""
+        n, m = self.shape[0], other.shape[1]
+        starts = other.indptr[self.indices]
+        lengths = other.indptr[self.indices + 1] - starts
+        ends = np.cumsum(lengths)
+        flat = np.arange(ends[-1] if self.nnz else 0)
+        flat += np.repeat(starts - ends + lengths, lengths)
+        keys = other.indices[flat]
+        keys += np.repeat(self.row_ids * m, lengths)
+        return np.bincount(keys, minlength=n * m).reshape(n, m)
+
+    def toarray(self) -> np.ndarray:
+        """The dense float64 matrix."""
+        dense = np.zeros(self.shape)
+        dense[self.row_ids, self.indices] = 1.0
+        return dense
+
+    def row_sums(self, W: np.ndarray) -> np.ndarray:
+        """``X @ W[:-1]``: row ``r`` is the sum of the rows of ``W`` at its
+        columns, in increasing column order. ``W`` has one row per column
+        and one more, all zeros, that padding reads."""
+        # (width, rows, W's columns): each row's k-th term at k
+        terms = np.take(W, self._padded_columns, axis=0)
+        if terms.shape[1:] == (1, 1):
+            # numpy would sum a lone output's terms pairwise
+            total = 0.0
+            for term in terms.ravel().tolist():
+                total += term
+            return np.array([[total]])
+        # a sum over the leading axis adds its terms one after another
+        return terms.sum(axis=0, initial=0.0)
+
+    @cached_property
+    def _padded_columns(self) -> np.ndarray:
+        """``(width, rows)``: entry ``(k, r)`` is row ``r``'s k-th column,
+        or ``shape[1]`` past its end."""
+        lengths = self.row_lengths()
+        pad = np.full((lengths.max(initial=0), self.shape[0]), self.shape[1],
+                      dtype=np.int64)
+        pad[np.arange(self.nnz) - np.repeat(self.indptr[:-1], lengths),
+            self.row_ids] = self.indices
+        return pad
+
+    def column_sums(self, P: np.ndarray) -> np.ndarray:
+        """``X.T @ P``: row ``c`` is the sum of the rows of ``P`` that have
+        column ``c``, in increasing row order, from one ``bincount`` that
+        adds its weights in input order."""
+        k = P.shape[1]
+        keys = self._column_keys.get(k)
+        if keys is None:
+            keys = (self.indices[:, None] * k + np.arange(k)).ravel()
+            self._column_keys[k] = keys
+        weights = P.take(self.row_ids, axis=0).ravel()
+        return np.bincount(keys, weights, minlength=self.shape[1] * k).reshape(-1, k)
+
+
 class CorpusEncoding:
     """Every example of a corpus extracted once under ``mode`` (feature set
     1, which also serves 2 and 3, by default), against one sorted
-    vocabulary of all their features: row ``r`` of the CSR matrix ``X``
-    (sorted indices, data 1.0) is example ``r``'s vector. The suffix
-    features are ids ``[0, n_suffix)``, the token features the rest.
-    ``dataset()`` is the corpus as an :class:`EncodedDataset`."""
+    vocabulary of all their features: row ``r`` of the binary matrix ``X``
+    is example ``r``'s vector. The suffix features are ids ``[0,
+    n_suffix)``, the token features the rest. ``dataset()`` is the corpus
+    as an :class:`EncodedDataset`."""
 
     def __init__(self, examples, mode: FeatureSet = FeatureSet.FS1):
         self.examples = tuple(examples)
@@ -209,10 +356,9 @@ class CorpusEncoding:
         return range(0 if SUFFIX in kinds else self.n_suffix,
                      len(self.vocab) if TOKEN in kinds else self.n_suffix)
 
-    def rows(self, rows, mode: FeatureSet) -> csr_matrix:
+    def rows(self, rows, mode: FeatureSet) -> "BinaryCSR":
         """The rows ``rows`` of ``X`` in the columns ``columns(mode)``."""
-        cols = self.columns(mode)
-        return self.X[rows, cols.start:cols.stop]
+        return self.X.take(rows).select(self.columns(mode))
 
     def dataset(self, mode: FeatureSet | None = None) -> "EncodedDataset":
         """Every example, encoded under ``mode`` (by default this encoding's
@@ -234,10 +380,11 @@ class EncodedDataset(Dataset):
         self.mode = FeatureSet(mode)
         super().__init__(map(corpus.examples.__getitem__, self.rows.tolist()))
         X = corpus.rows(self.rows, self.mode)
-        self.used = np.unique(X.indices)
+        # the columns in use, by a count: a plain np.unique imports numpy.ma
+        self.used = np.flatnonzero(np.bincount(X.indices, minlength=X.shape[1]))
         start = corpus.columns(self.mode).start
         self.vocab = Vocabulary(map(corpus.vocab.feature, (self.used + start).tolist()))
-        self.X = X[:, self.used]
+        self.X = X.select(self.used)
 
     def subset(self, indices) -> "EncodedDataset":
         indices = np.asarray(indices, dtype=np.intp)
@@ -256,25 +403,26 @@ class EncodedDataset(Dataset):
         rows = self.rows[np.asarray(indices, dtype=np.intp)]
         return EncodedBatch(map(self.corpus.examples.__getitem__, rows.tolist()),
                             self.mode, train.vocab,
-                            self.corpus.rows(rows, self.mode)[:, train.used])
+                            self.corpus.rows(rows, self.mode).select(train.used))
 
     def label_counts_by_feature(self) -> list[dict[str, int]]:
         """Per feature id, the label counts of the examples that have the
-        feature, from one sparse product of ``X`` with the labels."""
+        feature, from one integer count of (feature, label) keys."""
         labels = self.labels
         index = {lab: j for j, lab in enumerate(labels)}
-        onehot = csr_matrix((np.ones(len(self)), [index[ex.label] for ex in self],
-                             np.arange(len(self) + 1)), shape=(len(self), len(labels)))
-        counts = (self.X.T @ onehot).tocsr()  # (feature, label)
-        ends = counts.indptr.tolist()
-        pairs = list(zip(map(labels.__getitem__, counts.indices.tolist()),
-                         counts.data.astype(np.int64).tolist()))
+        y = np.array([index[ex.label] for ex in self], dtype=np.int64)
+        counts = np.bincount(self.X.indices * len(labels) + y[self.X.row_ids],
+                             minlength=len(self.vocab) * len(labels))
+        keys = np.flatnonzero(counts)
+        feats, labs = np.divmod(keys, len(labels))
+        ends = np.searchsorted(feats, np.arange(len(self.vocab) + 1)).tolist()
+        pairs = list(zip(map(labels.__getitem__, labs.tolist()), counts[keys].tolist()))
         return [dict(pairs[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 class EncodedBatch(tuple):
     """Examples to predict, carrying their rows under ``mode`` against a
-    trained vocabulary ``vocab``: row ``i`` of the CSR matrix ``X`` is
+    trained vocabulary ``vocab``: row ``i`` of the binary matrix ``X`` is
     ``extract(self[i], mode, vocab)``."""
 
     def __new__(cls, examples, mode: FeatureSet, vocab: Vocabulary, X):
@@ -301,8 +449,8 @@ def extract(example, mode: FeatureSet, vocab: Vocabulary) -> FeatureVector:
     return FeatureVector(fid for f in feats if (fid := vocab.lookup(f)) is not None)
 
 
-def rows_against(examples, mode: FeatureSet, vocab: Vocabulary) -> csr_matrix:
-    """The CSR matrix whose row ``i`` is ``extract(examples[i], mode,
+def rows_against(examples, mode: FeatureSet, vocab: Vocabulary) -> "BinaryCSR":
+    """The matrix whose row ``i`` is ``extract(examples[i], mode,
     vocab)``: read off ``examples`` when it carries them (an EncodedBatch
     of ``mode`` against ``vocab`` itself), else extracted."""
     if (isinstance(examples, EncodedBatch) and examples.mode == mode
@@ -311,15 +459,11 @@ def rows_against(examples, mode: FeatureSet, vocab: Vocabulary) -> csr_matrix:
     return to_csr([extract(ex, mode, vocab) for ex in examples], len(vocab))
 
 
-def to_csr(vectors, n_cols: int) -> csr_matrix:
-    """Stack binary feature vectors into a scipy CSR matrix (float64 data)."""
+def to_csr(vectors, n_cols: int) -> BinaryCSR:
+    """Stack binary feature vectors into one BinaryCSR."""
     indptr = [0]
     indices: list[int] = []
     for vec in vectors:
         indices.extend(vec.ids)
         indptr.append(len(indices))
-    data = np.ones(len(indices), dtype=np.float64)
-    return csr_matrix(
-        (data, np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, n_cols),
-    )
+    return BinaryCSR(indptr, indices, (len(indptr) - 1, n_cols))

@@ -40,7 +40,10 @@ class MaxEntModel:
         self.vocab = vocab
         self.mode = FeatureSet(mode)
         self.labels: tuple[str, ...] = tuple(labels)
-        self.weights = np.asarray(weights, dtype=np.float64)  # (|vocab|, |labels|)
+        weights = np.asarray(weights, dtype=np.float64)  # (|vocab|, |labels|)
+        # the weights and a zero row, which BinaryCSR.row_sums reads for padding
+        self._padded = np.concatenate((weights, np.zeros((1, weights.shape[1]))))
+        self.weights = self._padded[:-1]
         self.label_counts = Counter(label_counts)
         self.info = dict(info or {})
 
@@ -87,8 +90,13 @@ class MaxEntModel:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    scores = scores - scores.max(axis=1, keepdims=True)
-    probs = np.exp(scores)
+    # the row maxima, one label column at a time: an axis-1 max over a few
+    # labels costs ten times as much, and a maximum is exact in any order
+    top = np.full(len(scores), -np.inf)
+    for column in scores.T:
+        np.maximum(top, column, out=top)
+    probs = scores - top[:, None]
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
@@ -109,34 +117,43 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     # weights, are bit-identical under any permutation of the dataset
     ids, ends = train.X.indices.tolist(), train.X.indptr.tolist()
     order = sorted(range(n), key=lambda i: (ids[ends[i]:ends[i + 1]], dataset[i].label))
-    X = train.X[order]
-    if n * n_feat <= (1 << 16):
-        X = X.toarray()  # sparse overhead dwarfs tiny problems
+    X = train.X.take(order)
+    cmax = int(X.row_lengths().max(initial=0))
     onehot = np.zeros((n, n_lab))
     for row, i in enumerate(order):
         onehot[row, label_index[dataset[i].label]] = 1.0
-    Xt = X.T  # built once per fit: a sparse transpose is a new matrix
-    empirical = Xt @ onehot  # (feature, label) co-occurrence counts
-    cmax = int(X.sum(axis=1).max()) if n_feat else 0
+    # the weights, and a zero row that X.row_sums reads for padding
+    padded = np.zeros((n_feat + 1, n_lab))
+    weights = padded[:-1]
+    if n * n_feat <= (1 << 16):  # sparse overhead dwarfs tiny problems
+        D = X.toarray()
+        row_sums, column_sums = (lambda W: D @ W[:-1]), D.T.__matmul__
+    else:
+        row_sums, column_sums = X.row_sums, X.column_sums
+    empirical = column_sums(onehot)  # (feature, label) co-occurrence counts
 
     # with no constraints (cmax == 0), the entropy maximum is the uniform
     # conditional: zero weights, reached after no pass
-    weights = np.zeros((n_feat, n_lab))
     residual, it = 0.0, 0
     if cmax > 0:
         # -inf for a pair training never saw, so its update is -inf
         log_empirical = np.log(np.maximum(empirical, 1e-300))
         log_empirical[empirical == 0.0] = -np.inf
         step = 1.0 / cmax
+        gap, update = np.empty_like(empirical), np.empty_like(empirical)
         for it in range(1, GIS_MAX_ITERS + 1):
-            probs = _softmax_rows(X @ weights)
-            expected = Xt @ probs
-            residual = float(np.abs(empirical - expected).max())
+            probs = _softmax_rows(row_sums(padded))
+            expected = column_sums(probs)
+            residual = float(np.abs(np.subtract(empirical, expected, out=gap),
+                                    out=gap).max())
             if residual <= GIS_TOL * n:
                 it -= 1
                 break
-            update = log_empirical - np.log(np.maximum(expected, 1e-300))
-            weights = weights + update * step
+            # weights += (log_empirical - log(expected)) * step, in place
+            np.log(np.maximum(expected, 1e-300, out=update), out=update)
+            np.subtract(log_empirical, update, out=update)
+            update *= step
+            weights += update
             np.clip(weights, -WEIGHT_CLAMP, WEIGHT_CLAMP, out=weights)
     converged = residual <= GIS_TOL * n
     info = {
@@ -161,13 +178,11 @@ def classify_maxent(model: MaxEntModel, fv: FeatureVector) -> tuple[str, dict[st
 
 
 def _classify_rows(model: MaxEntModel, X) -> list[tuple[str, dict[str, float]]]:
-    """``classify_maxent`` of every row of the CSR block ``X`` (columns
-    ``model.vocab``, sorted indices), from one sparse product with the
-    weights. A row's score sums its features' weights left to right in id
-    order, as summing the weight rows in that order would."""
-    scores = X @ model.weights
+    """``classify_maxent`` of every row of the binary block ``X`` (columns
+    ``model.vocab``). A row's score sums its features' weights left to
+    right in id order, from 0.0 (``BinaryCSR.row_sums``)."""
     results = []
-    for probs in _softmax_rows(np.asarray(scores)).tolist():
+    for probs in _softmax_rows(X.row_sums(model._padded)).tolist():
         top = max(probs)
         # every most probable label is a candidate with one vote
         candidates = {lab: 1 for lab, p in zip(model.labels, probs) if p == top}

@@ -24,7 +24,8 @@ training slices of one corpus encoding (``features.EncodedDataset``), such
 as the folds of a cross-validation and its closed fit, at one or both
 kernel degrees, in one solve; ``train_pairwise`` is its one-dataset,
 one-degree case. It builds the kernel once over the l corpus rows that the
-slices use, straight from the encoding's CSR matrix, within one budget of
+slices use, as integer intersection counts straight from the encoding's
+binary CSR matrix (``features.BinaryCSR``), within one budget of
 ``KERNEL_ENTRIES`` values: the dense Gram matrix when l * l fits, above it
 an LRU of ``KERNEL_ENTRIES // l`` rows. The kernel holds x.y + 1, whatever
 the degree, and a degree-2 problem squares the values it reads. They are
@@ -63,10 +64,11 @@ reads the pairs back as ``BinarySvmModel``s, built on first read, for
 model files and for ``decide`` and ``classify_pairwise``, which stay as
 the reference.
 
-``predict_batch`` computes every kernel value of a block of test rows (CSR
-rows of an encoded batch, or of extracted vectors) with one product with
-the table, gathers every pair's terms, padded to the longest support set
-with coefficient 0, and sums them in stored support-vector order, so every
+``predict_batch`` computes every kernel value of a block of test rows (rows
+of an encoded batch, or of extracted vectors) from one integer product
+with the table (the x.y counts, exact in any order), gathers every pair's
+terms, padded to the longest support set with coefficient 0, and sums
+them in stored support-vector order, so every
 raw decision value is bit-identical to ``decide``, and a value of exactly
 0 votes for the positive side in both paths. Both break vote ties with
 ``corpus.best_label``.
@@ -81,11 +83,10 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .corpus import Dataset, best_label, is_positive_int, read_label_counts, read_list
-from .features import (FeatureSet, FeatureVector, Vocabulary, encode, read_mode,
-                       rows_against, to_csr)
+from .features import (BinaryCSR, FeatureSet, FeatureVector, Vocabulary, encode,
+                       read_mode, rows_against, to_csr)
 
 KKT_TOL = 1e-3         # SMO stops when the maximal violation is at most this
 MAX_ITER = None        # SMO iteration cap per problem; None is 100 per example
@@ -130,14 +131,14 @@ class KernelCache:
     """Rows of x.y + 1 computed on demand with a bounded LRU; a degree-2
     problem squares the values it reads.
 
-    Rows are rebuilt from the sparse example matrix when evicted, so results
+    Rows are rebuilt from the binary example matrix when evicted, so results
     never depend on cache hits. Used when the full Gram matrix would be too
     large to precompute.
     """
 
-    def __init__(self, X, capacity: int):
+    def __init__(self, X: BinaryCSR, capacity: int):
         self._X = X
-        self._Xt = X.T.tocsc()
+        self._Xt = X.T
         self.capacity = max(1, capacity)
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
 
@@ -146,7 +147,7 @@ class KernelCache:
         if cached is not None:
             self._rows.move_to_end(i)
             return cached
-        row = _poly(self._X @ self._Xt[:, [i]], 1).ravel()
+        row = _poly(self._X.block(i, i + 1) @ self._Xt, 1).ravel()
         self._rows[i] = row
         if len(self._rows) > self.capacity:
             self._rows.popitem(last=False)
@@ -198,11 +199,10 @@ class _DenseGram:
         return self._K[idx[:, None], idx[active]]
 
 
-def _poly(counts, d: int) -> np.ndarray:
-    """(counts + 1)^d, in place on the dense copy of a sparse count matrix.
-    Counts are small integers, so every kernel value is exact."""
-    K = counts.toarray()
-    K += 1.0
+def _poly(counts: np.ndarray, d: int) -> np.ndarray:
+    """(counts + 1)^d as floats, for an integer matrix of intersection
+    counts. Counts are small integers, so every kernel value is exact."""
+    K = counts + 1.0
     if d != 1:
         K **= d
     return K
@@ -214,17 +214,15 @@ def _kernel_matrix(X):
     as fit. The values are the same for every degree: a degree-2 problem
     squares those it reads, which is exact, as they are small integers.
     The dense matrix is filled in blocks of about ``GRAM_BLOCK`` values,
-    so that the sparse product of all rows is never held beside it."""
+    so that the integer counts of all rows are never held beside it."""
     l = X.shape[0]
     if l * l > KERNEL_ENTRIES:
         return KernelCache(X, KERNEL_ENTRIES // l)
     K = np.empty((l, l))
-    Xt = X.T.tocsr()
+    Xt = X.T
     step = max(1, GRAM_BLOCK // l)
     for start in range(0, l, step):
-        rows = X if step >= l else X[start:start + step]  # a slice is a copy
-        (rows @ Xt).toarray(out=K[start:start + step])
-    K += 1.0
+        np.add(X.block(start, start + step) @ Xt, 1.0, out=K[start:start + step])
     return _DenseGram(K)
 
 
@@ -551,7 +549,7 @@ class _PairArrays(NamedTuple):
 
 
 def _distinct_rows(X) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` for the CSR matrix ``X`` with sorted indices:
+    """``(first, inverse)`` for the binary matrix ``X``:
     ``X[first]`` are its distinct rows by content, and row ``r`` equals row
     ``first[inverse[r]]``. Rows are compared as their ids, padded with -1,
     each read as one opaque value: a fifth of the cost of ``np.unique``
@@ -588,7 +586,7 @@ def train_binary_svm(examples, C: float = 1.0, d: int = 1) -> BinarySvmModel:
 
 def _train(X, problems, C: float) -> _PairArrays:
     """Every problem ``(idx, y, d)`` solved on one kernel over the rows of
-    the CSR matrix ``X``, packed in problem order, with its support vectors
+    the binary matrix ``X``, packed in problem order, with its support vectors
     as rows of ``X``: ``idx`` are the problem's rows of ``X``, ``y`` their
     labels and ``d`` its kernel degree. The problems that converge in the
     same solver round are finished together, by ``_finish_batch``, and
@@ -700,13 +698,14 @@ class PairwiseModel:
             np.array([a for m in binaries for a in m.sv_alpha], dtype=float),
             np.array([m.b for m in binaries], dtype=float),
             {k: [m.info[k] for m in binaries] for k in keys})
-        self._setup(labels, models, label_counts, vocab, mode, C, d, S[first], arrays)
+        self._setup(labels, models, label_counts, vocab, mode, C, d, S.take(first),
+                    arrays)
 
     @classmethod
     def _packed(cls, labels, pairs, label_counts, vocab: Vocabulary,
                 mode: FeatureSet, C: float, d: int, table, arrays: _PairArrays):
         """The model of the classifiers ``arrays`` of ``pairs``, whose
-        ``rows`` index the rows of ``table``, a CSR matrix of distinct
+        ``rows`` index the rows of ``table``, a binary matrix of distinct
         support vectors against ``vocab``."""
         model = cls.__new__(cls)
         model._setup(labels, pairs, label_counts, vocab, mode, C, d, table, arrays)
@@ -725,8 +724,9 @@ class PairwiseModel:
         # table; padding points at column 0, so keep one even with no
         # support vectors
         if table.shape[0] == 0:
-            table = csr_matrix((1, len(vocab)))
-        self._sv_t = table.T.tocsr()
+            table = BinaryCSR([0, 0], [], (1, len(vocab)))
+        self._table = table
+        self._sv_t = table.T
         # The batch layout: entry (k, j) of ``_gather`` / ``_coef`` is the
         # table column / coefficient (alpha * y) of pair j's k-th support
         # vector, padded to the longest support set with coefficient 0.0,
@@ -749,8 +749,7 @@ class PairwiseModel:
     def models(self) -> dict[tuple[str, str], BinarySvmModel]:
         """The pair classifiers as ``BinarySvmModel``s, in ``pairs`` order,
         built from the packed arrays when first read."""
-        table = self._sv_t.T.tocsr()
-        ends, ids = table.indptr.tolist(), table.indices.tolist()
+        ends, ids = self._table.indptr.tolist(), self._table.indices.tolist()
         vectors = [FeatureVector(ids[s:e]) for s, e in zip(ends, ends[1:])]
         return dict(zip(self.pairs, self._arrays.binary_models(vectors, self.C,
                                                                 self.d)))
@@ -769,7 +768,7 @@ class PairwiseModel:
         labels: list[str] = []
         X = rows_against(examples, self.mode, self.vocab)
         for start in range(0, X.shape[0], self._block_rows):
-            block = X[start:start + self._block_rows]
+            block = X.block(start, start + self._block_rows)
             n = block.shape[0]
             winners = np.where(self.decision_values(block) >= 0, self._pos, self._neg)
             flat = (np.arange(n)[:, None] * n_labels + winners).ravel()
@@ -780,12 +779,12 @@ class PairwiseModel:
 
     def decision_values(self, X) -> np.ndarray:
         """Raw decision value of every pair classifier (columns, in
-        ``pairs`` order) for every row of the CSR block ``X``, whose
+        ``pairs`` order) for every row of the binary block ``X``, whose
         columns are ``self.vocab``.
 
-        One sparse product with the support-vector table gives every kernel
-        value. Each pair then sums its terms in stored support-vector order,
-        as ``decide`` does, so every value is bit-identical to
+        One integer product with the support-vector table counts every
+        kernel's x.y. Each pair then sums its terms in stored support-vector
+        order, as ``decide`` does, so every value is bit-identical to
         ``decide(m, fv)[0]`` for the row's vector ``fv``.
         """
         K = _poly(X @ self._sv_t, self.d)
@@ -869,7 +868,8 @@ def train_pairwise_slices(trains, C: float = 1.0, degrees=(1,)) -> list[Pairwise
     iteration cap; otherwise the first pair in (degree, slice, pair) order
     that reaches its cap raises ConvergenceError."""
     trains = list(trains)
-    rows = np.unique(np.concatenate([sub.rows for sub in trains]))
+    # the corpus rows in use, in order (np.unique would import numpy.ma)
+    rows = np.flatnonzero(np.bincount(np.concatenate([sub.rows for sub in trains])))
     X = trains[0].corpus.rows(rows, trains[0].mode)
     fits, error = [], None
     for sub in trains:
@@ -906,7 +906,7 @@ def train_pairwise_slices(trains, C: float = 1.0, degrees=(1,)) -> list[Pairwise
             classes, cols = np.unique(content[arrays.rows], return_inverse=True)
             models.append(PairwiseModel._packed(
                 sub.labels, pairs, sub.label_counts, sub.vocab, sub.mode, C, d,
-                X[first[classes]][:, sub.used], arrays._replace(rows=cols)))
+                X.take(first[classes]).select(sub.used), arrays._replace(rows=cols)))
     return models
 
 

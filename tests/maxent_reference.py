@@ -12,7 +12,7 @@ def expectation_residual(model, dataset) -> float:
     (feature, label) pairs, measured on ``dataset``."""
     n = len(dataset)
     fvs = [extract(ex, model.mode, model.vocab) for ex in dataset]
-    X = to_csr(fvs, model.weights.shape[0])
+    X = to_csr(fvs, model.weights.shape[0]).toarray()
     label_index = {lab: i for i, lab in enumerate(model.labels)}
     onehot = np.zeros((n, len(model.labels)))
     for i, ex in enumerate(dataset):

@@ -2,9 +2,11 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from collections import Counter
 
@@ -16,6 +18,7 @@ from tamkit.declist import train_declist
 from tamkit.features import (
     SUFFIX,
     TOKEN,
+    BinaryCSR,
     CorpusEncoding,
     Feature,
     FeatureSet,
@@ -244,12 +247,18 @@ class TestEncode:
 
 
 def rows(X) -> list[FeatureVector]:
-    """The rows of a CSR matrix as feature vectors, after checking that
-    its indices are sorted and its data 1.0: maxent's score sums a row's
-    weights in id order, and every kernel value is an intersection count."""
-    assert X.has_sorted_indices and (X.data == 1.0).all()
+    """The rows of a binary matrix as feature vectors, after checking that
+    each row's ids strictly increase within its columns: maxent's score
+    sums a row's weights in id order, and every kernel value is an
+    intersection count."""
+    assert isinstance(X, BinaryCSR)
     ids, ends = X.indices.tolist(), X.indptr.tolist()
-    return [FeatureVector(ids[a:b]) for a, b in zip(ends, ends[1:])]
+    assert ends[0] == 0 and ends[-1] == X.nnz and len(ends) == X.shape[0] + 1
+    row_ids = [ids[a:b] for a, b in zip(ends, ends[1:])]
+    for row in row_ids:
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert all(0 <= i < X.shape[1] for i in row)
+    return [FeatureVector(row) for row in row_ids]
 
 
 class TestCorpusEncoding:
@@ -353,7 +362,82 @@ class TestFeatureVector:
         vecs = [FeatureVector(rng.sample(range(12), rng.randint(0, 6)))
                 for _ in range(20)]
         X = to_csr(vecs, 12)
-        gram = (X @ X.T).toarray()
+        gram = X @ X.T
         for i in range(20):
             for j in range(20):
                 assert gram[i, j] == vecs[i].dot(vecs[j])
+
+
+@st.composite
+def binary_matrices(draw, n_cols=None):
+    """A BinaryCSR of up to 24 rows, empty rows and zero columns included,
+    with rows and columns long enough that numpy's pairwise summation
+    (over runs of 8 or more) would round otherwise."""
+    if n_cols is None:
+        n_cols = draw(st.integers(0, 30))
+    row = st.lists(st.booleans(), min_size=n_cols, max_size=n_cols).map(
+        lambda mask: [c for c, bit in enumerate(mask) if bit])
+    return to_csr([FeatureVector(r) for r in draw(st.lists(row, max_size=24))], n_cols)
+
+
+def as_scipy(X):
+    return csr_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+# magnitudes far apart, so that another summation order rounds differently
+FLOATS = st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)
+
+
+class TestBinaryCSR:
+    """scipy.sparse is the oracle: float sums must be bit-identical to its
+    sequential order, integer products and indexing equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(binary_matrices(), st.integers(1, 5), st.data())
+    def test_sums_and_products_equal_scipy(self, X, k, data):
+        S = as_scipy(X)
+        n, n_cols = X.shape
+        W = np.array(data.draw(st.lists(FLOATS, min_size=n_cols * k,
+                                        max_size=n_cols * k))).reshape(n_cols, k)
+        P = np.array(data.draw(st.lists(FLOATS, min_size=n * k,
+                                        max_size=n * k))).reshape(n, k)
+        padded = np.concatenate((W, np.zeros((1, k))))
+        assert (bits(X.row_sums(padded)) == bits(S @ W)).all()
+        for r in range(n):  # a lone output, which numpy would sum pairwise
+            assert (bits(X.block(r, r + 1).row_sums(padded[:, :1]))
+                    == bits(S[r] @ W[:, :1])).all()
+        assert (bits(X.column_sums(P)) == bits(S.T @ P)).all()
+        onehot = np.eye(k)[data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                              max_size=n))].reshape(n, k)
+        assert (X.column_sums(onehot) == S.T @ onehot).all()
+        Y = data.draw(binary_matrices(n_cols))
+        counts = X @ Y.T
+        assert counts.dtype.kind == "i"
+        assert (counts == (S @ as_scipy(Y).T).toarray()).all()
+        assert (X.toarray() == S.toarray()).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(binary_matrices(), st.data())
+    def test_indexing_equals_scipy(self, X, data):
+        S = as_scipy(X)
+        n, n_cols = X.shape
+        picked = data.draw(st.lists(st.integers(0, n - 1), max_size=10)
+                           if n else st.just([]))
+        cols = sorted(data.draw(st.sets(st.integers(0, n_cols - 1))
+                                if n_cols else st.just(set())))
+        start = data.draw(st.integers(0, n))
+        stop = data.draw(st.integers(start, n + 3))
+        for ours, theirs in ((X.take(picked), S[picked]),
+                             (X.select(cols), S[:, cols]),
+                             (X.take(picked).select(cols), S[picked][:, cols]),
+                             (X.block(start, stop), S[start:stop]),
+                             (X.T, S.T.tocsr())):
+            theirs.sort_indices()
+            assert ours.shape == theirs.shape
+            rows(ours)  # each row's ids strictly increase
+            assert ours.indptr.tolist() == theirs.indptr.tolist()
+            assert ours.indices.tolist() == theirs.indices.tolist()
