@@ -105,8 +105,13 @@ def _config(args) -> dict:
     return config
 
 
+# what json.dumps(record, sort_keys=True, ensure_ascii=False) builds on
+# every call, built once
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+    return _REPORT_ENCODER.encode(record)
 
 
 def report_lines(report: PrecisionReport, config: dict) -> list[str]:

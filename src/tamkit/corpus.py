@@ -148,9 +148,14 @@ def split_lines(text: str) -> list[str]:
 
 def parse_corpus(text: str) -> Dataset:
     """Parse a corpus document into a Dataset, preserving file order; it
-    reads back every dataset that :func:`serialize_corpus` writes."""
-    examples = []
+    reads back every dataset that :func:`serialize_corpus` writes. A line
+    that repeats an earlier one is not parsed again: it is that line's
+    example, which is immutable."""
+    examples, parsed = [], {}  # line -> its example
     for lineno, line in enumerate(split_lines(text), start=1):
+        if line in parsed:
+            examples.append(parsed[line])
+            continue
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -160,9 +165,10 @@ def parse_corpus(text: str) -> Dataset:
             )
         tokens = tuple(fields[2].split()) if len(fields) == 3 else None
         try:
-            examples.append(Example(fields[0], fields[1], tokens))
+            parsed[line] = Example(fields[0], fields[1], tokens)
         except ValueError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
+        examples.append(parsed[line])
     return Dataset(examples)
 
 

@@ -13,6 +13,11 @@ that is already an ``EncodedDataset`` is not encoded again. Slices are CSR
 row and column indexing, built where an evaluation uses them and not
 memoised.
 
+An example's features, and so every model's label for it, depend on its
+``(sentence, tokens)`` alone. The encoding extracts each distinct pair
+once, and every evaluation predicts each distinct pair of a batch once
+(``_predict``) and gives its label to every example that repeats it.
+
 A grid of learners and feature sets (``evaluate_grid``, the ``cv --all``
 matrix) extracts its corpus once, under feature set 1, and runs one feature
 set at a time as one unit: each fold's training slice, its held-out rows
@@ -33,8 +38,8 @@ import numpy as np
 
 from .corpus import Dataset, FoldPlan, split_folds
 from .declist import train_declist
-from .features import (CorpusEncoding, EncodedDataset, Feature, FeatureSet, encode,
-                       example_features)
+from .features import (CorpusEncoding, EncodedBatch, EncodedDataset, Feature,
+                       FeatureSet, distinct_examples, encode, example_features)
 from .knn import KnnModel, train_knn
 from .maxent import train_maxent
 from .svm import hyperparameter_error, train_pairwise, train_pairwise_slices
@@ -253,7 +258,7 @@ def _grid_column(specs, corpus: CorpusEncoding, folds, mode: FeatureSet):
         for spec in svms:
             if spec.C == C:
                 first = degrees.index(spec.d) * len(trains)
-                predicted[spec] = [model.predict_batch(batch) for model, batch in
+                predicted[spec] = [_predict(model, batch) for model, batch in
                                    zip(models[first:first + len(trains)], batches)]
         del models
     others = [spec for spec in predicted if spec.method != "svm"]
@@ -261,7 +266,7 @@ def _grid_column(specs, corpus: CorpusEncoding, folds, mode: FeatureSet):
         train, trains[k] = trains[k], None
         for spec in others:
             model = fit(spec, train, mode)
-            predicted[spec].append(model.predict_batch(batch))
+            predicted[spec].append(_predict(model, batch))
             del model  # before the next one trains
     return {spec: (_evaluate(n, zip(tests[:-1], batches, labels), closed=False),
                    _evaluate(n, [(tests[-1], batches[-1], labels[-1])],
@@ -289,7 +294,23 @@ def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionRe
     everything = range(len(dataset))
     examples = dataset.held_out(everything, dataset)
     return _evaluate(len(dataset), [(everything, examples,
-                                     model.predict_batch(examples))], closed)
+                                     _predict(model, examples))], closed)
+
+
+def _predict(model, examples) -> list[str]:
+    """``model.predict_batch(examples)``, with each distinct ``(sentence,
+    tokens)`` predicted once: a prediction is a function of those two
+    alone, so a repeat takes its first occurrence's label. An EncodedBatch
+    passes on the rows of the first occurrences."""
+    firsts, at = distinct_examples(examples)
+    if len(firsts) == len(at):
+        return model.predict_batch(examples)
+    distinct = [examples[i] for i in firsts]
+    if isinstance(examples, EncodedBatch):
+        distinct = EncodedBatch(distinct, examples.mode, examples.vocab,
+                                examples.X.take(firsts))
+    labels = model.predict_batch(distinct)
+    return [labels[j] for j in at]
 
 
 def _evaluate(n: int, scored, closed: bool) -> PrecisionReport:
@@ -321,7 +342,7 @@ def _held_out(dataset: Dataset, tests, fits):
     for indices in tests:
         model, train = next(fits)
         examples = dataset.held_out(indices, train)
-        yield indices, examples, model.predict_batch(examples)
+        yield indices, examples, _predict(model, examples)
         del model, train, examples  # before the next pair trains
 
 
@@ -409,8 +430,13 @@ def effective_features(flip_set, all_set, mode: FeatureSet, level: float = 0.01
     if not flip:
         return []
     n, total = len(flip), len(full)
-    flip_counts = Counter(f for ex in flip for f in example_features(ex, mode))
-    full_counts = Counter(f for ex in full for f in example_features(ex, mode))
+    # each distinct example's features, counted once per copy of it
+    feats = {ex: example_features(ex, mode) for ex in full_keys}
+    flip_counts, full_counts = Counter(), Counter()
+    for counts, keys in ((flip_counts, flip_keys), (full_counts, full_keys)):
+        for ex, copies in keys.items():
+            for feat in feats[ex]:
+                counts[feat] += copies
     selected = [(feat, x) for feat, x in flip_counts.items()
                 if _binom_tail_below(x, n, full_counts[feat], total, level)]
     selected.sort(key=lambda item: (-item[1], item[0].text, item[0].kind))

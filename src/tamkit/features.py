@@ -29,10 +29,11 @@ bit-identical only under that rule; numpy's pairwise summation, which it
 applies to a contiguous run of eight or more terms, would round
 otherwise.
 
-A :class:`CorpusEncoding` extracts every example of a corpus once, into
-one binary CSR matrix over one sorted vocabulary; as every ``suffix``
-feature sorts before every ``token`` feature, feature sets 2 and 3 are
-column ranges of feature set 1. A training set is an
+A :class:`CorpusEncoding` extracts each distinct ``(sentence, tokens)``
+of a corpus once, as an example's features depend on nothing else, into
+one binary CSR matrix over one sorted vocabulary, a row per example; as
+every ``suffix`` feature sorts before every ``token`` feature, feature
+sets 2 and 3 are column ranges of feature set 1. A training set is an
 :class:`EncodedDataset` slice of it, built by a row gather and a monotone
 column remap: its vocabulary is the columns its examples use, in order,
 so it is exactly what :func:`encode`, the one training encoder, gives for
@@ -113,6 +114,22 @@ def example_features(example, mode: FeatureSet) -> set[Feature]:
             tokens = tokenize(example.sentence)
         feats |= {Feature(TOKEN, tok) for tok in tokens}
     return feats
+
+
+def distinct_examples(examples) -> tuple[list[int], list[int]]:
+    """The position of the first example of each distinct ``(sentence,
+    tokens)`` of ``examples``, in order, and for every example the index
+    of its pair in that list. An example's features, and so any model's
+    label for it, depend on that pair alone, so the first occurrences
+    serve every repeat."""
+    index: dict = {}  # (sentence, tokens) -> its index in firsts
+    firsts, at = [], []
+    for i, ex in enumerate(examples):
+        j = index.setdefault((ex.sentence, ex.tokens), len(firsts))
+        if j == len(firsts):
+            firsts.append(i)
+        at.append(j)
+    return firsts, at
 
 
 class Vocabulary:
@@ -329,22 +346,24 @@ class BinaryCSR:
 
 
 class CorpusEncoding:
-    """Every example of a corpus extracted once under ``mode`` (feature set
-    1, which also serves 2 and 3, by default), against one sorted
-    vocabulary of all their features: row ``r`` of the binary matrix ``X``
-    is example ``r``'s vector. The suffix features are ids ``[0,
-    n_suffix)``, the token features the rest. ``dataset()`` is the corpus
-    as an :class:`EncodedDataset`."""
+    """Every example of a corpus encoded under ``mode`` (feature set 1,
+    which also serves 2 and 3, by default), against one sorted vocabulary
+    of all their features, each distinct ``(sentence, tokens)`` extracted
+    once: row ``r`` of the binary matrix ``X`` is example ``r``'s vector.
+    The suffix features are ids ``[0, n_suffix)``, the token features the
+    rest. ``dataset()`` is the corpus as an :class:`EncodedDataset`."""
 
     def __init__(self, examples, mode: FeatureSet = FeatureSet.FS1):
         self.examples = tuple(examples)
         self.mode = FeatureSet(mode)
-        feats = [example_features(ex, self.mode) for ex in self.examples]
+        firsts, at = distinct_examples(self.examples)
+        feats = [example_features(self.examples[i], self.mode) for i in firsts]
         features = sorted(set().union(*feats))
         self.n_suffix = bisect_left(features, Feature(TOKEN, ""))
         self.vocab = Vocabulary(features)
-        self.X = to_csr([FeatureVector(map(self.vocab.lookup, f)) for f in feats],
-                        len(features))
+        distinct = to_csr([FeatureVector(map(self.vocab.lookup, f)) for f in feats],
+                          len(features))
+        self.X = distinct if len(feats) == len(at) else distinct.take(at)
 
     def columns(self, mode: FeatureSet) -> range:
         """The ids of the features that feature set ``mode`` extracts.

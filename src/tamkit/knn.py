@@ -71,9 +71,9 @@ class KnnModel:
         if not all(is_label(lab) for lab in labels):
             raise ValueError("every label must be a non-empty string")
         votes: dict[str, dict[str, int]] = {}
-        for sentence, label in zip(sentences, labels):
+        for (sentence, label), count in Counter(zip(sentences, labels)).items():
             for feat in suffix_ngrams(sentence):
-                votes.setdefault(feat.text, Counter())[label] += 1
+                votes.setdefault(feat.text, Counter())[label] += count
         return cls(sentences, labels, k, votes)
 
 

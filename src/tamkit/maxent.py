@@ -16,7 +16,11 @@ clamped to +-30 instead of failing; ``info["clamped"]`` says whether any is.
 
 Training canonicalizes the vocabulary and accumulates counts with
 order-independent array reductions, so permuting the dataset yields
-bit-identical weights. Trained models are immutable.
+bit-identical weights. Both products of a GIS pass, scores and expected
+counts, are sums over the binary CSR matrix in one fixed order
+(``features.BinaryCSR.row_sums`` and ``column_sums``), with no BLAS call,
+so the weights do not depend on which BLAS kernel the CPU selects.
+Trained models are immutable.
 """
 
 from __future__ import annotations
@@ -125,12 +129,7 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
     # the weights, and a zero row that X.row_sums reads for padding
     padded = np.zeros((n_feat + 1, n_lab))
     weights = padded[:-1]
-    if n * n_feat <= (1 << 16):  # sparse overhead dwarfs tiny problems
-        D = X.toarray()
-        row_sums, column_sums = (lambda W: D @ W[:-1]), D.T.__matmul__
-    else:
-        row_sums, column_sums = X.row_sums, X.column_sums
-    empirical = column_sums(onehot)  # (feature, label) co-occurrence counts
+    empirical = X.column_sums(onehot)  # (feature, label) co-occurrence counts
 
     # with no constraints (cmax == 0), the entropy maximum is the uniform
     # conditional: zero weights, reached after no pass
@@ -142,8 +141,8 @@ def train_maxent(dataset: Dataset, mode: FeatureSet) -> MaxEntModel:
         step = 1.0 / cmax
         gap, update = np.empty_like(empirical), np.empty_like(empirical)
         for it in range(1, GIS_MAX_ITERS + 1):
-            probs = _softmax_rows(row_sums(padded))
-            expected = column_sums(probs)
+            probs = _softmax_rows(X.row_sums(padded))
+            expected = X.column_sums(probs)
             residual = float(np.abs(np.subtract(empirical, expected, out=gap),
                                     out=gap).max())
             if residual <= GIS_TOL * n:

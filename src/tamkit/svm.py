@@ -226,10 +226,14 @@ def _kernel_matrix(X):
     return _DenseGram(K)
 
 
-def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> float:
-    # grad = Q a - 1, so a'Qa = a.(grad + 1) and L = sum(a) - a'Qa/2.
-    total = alpha.sum()
-    return float(total - 0.5 * (alpha @ grad + total))
+def _dual_value(alpha: np.ndarray, grad: np.ndarray) -> list[float]:
+    """The dual objective L = sum(a) - a'Qa/2 of every row of the padded
+    ``(P, L)`` multipliers ``alpha`` and gradients ``grad``. As grad = Q a
+    - 1, a'Qa = a.(grad + 1) and L = -a.(grad - 1)/2, whose terms a row
+    adds one after another (a cumulative sum, no BLAS call). Padding has
+    alpha 0 and grad -1, so its terms are -0.0 and change no sum: a row's
+    value does not depend on the width it is padded to."""
+    return (-0.5 * np.cumsum(alpha * (grad - 1.0), axis=1)[:, -1]).tolist()
 
 
 def _smo(kern, problems, C: float):
@@ -271,7 +275,7 @@ def _smo(kern, problems, C: float):
                 if n_iter < caps[p]:
                     converged.append(r)
                 else:
-                    capped[p] = _dual_value(alpha[r, :sizes[p]], grad[r, :sizes[p]])
+                    capped[p] = _dual_value(alpha[r:r + 1], grad[r:r + 1])[0]
             if converged:
                 yield ([ps[r] for r in converged], G[converged], Y[converged],
                        alpha[converged], grad[converged], n_iter)
@@ -647,8 +651,7 @@ def _finish_batch(kern, problems, G: np.ndarray, Y: np.ndarray, alpha: np.ndarra
     sizes = [len(idx) for idx, _, _ in problems]
     return _PairArrays(counts, G[active], Y[active], alpha[active], b, {
         "iterations": [n_iter] * len(sizes),
-        "dual_value": [_dual_value(alpha[r, :n], grad[r, :n])
-                       for r, n in enumerate(sizes)],
+        "dual_value": _dual_value(alpha, grad),
         "kkt_violation": kkt.tolist(),
         "n_train": sizes,
     })

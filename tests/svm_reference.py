@@ -101,7 +101,7 @@ def reference_smo(K: np.ndarray, y: np.ndarray, C: float, kkt_tol: float,
         grad += Qi * (alpha[i] - old_i) + Qj * (alpha[j] - old_j)
     raise ConvergenceError(
         f"SMO did not reach KKT tolerance {kkt_tol} in {max_iter} iterations",
-        dual_value=_dual_value(alpha, grad),
+        dual_value=_dual_value(alpha[None], grad[None])[0],
     )
 
 
@@ -122,7 +122,7 @@ def finish_one(kern, idx: np.ndarray, y: np.ndarray, vectors, alpha: np.ndarray,
 
     info = {
         "iterations": n_iter,
-        "dual_value": _dual_value(alpha, grad),
+        "dual_value": _dual_value(alpha[None], grad[None])[0],
         "kkt_violation": kkt_violation(u, y, alpha, C),
         "n_train": len(y),
     }

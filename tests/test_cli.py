@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from tamkit.evaluate import METHODS, LearnerSpec
 from tamkit.features import FeatureSet
 from tamkit.storage import load_model, save_model
 import tamkit
+from tamkit import features
 
 import random
 
@@ -402,6 +404,35 @@ class TestModelFiles:
             again = load_model(path)
             for ex in ds:
                 assert model.predict(ex) == again.predict(ex)
+
+    @pytest.mark.parametrize("method", ["dlist", "maxent", "svm"])
+    def test_eval_extracts_each_distinct_example_once(self, monkeypatch, tmp_path,
+                                                      method):
+        # a model's label for an example depends on its sentence and tokens
+        # alone, so a repeat is neither extracted nor predicted again
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        train.write_text(serialize_corpus(modality_corpus(60, seed=1)),
+                         encoding="utf-8")
+        ds = modality_corpus(120, seed=5)
+        test.write_text(serialize_corpus(ds), encoding="utf-8")
+        keys = list(dict.fromkeys((ex.sentence, ex.tokens) for ex in ds))
+        assert len(keys) < len(ds)
+        model = tmp_path / "model.json"
+        assert main(["train", "-i", str(train), "--method", method,
+                     "--features", "1", "-o", str(model)]) == 0
+        calls = []
+
+        def counted(example, mode):
+            calls.append((example.sentence, example.tokens))
+            return original(example, mode)
+
+        original = features.example_features
+        monkeypatch.setattr(features, "example_features", counted)
+        out = tmp_path / "r.jsonl"
+        assert main(["eval", "-i", str(test), "--model", str(model),
+                     "-o", str(out)]) == 0
+        assert calls == keys
+        assert len(out.read_text().splitlines()) == 1 + len(ds) + 1
 
     def test_bad_model_file(self, tmp_path, corpus_file):
         path = tmp_path / "m.json"
@@ -1031,8 +1062,8 @@ def test_cli_import_leaves_out_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
-    # a grid large enough for maxent's sparse path, with scipy unimportable,
-    # writes the matrix that the same command writes in this process
+    # a grid, with scipy unimportable, writes the matrix that the same
+    # command writes in this process
     corpus = tmp_path / "c.tsv"
     corpus.write_text(serialize_corpus(modality_corpus(160, seed=3)), encoding="utf-8")
     argv = ["cv", "--all", "-i", str(corpus), "--folds", "3", "--seed", "0", "-o"]
@@ -1044,3 +1075,52 @@ def test_cli_import_leaves_out_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     assert (tmp_path / "child.txt").read_bytes() == (tmp_path / "here.txt").read_bytes()
+
+
+def _blas_is_dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, which
+    picks its kernel at load time and lets ``OPENBLAS_CORETYPE`` name it.
+    numpy before 1.25 does not describe its build, and counts as not."""
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _blas_is_dynamic_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                           "OPENBLAS_CORETYPE cannot change its kernel")
+def test_model_files_do_not_depend_on_the_blas_kernel(tmp_path):
+    # small corpora, whose maxent fits once ran on BLAS products: under
+    # another OpenBLAS kernel (Prescott, SSE3 only) every model file keeps
+    # its bytes. The SVM is left out: its bias sums are BLAS products.
+    src = str(Path(tamkit.__file__).resolve().parents[1])
+    runs = []
+    for n in (40, 80):
+        for seed in range(4):
+            corpus = tmp_path / f"n{n}-seed{seed}.tsv"
+            corpus.write_text(serialize_corpus(modality_corpus(n, seed=seed)),
+                              encoding="utf-8")
+            runs += [["train", "-i", str(corpus), "--method", method,
+                      "--features", str(int(mode)), "-o",
+                      f"{method}-fs{int(mode)}-{corpus.stem}.model"]
+                     for method in ("knn", "dlist", "maxent")
+                     for mode in LearnerSpec(method).feature_sets]
+    base = {key: value for key, value in os.environ.items()
+            if key != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = src
+    files = {}
+    for name, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        out = tmp_path / name
+        out.mkdir()
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; from tamkit.cli import main; "
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
+             json.dumps(runs)],
+            cwd=out, env={**base, **extra}, capture_output=True, text=True,
+            timeout=300)
+        assert child.returncode == 0, child.stderr
+        files[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(files["default"]) == len(runs)
+    assert files["prescott"] == files["default"]

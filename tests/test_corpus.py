@@ -39,6 +39,16 @@ class TestParseCorpus:
         ds = parse_corpus(text)
         assert [ex.label for ex in ds] == ["past", "present"]
 
+    def test_repeated_lines(self):
+        # a repeated line reads back as its first occurrence's example, and
+        # a bad line after repeats is still named by its own number
+        text = "past\tきた\nc\t走れる\t走れ る\npast\tきた\n\nc\t走れる\t走れ る\n"
+        assert list(parse_corpus(text)) == [
+            Example("past", "きた"), Example("c", "走れる", ("走れ", "る")),
+            Example("past", "きた"), Example("c", "走れる", ("走れ", "る"))]
+        with pytest.raises(CorpusError, match="line 4: label must not be blank"):
+            parse_corpus("past\tきた\npast\tきた\n\n \tきた\n")
+
     def test_wrong_field_count_names_line(self):
         with pytest.raises(CorpusError, match="line 2"):
             parse_corpus("past\tきた\nonly-one-field\n")

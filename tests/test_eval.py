@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +35,7 @@ from tamkit.evaluate import (
 )
 from tamkit.cli import GRID, main
 from tamkit.evaluate import _binom_tail_below
-from tamkit.features import EncodedDataset, FeatureSet
+from tamkit.features import EncodedDataset, FeatureSet, encode, example_features
 from tamkit.svm import TrainingError
 
 
@@ -425,7 +427,65 @@ class TestSvmSubsetsInOneSolve:
         assert report() == each_subset(report)
 
 
+# a few sentences, each under other tokens and labels, so that corpora
+# repeat (sentence, tokens) pairs and share a sentence between pairs; the
+# empty sentence has no suffix feature
+REPEATING_EXAMPLES = st.builds(
+    Example, st.sampled_from("xyz"), st.sampled_from(["", "aた", "ba", "a b"]),
+    st.none() | st.lists(st.sampled_from(("a", "b")), max_size=2))
+
+PREDICT_CELLS = [(spec, mode) for spec in (
+    LearnerSpec("knn", k=1), LearnerSpec("knn", k=3), LearnerSpec("dlist"),
+    LearnerSpec("maxent"), LearnerSpec("svm", d=1), LearnerSpec("svm", d=2),
+    LearnerSpec("baseline")) for mode in spec.feature_sets]
+
+
+class TestPredictEachDistinctExampleOnce:
+    """The harness predicts each distinct (sentence, tokens) of a batch
+    once (``evaluate._predict``); its labels are those of
+    ``predict_batch`` on the whole batch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PREDICT_CELLS),
+           st.lists(REPEATING_EXAMPLES, max_size=10),
+           st.lists(REPEATING_EXAMPLES, max_size=12))
+    @example(PREDICT_CELLS[0], [], [Example("x", "aた"), Example("y", "aた", ("a",)),
+                                    Example("z", "aた"), Example("x", "")])
+    def test_equals_predict_batch(self, cell, train, test):
+        spec, mode = cell
+        train = train + [Example("x", "aた"), Example("y", "ba")]  # two labels
+        # the held-out examples carry their rows against the training slice
+        both = encode(Dataset(train + test), mode)
+        train_set = both.subset(range(len(train)))
+        batch = both.subset(range(len(train), len(both))).held_out(
+            range(len(test)), train_set)
+        model = evaluate.fit(spec, train_set, mode)
+        models = [model]
+        if spec.method != "baseline":  # and as loaded from its model file
+            payload = json.loads(json.dumps(model.to_dict()))
+            models.append(type(model).from_dict(payload))
+        for m in models:
+            for examples in (batch, list(test)):
+                assert evaluate._predict(m, examples) == m.predict_batch(examples)
+
+
 class TestEffectiveFeatures:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(REPEATING_EXAMPLES, min_size=1, max_size=16), st.data(),
+           st.sampled_from(list(FeatureSet)), st.sampled_from([0.3, 0.9, 0.999]))
+    def test_equals_a_count_per_example(self, full, data, mode, level):
+        # each distinct example's features are counted once, times its
+        # copies: the selection of counting every example on its own
+        flip = [full[i] for i in data.draw(st.lists(
+            st.integers(0, len(full) - 1), unique=True))]
+        flip_counts = Counter(f for ex in flip for f in example_features(ex, mode))
+        full_counts = Counter(f for ex in full for f in example_features(ex, mode))
+        expected = sorted(
+            ((feat, x) for feat, x in flip_counts.items()
+             if _binom_tail_below(x, len(flip), full_counts[feat], len(full), level)),
+            key=lambda item: (-item[1], item[0].text, item[0].kind))
+        assert effective_features(flip, full, mode, level) == expected
+
     def test_overrepresented_feature_selected(self):
         flips = [Example("x", "s", ("hit", f"pad{i}")) for i in range(50)]
         rest = [Example("x", "s", (f"other{i % 7}",)) for i in range(4950)]

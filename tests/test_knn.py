@@ -1,5 +1,6 @@
 import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from knn_reference import reference_knn, similarity
 from tamkit.corpus import Dataset, Example
+from tamkit.features import suffix_ngrams
 from tamkit.knn import KnnModel, classify_knn, train_knn
 
 
@@ -158,3 +160,18 @@ class TestModel:
         # rebuilds it from the sentences
         model = train_knn(_dataset(pairs), k=1)
         assert KnnModel.from_dict(model.to_dict()).suffix_votes == model.suffix_votes
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("ab"),
+                              st.sampled_from(["", "a", "ba", "bba", "\u3042ba"])),
+                    min_size=1, max_size=16))
+    def test_loaded_suffix_table_counts_each_example(self, pairs):
+        # loading visits each distinct (sentence, label) once, counting
+        # its copies; the table is that of a count per example
+        votes = {}
+        for label, sentence in pairs:
+            for feat in suffix_ngrams(sentence):
+                votes.setdefault(feat.text, Counter())[label] += 1
+        model = KnnModel.from_dict({"k": 1, "sentences": [s for _, s in pairs],
+                                    "labels": [lab for lab, _ in pairs]})
+        assert model.suffix_votes == votes
