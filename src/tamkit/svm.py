@@ -41,11 +41,19 @@ reaches its iteration cap. So the problems of both degrees in one chunk
 take as many rounds as the slowest of them, not the sum of the degrees'.
 Each problem does exactly the arithmetic of the scalar one-problem solver,
 so its multipliers, gradient and iteration count are bit-identical to it.
+A round of at least ``STEP_ROWS`` problems takes the clipped two-variable
+step as array operations (``_pair_updates_array``), with the loop's IEEE
+operations in the loop's order and each branch's two clips in sequence;
+narrower rounds run the loop (``_pair_updates``), which costs less there.
 The problems that converge in the same round are finished together by
 ``_finish_batch``: the bias extrema and the KKT violation of all of them
-come from masked extrema over their padded rows, and only each problem's
-decision values take a product of their own, the same one as finishing it
-alone. So a pair classifier is identical to one trained on the pair alone.
+come from masked extrema over their padded rows, and the decision values
+of the problems of one shape (size, active count, degree) from one stacked
+``(B, n, a) @ (B, a, 1)`` matmul. numpy runs each stacked element through
+the gemv of a lone ``(n, a) @ (a,)``, the product of finishing a problem
+alone, so every sum keeps its order (a test checks this under two OpenBLAS
+kernels). So a pair classifier is identical to one trained on the pair
+alone.
 The scalar solver, the one-problem finisher and per-subset training are
 kept in ``tests/svm_reference.py`` as oracles.
 
@@ -70,8 +78,9 @@ with the table (the x.y counts, exact in any order), gathers every pair's
 terms, padded to the longest support set with coefficient 0, and sums
 them in stored support-vector order, so every
 raw decision value is bit-identical to ``decide``, and a value of exactly
-0 votes for the positive side in both paths. Both break vote ties with
-``corpus.best_label``.
+0 votes for the positive side in both paths. Both break vote ties by
+``corpus.best_label``'s rule: ``predict_batch`` ranks the labels by it once
+per model and picks each row's winner with one integer argmax.
 """
 
 from __future__ import annotations
@@ -96,6 +105,7 @@ KERNEL_ENTRIES = 1 << 24  # kernel values (128 MB) held: dense Gram up to 4096 e
 GRAM_BLOCK = 1 << 18   # kernel values per row block of the dense Gram build
 BLOCK_TERMS = 1 << 15  # kernel terms per block in PairwiseModel.predict_batch
 SOLVE_TERMS = 1 << 16  # padded entries per lockstep chunk of SMO problems
+STEP_ROWS = 96         # lockstep rounds of this many problems step as arrays
 
 
 class TrainingError(RuntimeError):
@@ -163,15 +173,16 @@ class KernelCache:
 
     gather_keys = gather
 
-    def columns(self, idx: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """K[idx][:, idx[active]], C-ordered, filled from blocks of 16 rows
-        (exact, as the kernel is symmetric), so that no whole transposed
+    def columns(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``gather(rows, cols)``, C-ordered, read through the rows of
+        ``cols`` (exact, as the kernel is symmetric) in blocks of 16, so
+        that the rows of ``rows`` are never computed and no whole transposed
         copy is ever held."""
-        cols = np.empty((len(idx), len(active)))
-        rows = idx[active].tolist()
-        for s in range(0, len(rows), 16):
-            cols[:, s:s + 16] = np.array([self.row(r)[idx] for r in rows[s:s + 16]]).T
-        return cols
+        out = np.empty(rows.shape + cols.shape[1:])
+        for K, rs, cs in zip(out, rows, cols.tolist()):
+            for s in range(0, len(cs), 16):
+                K[:, s:s + 16] = np.array([self.row(c)[rs] for c in cs[s:s + 16]]).T
+        return out
 
 
 class _DenseGram:
@@ -192,11 +203,11 @@ class _DenseGram:
         take is cheaper than a two-index gather."""
         return np.take(self._K, keys[:, :, None] + cols[:, None, :])
 
-    def columns(self, idx: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """K[idx][:, idx[active]], C-ordered. One two-index gather: for the
+    def columns(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``gather(rows, cols)``, C-ordered: one two-index gather. For the
         few-example problems of pairwise training it is about twice as fast
         as building the flat index of a take."""
-        return self._K[idx[:, None], idx[active]]
+        return self._K[rows[:, :, None], cols[:, None, :]]
 
 
 def _poly(counts: np.ndarray, d: int) -> np.ndarray:
@@ -311,10 +322,11 @@ def _smo_lockstep(kern, problems, caps, C: float):
     L = max(len(y) for _, y, _ in problems)
     G = np.zeros((len(problems), L), dtype=np.intp)
     Y = np.zeros(G.shape)
-    for row, p in enumerate(ids.tolist()):
-        idx, y, _ = problems[p]
-        G[row, :len(y)] = idx
-        Y[row, :len(y)] = y
+    # each row's examples and labels, scattered row after row
+    posed = [problems[p] for p in ids.tolist()]
+    filled = np.arange(L) < np.array([len(y) for _, y, _ in posed])[:, None]
+    G[filled] = np.concatenate([idx for idx, _, _ in posed])
+    Y[filled] = np.concatenate([y for _, y, _ in posed])
     alpha = np.zeros(G.shape)
     grad = -np.ones(G.shape)  # gradient of (1/2 a'Qa - sum a), Q_ij = y_i y_j K_ij
     # up: y = +1 with alpha < C, or y = -1 with alpha > 0;
@@ -360,11 +372,15 @@ def _smo_lockstep(kern, problems, caps, C: float):
         if n_squared:  # (x.y + 1)^2, exact on small integers
             np.square(K[:n_squared], out=K[:n_squared])
         Q = np.multiply(y[:, :, None] * Y[:, None, :], K, out=K)
-        # one (9, P) array of the update's operands, read as nine lists
-        new = _pair_updates(*np.concatenate((
-            y.T, Q.take(q_offsets + ij[:, (0, 1, 1)]).T, grad.take(flat).T,
-            old.T)).tolist(), C)
-        new = np.fromiter(new, float, len(new)).reshape(-1, 2)
+        # one (9, P) array of the update's operands: a wide round steps on
+        # its nine rows, a narrow one on them as nine lists
+        operands = np.concatenate((y.T, Q.take(q_offsets + ij[:, (0, 1, 1)]).T,
+                                   grad.take(flat).T, old.T))
+        if len(ids) >= STEP_ROWS:
+            new = _pair_updates_array(*operands, C)
+        else:
+            new = _pair_updates(*operands.tolist(), C)
+            new = np.fromiter(new, float, len(new)).reshape(-1, 2)
         alpha.put(flat, new)
         # grad += Qi * (new_i - old_i) + Qj * (new_j - old_j)
         Q *= (new - old)[:, :, None]
@@ -444,6 +460,46 @@ def _pair_updates(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
                     aj = asum
         new += (ai, aj)
     return new
+
+
+def _pair_updates_array(y_i, y_j, K_ii, K_jj, Q_ij, g_i, g_j, a_i, a_j, C: float):
+    """``_pair_updates`` on arrays, for rounds of at least ``STEP_ROWS``
+    problems, as ``(P, 2)``. Every element takes the loop's IEEE operations
+    in the loop's order, each branch's two clips run one after the other
+    (the second reads the first's result), and each clip assigns the
+    loop's constants (0.0, C, diff, C - diff, asum, ...), so the result is
+    bit-identical to the loop's."""
+    opp = y_i != y_j
+    kk = K_ii + K_jj
+    two_q = 2.0 * Q_ij
+    quad = np.where(opp, kk + two_q, kk - two_q)
+    np.copyto(quad, UPDATE_EPS, where=quad <= 0.0)
+    delta = np.where(opp, -g_i - g_j, g_i - g_j)
+    delta /= quad
+    # diff = a_i - a_j for opposite labels, asum = a_i + a_j for equal ones
+    s = np.where(opp, a_i - a_j, a_i + a_j)
+    ai = np.where(opp, a_i + delta, a_i - delta)
+    aj = a_j + delta
+    high = np.where(opp, s > 0, s > C)  # diff > 0, or asum > C
+    # the four branches: (opposite, diff > 0), (opposite, diff <= 0),
+    # (equal, asum > C), (equal, asum <= C)
+    b_pos, b_neg = opp & high, opp & ~high
+    b_big, b_small = high & ~opp, ~(opp | high)
+
+    def clip(rows, i_value, j_value):
+        np.copyto(ai, i_value, where=rows)
+        np.copyto(aj, j_value, where=rows)
+
+    # each branch's first clip, then its second, which reads the first's
+    # result; the branches hold disjoint rows
+    clip((b_pos | b_small) & (aj < 0), s, 0.0)
+    clip(b_neg & (ai < 0), 0.0, -s)
+    clip(b_big & (ai > C), C, s - C)
+    clip(b_pos & (ai > C), C, C - s)
+    clip(b_neg & (aj > C), C + s, C)
+    clip(b_big & (aj > C), s - C, C)
+    clip(b_small & (ai < 0), 0.0, s)
+    return np.stack((ai, aj), axis=1)
 
 
 class BinarySvmModel:
@@ -622,22 +678,30 @@ def _finish_batch(kern, problems, G: np.ndarray, Y: np.ndarray, alpha: np.ndarra
     2), and the rest are elementwise operations, extrema and the masked
     entries of the padded rows, which padding cannot change."""
     active = alpha > ALPHA_FLOOR
-    coef = alpha * Y
     counts = active.sum(axis=1)
-    # the active columns of every row, in row order
-    active_cols = np.nonzero(active)[1]
-    ends = np.cumsum(counts).tolist()
+    coef = alpha * Y
     # bias-free decision value of every training example, summed over the
-    # active multipliers: one (n, a) @ (a,) product per problem, in the
-    # operand order of the one-problem finisher, as a padded or stacked
-    # product would sum in another order
-    U = np.zeros(Y.shape)
-    for r, ((idx, _, d), start, end) in enumerate(zip(problems, [0] + ends, ends)):
-        act = active_cols[start:end]
-        K = kern.columns(idx, act)
+    # active multipliers. The problems of one shape (size n, active count
+    # a, degree) take one stacked product, a (B, n, a) @ (B, a, 1) matmul,
+    # which runs the one-problem finisher's (n, a) @ (a,) product on each
+    # of them, so that every sum keeps its operand order: a padded product
+    # would sum in another order.
+    sizes = [len(y) for _, y, _ in problems]
+    order, groups = _shape_groups(sizes, counts, [d for *_, d in problems])
+    # the rows in ``order`` and their support vectors, row after row
+    rows, sorted_active = G[order], active[order]
+    cols, sv_coef = rows[sorted_active], coef[order][sorted_active]
+    in_order = np.zeros(Y.shape)
+    start = 0
+    for g0, g1, n, a, d in groups:
+        end = start + (g1 - g0) * a
+        K = kern.columns(rows[g0:g1, :n], cols[start:end].reshape(g1 - g0, a))
         if d == 2:
             np.square(K, out=K)
-        U[r, :len(idx)] = K @ coef[r, act]
+        in_order[g0:g1, :n] = np.matmul(K, sv_coef[start:end].reshape(g1 - g0, a, 1))[..., 0]
+        start = end
+    U = np.empty(Y.shape)
+    U[order] = in_order
     pos, neg = Y > 0, Y < 0
     b = -(np.where(neg, U, -np.inf).max(axis=1)
           + np.where(pos, U, np.inf).min(axis=1)) / 2.0
@@ -648,13 +712,30 @@ def _finish_batch(kern, problems, G: np.ndarray, Y: np.ndarray, alpha: np.ndarra
     low = (neg & (alpha < C)) | (pos & (alpha > 0))
     kkt = np.maximum(0.0, np.where(up, score, -np.inf).max(axis=1)
                      - np.where(low, score, np.inf).min(axis=1))
-    sizes = [len(idx) for idx, _, _ in problems]
     return _PairArrays(counts, G[active], Y[active], alpha[active], b, {
-        "iterations": [n_iter] * len(sizes),
+        "iterations": [n_iter] * len(G),
         "dual_value": _dual_value(alpha, grad),
         "kkt_violation": kkt.tolist(),
         "n_train": sizes,
     })
+
+
+def _shape_groups(sizes: list[int], counts: np.ndarray, degrees: list[int]):
+    """``(order, groups)`` for the problems of a batch with the example
+    ``sizes``, active ``counts`` and ``degrees``: ``order`` lists them by
+    shape (size, active count, degree), each shape's in batch order, and
+    ``groups`` holds each shape's run of ``order``, as ``(start, stop, n,
+    a, d)``."""
+    if len(sizes) == 1:  # most batches when problems are few: no sort
+        return slice(None), [(0, 1, sizes[0], int(counts[0]), degrees[0])]
+    sizes = np.array(sizes)
+    shape = (sizes * (sizes.max() + 1) + counts) * 3 + degrees
+    order = np.argsort(shape, kind="stable")
+    firsts = np.flatnonzero(np.diff(shape[order], prepend=-1))
+    bounds = firsts.tolist() + [len(order)]
+    starts = order[firsts]
+    return order, list(zip(bounds, bounds[1:], sizes[starts].tolist(),
+                           counts[starts].tolist(), np.take(degrees, starts).tolist()))
 
 
 def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:
@@ -664,6 +745,19 @@ def decide(model: BinarySvmModel, x: FeatureVector) -> tuple[float, int]:
         for sv, yv, a in zip(model.support_vectors, model.sv_labels, model.sv_alpha)
     )
     return raw, (1 if raw >= 0 else -1)
+
+
+def _tie_order(labels, label_counts) -> np.ndarray:
+    """``best_label``'s order over tied votes (training count, then label
+    text) as a score per label of ``labels``, from 0 for the last to
+    ``len(labels) - 1`` for the first: the largest ``votes * len(labels) +
+    _tie_order(labels, label_counts)`` is at the label that ``best_label``
+    picks from ``votes``."""
+    ranked = sorted(range(len(labels)),
+                    key=lambda k: (-label_counts[labels[k]], labels[k]))
+    order = np.empty(len(labels), dtype=np.int64)
+    order[ranked] = np.arange(len(labels) - 1, -1, -1)
+    return order
 
 
 class PairwiseModel:
@@ -747,6 +841,7 @@ class PairwiseModel:
         label_index = {lab: k for k, lab in enumerate(self.labels)}
         self._pos = np.array([label_index[a] for a, _ in self.pairs], dtype=np.intp)
         self._neg = np.array([label_index[b] for _, b in self.pairs], dtype=np.intp)
+        self._tie_order = _tie_order(self.labels, self.label_counts)
 
     @cached_property
     def models(self) -> dict[tuple[str, str], BinarySvmModel]:
@@ -776,8 +871,8 @@ class PairwiseModel:
             winners = np.where(self.decision_values(block) >= 0, self._pos, self._neg)
             flat = (np.arange(n)[:, None] * n_labels + winners).ravel()
             votes = np.bincount(flat, minlength=n * n_labels).reshape(n, n_labels)
-            labels += [best_label(dict(zip(self.labels, row)), self.label_counts)
-                       for row in votes.tolist()]
+            winners = (votes * n_labels + self._tie_order).argmax(axis=1)
+            labels += map(self.labels.__getitem__, winners.tolist())
         return labels
 
     def decision_values(self, X) -> np.ndarray:
@@ -882,14 +977,8 @@ def train_pairwise_slices(trains, C: float = 1.0, degrees=(1,)) -> list[Pairwise
         if len(sub.labels) < 2:
             error = TrainingError("pairwise training needs at least 2 labels")
             break
-        by_label: dict[str, list[int]] = {}
-        for pos, ex in zip(np.searchsorted(rows, sub.rows).tolist(), sub):
-            by_label.setdefault(ex.label, []).append(pos)
         pairs = list(combinations(sub.labels, 2))
-        posed = [(np.array(by_label[a] + by_label[b]),
-                  np.array([1.0] * len(by_label[a]) + [-1.0] * len(by_label[b])))
-                 for a, b in pairs]
-        fits.append((sub, pairs, posed))
+        fits.append((sub, pairs, _pair_problems(sub, rows)))
     if error is not None:
         if not fits:
             raise error
@@ -911,6 +1000,28 @@ def train_pairwise_slices(trains, C: float = 1.0, degrees=(1,)) -> list[Pairwise
                 sub.labels, pairs, sub.label_counts, sub.vocab, sub.mode, C, d,
                 X.take(first[classes]).select(sub.used), arrays._replace(rows=cols)))
     return models
+
+
+def _pair_problems(sub, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The problem ``(idx, y)`` of every label pair of the slice ``sub``, in
+    ``combinations(sub.labels, 2)`` order: ``idx`` are the positions in
+    ``rows`` of the pair's examples, first label first, each label's in
+    slice order, and ``y`` their labels, +1.0 then -1.0. Every problem is a
+    slice of one concatenation of label runs."""
+    index = {lab: k for k, lab in enumerate(sub.labels)}
+    label = np.array([index[ex.label] for ex in sub], dtype=np.intp)
+    # the slice's positions in ``rows``, label after label
+    by_label = np.searchsorted(rows, sub.rows)[np.argsort(label, kind="stable")]
+    counts = np.bincount(label, minlength=len(index))
+    # the label runs of every pair, one after another: first, second, ...
+    runs = np.stack(np.triu_indices(len(index), 1), axis=1).ravel()
+    lengths = counts[runs]
+    run_starts = np.cumsum(lengths) - lengths
+    idx = by_label[np.repeat((np.cumsum(counts) - counts)[runs] - run_starts, lengths)
+                   + np.arange(lengths.sum())]
+    y = np.repeat(np.resize((1.0, -1.0), len(runs)), lengths)
+    bounds = run_starts[::2].tolist() + [len(idx)]
+    return [(idx[s:e], y[s:e]) for s, e in zip(bounds, bounds[1:])]
 
 
 def classify_pairwise(model: PairwiseModel, fv: FeatureVector) -> str:

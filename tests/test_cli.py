@@ -6,7 +6,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -1077,24 +1076,10 @@ def test_cli_import_leaves_out_scipy(tmp_path):
     assert (tmp_path / "child.txt").read_bytes() == (tmp_path / "here.txt").read_bytes()
 
 
-def _blas_is_dynamic_openblas() -> bool:
-    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, which
-    picks its kernel at load time and lets ``OPENBLAS_CORETYPE`` name it.
-    numpy before 1.25 does not describe its build, and counts as not."""
-    config = getattr(np.__config__, "CONFIG", {})
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    return ("openblas" in blas.get("name", "")
-            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
-
-
-@pytest.mark.skipif(not _blas_is_dynamic_openblas(),
-                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
-                           "OPENBLAS_CORETYPE cannot change its kernel")
-def test_model_files_do_not_depend_on_the_blas_kernel(tmp_path):
+def test_model_files_do_not_depend_on_the_blas_kernel(tmp_path, blas_kernel_envs):
     # small corpora, whose maxent fits once ran on BLAS products: under
     # another OpenBLAS kernel (Prescott, SSE3 only) every model file keeps
     # its bytes. The SVM is left out: its bias sums are BLAS products.
-    src = str(Path(tamkit.__file__).resolve().parents[1])
     runs = []
     for n in (40, 80):
         for seed in range(4):
@@ -1106,11 +1091,8 @@ def test_model_files_do_not_depend_on_the_blas_kernel(tmp_path):
                       f"{method}-fs{int(mode)}-{corpus.stem}.model"]
                      for method in ("knn", "dlist", "maxent")
                      for mode in LearnerSpec(method).feature_sets]
-    base = {key: value for key, value in os.environ.items()
-            if key != "OPENBLAS_CORETYPE"}
-    base["PYTHONPATH"] = src
     files = {}
-    for name, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+    for name, env in blas_kernel_envs.items():
         out = tmp_path / name
         out.mkdir()
         child = subprocess.run(
@@ -1118,7 +1100,7 @@ def test_model_files_do_not_depend_on_the_blas_kernel(tmp_path):
              "import json, sys; from tamkit.cli import main; "
              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
              json.dumps(runs)],
-            cwd=out, env={**base, **extra}, capture_output=True, text=True,
+            cwd=out, env=env, capture_output=True, text=True,
             timeout=300)
         assert child.returncode == 0, child.stderr
         files[name] = {path.name: path.read_bytes() for path in out.iterdir()}

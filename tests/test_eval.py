@@ -14,7 +14,7 @@ from scipy.stats import binom
 from svm_reference import train_pairwise_each_slice
 from synth import (domain_corpus, modality_corpus, random_token_corpus,
                    table1_corpus)
-from tamkit import evaluate
+from tamkit import evaluate, svm
 from tamkit.corpus import Dataset, Example, serialize_corpus, split_folds
 from tamkit.evaluate import (
     METHODS,
@@ -410,6 +410,38 @@ class TestSvmSubsetsInOneSolve:
         for report in (lambda: cross_validate(spec, ds, plan, mode),
                        lambda: grid_cell(spec, ds, plan, mode)):
             assert report() == each_subset(report)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cv_of_many_labels(self, each_subset, monkeypatch, tmp_path, d):
+        # 16 labels and 3 folds: over 240 pair problems in one solve, so
+        # its wide rounds take the array step (svm.STEP_ROWS), its last ones
+        # the loop, and problems of one shape finish in one stacked product
+        rng = random.Random(d)
+        labels = [f"L{k:02d}" for k in range(16)]
+        ds = Dataset(Example(lab, "", (lab, f"t{rng.randrange(6)}",
+                                       f"t{rng.randrange(6)}"))
+                     for _ in range(6) for lab in labels)
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text(serialize_corpus(ds), encoding="utf-8")
+        steps = {"loop": Counter(), "array": Counter()}
+        for path, name in (("loop", "_pair_updates"), ("array", "_pair_updates_array")):
+            def counted(*args, rounds=steps[path], step=getattr(svm, name)):
+                rounds[len(args[0])] += 1
+                return step(*args)
+            monkeypatch.setattr(svm, name, counted)
+
+        def report():
+            out = tmp_path / "out.txt"
+            assert main(["cv", "-i", str(corpus), "--method", "svm", "--features",
+                         "3", "--d", str(d), "--folds", "3", "-o", str(out)]) == 0
+            return out.read_bytes()
+
+        joint = report()
+        assert max(steps["array"]) > 240 and min(steps["array"]) >= svm.STEP_ROWS
+        assert max(steps["loop"]) < svm.STEP_ROWS
+        # the reference trains each slice alone, stepping on the loop alone
+        monkeypatch.setattr(svm, "STEP_ROWS", 1 << 30)
+        assert joint == each_subset(report)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_cross_domain_eval(self, each_subset, d):

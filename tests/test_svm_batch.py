@@ -6,6 +6,8 @@ and batch prediction no longer build."""
 
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
 from unittest import mock
@@ -19,7 +21,7 @@ from svm_reference import finish_one, reference_smo, train_pairwise_each
 from synth import modality_corpus
 from tamkit import svm
 from tamkit.cli import main
-from tamkit.corpus import Dataset, Example, serialize_corpus
+from tamkit.corpus import Dataset, Example, best_label, serialize_corpus
 from tamkit.features import (FeatureSet, FeatureVector, Vocabulary, encode, extract,
                              to_csr)
 from tamkit.svm import (
@@ -159,6 +161,22 @@ def test_hand_built_model_batch_equals_per_example(model, queries):
     # an example with no known token has an empty feature vector
     queries = queries + [Example("a", "", ()), Example("a", "", ("zz",))]
     assert_batch_matches_reference(model, queries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(("a", "b", "c", "ab", "ba", "b c")), min_size=1,
+                max_size=6, unique=True), st.data())
+def test_tie_order_picks_best_label(labels, data):
+    # tied votes and tied training counts (0 for a label without one):
+    # predict_batch's vote winner is that of best_label on every row
+    counts = Counter({lab: count for lab in labels
+                      if (count := data.draw(st.integers(0, 2)))})
+    votes = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=len(labels),
+                                        max_size=len(labels)), min_size=1))
+    winners = (np.array(votes) * len(labels)
+               + svm._tie_order(labels, counts)).argmax(axis=1)
+    assert [labels[k] for k in winners.tolist()] == [
+        best_label(dict(zip(labels, row)), counts) for row in votes]
 
 
 def assert_pairs_equal_training_alone(ds, mode, d):
@@ -306,15 +324,49 @@ def assert_lockstep_equals_scalar(pool, problems, C, kern):
 
 @settings(max_examples=120, deadline=None)
 @given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)), st.booleans(),
-       st.sampled_from((1, 24, svm.SOLVE_TERMS)))
-def test_lockstep_smo_equals_scalar_solver(batch, C, dense, solve_terms):
+       st.sampled_from((1, 24, svm.SOLVE_TERMS)), st.sampled_from((1, svm.STEP_ROWS)))
+def test_lockstep_smo_equals_scalar_solver(batch, C, dense, solve_terms, step_rows):
     # solve_terms < SOLVE_TERMS splits the batch into several chunks; the
-    # problems of both degrees share the kernel of x.y + 1
+    # problems of both degrees share the kernel of x.y + 1; step_rows 1
+    # takes every round's step as array operations
     pool, problems = batch
     X = to_csr(pool, N_IDS)
     kern = svm._kernel_matrix(X) if dense else svm.KernelCache(X, 2)
-    with mock.patch.object(svm, "SOLVE_TERMS", solve_terms):
+    with mock.patch.object(svm, "SOLVE_TERMS", solve_terms), \
+            mock.patch.object(svm, "STEP_ROWS", step_rows):
         assert_lockstep_equals_scalar(pool, problems, C, kern)
+
+
+@st.composite
+def step_operands(draw):
+    """The nine operand rows of ``svm._pair_updates`` for up to 12
+    problems, and C: multipliers at 0, -0.0 and C, diff == 0 and asum == C,
+    quadratic coefficients at or below 0, and signed zero gradients."""
+    C = draw(st.sampled_from((0.1, 1.0, 10.0)))
+    n = draw(st.integers(1, 12))
+    signs = st.sampled_from((1.0, -1.0))
+    small = st.integers(0, 4).map(float)
+    multipliers = st.sampled_from((0.0, -0.0, C)) | st.floats(0.0, C)
+    gradients = st.sampled_from((0.0, -0.0)) | st.floats(-10.0, 10.0)
+    rows = [[] for _ in range(9)]
+    for _ in range(n):
+        y_i, y_j = draw(signs), draw(signs)
+        a_i = draw(multipliers)
+        a_j = draw(st.sampled_from((a_i, C - a_i)) | multipliers)
+        for row, value in zip(rows, (
+                y_i, y_j, draw(small), draw(small),
+                y_i * y_j * draw(small), draw(gradients), draw(gradients), a_i, a_j)):
+            row.append(value)
+    return np.array(rows), C
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_operands())
+def test_array_step_equals_loop_step(operands):
+    rows, C = operands
+    loop = np.array(svm._pair_updates(*rows.tolist(), C)).reshape(-1, 2)
+    array = svm._pair_updates_array(*rows, C)
+    assert array.view(np.int64).tolist() == loop.view(np.int64).tolist()
 
 
 def test_problems_of_different_sizes_converge_in_one_round():
@@ -369,6 +421,69 @@ def test_batch_finisher_equals_finishing_each_problem(batch, C):
 @given(solver_batches(), st.sampled_from((0.1, 1.0, 10.0)))
 def test_row_cache_batch_finisher_equals_finishing_each_problem(row_cache, batch, C):
     assert_batch_finisher_equals_finishing_each(*batch, C)
+
+
+def shared_shape_problems():
+    """A pool and problems that converge in one round in shapes shared by
+    several of them: a problem listed twice, the same problem on a copy of
+    its vectors, and a longer problem listed twice."""
+    pool = [FeatureVector(ids) for ids in ([0], [1], [0, 2], [0], [1], [0, 2],
+                                           [3], [1, 3])]
+    y = np.array([1.0, -1.0, 1.0])
+    short, copy = (np.array([0, 1, 2]), y, 2), (np.array([3, 4, 5]), y, 2)
+    longer = (np.arange(8), np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0]), 1)
+    return pool, [short, longer, copy, short, longer]
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_batch_finisher_on_problems_of_one_shape(request, cache):
+    # the problems of one shape take one stacked product
+    if cache:
+        request.getfixturevalue("row_cache")
+    pool, problems = shared_shape_problems()
+    kern = svm._kernel_matrix(to_csr(pool, N_IDS))
+    assert isinstance(kern, svm.KernelCache) == cache
+    shapes = []
+    for ps, G, Y, alpha, *_ in svm._smo(kern, problems, 1.0):
+        _, groups = svm._shape_groups([len(problems[p][1]) for p in ps],
+                                      (alpha > svm.ALPHA_FLOOR).sum(axis=1),
+                                      [problems[p][2] for p in ps])
+        shapes += [stop - start for start, stop, *_ in groups]
+    assert sorted(shapes) == [2, 3]
+    assert_batch_finisher_equals_finishing_each(pool, problems, 1.0)
+
+
+# A child process compares the stacked products of _finish_batch with the
+# one-problem finisher's (n, a) @ (a,) product, bit for bit: n examples, a
+# active multipliers, B problems of one shape, kernel values of degree 1
+# and 2. Prints the mismatched shapes.
+STACKED_PRODUCTS = """
+import numpy as np
+rng = np.random.default_rng(0)
+mismatched = []
+for n in [*range(2, 34), 47, 64, 100, 255, 400]:
+    for a in sorted({1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, n // 2, n - 1, n}):
+        for d in (1, 2):
+            K = rng.integers(1, 9, (4, n, a)).astype(float) ** d
+            coef = rng.uniform(-1.0, 1.0, (4, a))
+            stacked = np.matmul(K, coef[..., None])[..., 0]
+            for b in range(4):
+                alone = np.ascontiguousarray(K[b]) @ coef[b].copy()
+                if alone.view(np.int64).tolist() != stacked[b].view(np.int64).tolist():
+                    mismatched.append((n, a, d, b))
+print(mismatched)
+"""
+
+
+def test_stacked_products_equal_products_alone(blas_kernel_envs):
+    # numpy runs a stacked matmul's (n, a) @ (a, 1) elements through the
+    # gemv of a lone (n, a) @ (a,), so the biases of _finish_batch do not
+    # depend on how many problems share a shape, under either kernel
+    for env in blas_kernel_envs.values():
+        child = subprocess.run([sys.executable, "-c", STACKED_PRODUCTS], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "[]"
 
 
 def pair_problems(ds, model):
