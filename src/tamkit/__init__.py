@@ -36,7 +36,6 @@ from .evaluate import (
     evaluate_grid,
     evaluate_model,
     fit,
-    fit_subsets,
     grid_cell,
     sign_test,
 )

@@ -68,13 +68,15 @@ def _spec(args) -> LearnerSpec:
 def _resolve(args) -> None:
     """Check what argparse cannot express, before any file is read, and
     fill in the learner defaults. Raises ConfigError."""
-    if getattr(args, "run_all", False):
+    run_all = getattr(args, "run_all", False)
+    if run_all or getattr(args, "model", None):
         given = [f"--{flag}" for flag in ("features", "k", "d", "C")
                  if getattr(args, flag) is not None]
         if given:
-            raise ConfigError(f"cv --all runs a fixed grid of learners and "
-                              f"feature sets; it takes no {', '.join(given)}")
-    elif hasattr(args, "k"):  # a command that runs a learner
+            fixed = ("cv --all runs a fixed grid of learners and feature sets"
+                     if run_all else "eval --model runs the saved model as trained")
+            raise ConfigError(f"{fixed}; it takes no {', '.join(given)}")
+    if hasattr(args, "k") and not run_all:  # a command that runs a learner
         # for eval --model (no method) the model's feature set replaces this
         defaults = LearnerSpec(args.method)
         if args.features is None:
@@ -237,9 +239,11 @@ def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
     runs one feature set at a time, on that set's columns of the encoding:
     its folds' training slices, their held-out rows and the closed set are
     built once, read by every learner, and freed before the next feature
-    set; both SVM degrees train in one solve."""
+    set; both SVM degrees train in one solve. The baseline line is the
+    closed precision of the grid's baseline cell."""
+    baseline = LearnerSpec("baseline"), FeatureSet.FS1
     cells = evaluate_grid([(spec, mode) for mode in FeatureSet for spec in GRID
-                           if mode in spec.feature_sets], dataset, plan)
+                           if mode in spec.feature_sets] + [baseline], dataset, plan)
     lines = [f"{'method':<18} {'feature-set 1':>20} {'feature-set 2':>20} "
              f"{'feature-set 3':>20}"]
     for spec in GRID:
@@ -252,9 +256,7 @@ def _cmd_cv_all(args, dataset: Dataset, plan) -> int:
                         f"({closed_rep.precision * 100:6.2f}%)")
             row.append(f"{cell:>20}")
         lines.append(" ".join(row))
-    baseline = LearnerSpec("baseline")
-    baseline_rep = closed_test(baseline, dataset, baseline.feature_sets[0])
-    lines.append(f"baseline = {baseline_rep.precision * 100:.2f}%")
+    lines.append(f"baseline = {cells[baseline][1].precision * 100:.2f}%")
     lines.append(f"(folds={args.folds}, seed={args.seed}, "
                  f"n={len(dataset)}, open closed)")
     _emit(lines, args.out)
@@ -356,7 +358,8 @@ def build_parser() -> _Parser:
                                 "or a saved model / the baseline)")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--method", choices=METHODS)
-    which.add_argument("--model", help="saved model to evaluate")
+    which.add_argument("--model", help="saved model to evaluate (takes no "
+                                       "--features, --k, --d or --C)")
     p.set_defaults(seed=0)  # eval draws nothing at random; its config says 0
 
     p = learner_command("cv", "k-fold cross-validation")

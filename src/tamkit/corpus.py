@@ -70,7 +70,10 @@ class Example:
 
 
 class Dataset:
-    """Ordered, immutable collection of examples with a label inventory."""
+    """Ordered, immutable collection of examples with a label inventory.
+    ``features.EncodedDataset`` is one that also carries its examples'
+    training encoding; a plain dataset's are extracted by whatever reads
+    them."""
 
     def __init__(self, examples):
         self.examples: tuple[Example, ...] = tuple(examples)
@@ -95,13 +98,6 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         return Dataset(self.examples[i] for i in indices)
-
-    def held_out(self, indices, train) -> list[Example]:
-        """The examples ``self[i]`` for ``i`` in ``indices``, to be predicted
-        by a model trained on ``train``. ``features.EncodedDataset``
-        overrides this to attach their CSR rows against the columns of
-        ``train``, indexed out on each call, not memoised."""
-        return [self.examples[i] for i in indices]
 
 
 def best_label(votes, label_counts) -> str:

@@ -6,25 +6,26 @@ the tested examples; closed evaluations train and test on the same data.
 Folds of a cross-validation run are independent of each other; the report
 is assembled in a single reduction at the end.
 
-An evaluation encodes its corpus once (``features.encode``): each fold's
-model trains on a slice of that encoding and predicts the fold's held-out
-examples from their rows of it, so no example is extracted twice. A corpus
-that is already an ``EncodedDataset`` is not encoded again. Slices are CSR
-row and column indexing, built where an evaluation uses them and not
-memoised.
+Every evaluation runs through one driver, ``_run_splits``. It takes
+splits ``(train rows, test rows)`` of one corpus encoding
+(``features.CorpusEncoding``), which extracts each example once, under
+feature set 1; feature sets 2 and 3 are column ranges of it. The splits
+of a cross-validation are its folds. A closed test has one split, every
+row on every row. A cross-domain evaluation encodes the training corpus
+followed by the test corpus, and its groups are the splits. A grid of
+learners and feature sets (``evaluate_grid``, the ``cv --all`` matrix)
+runs its folds plus its closed split once per feature set. Each split's
+model trains on an ``EncodedDataset`` slice and predicts the split's test
+examples from their rows (``CorpusEncoding.held_out``). A slice and its
+batch are built once and read by every learner of the call, as is the
+slice's label-count table; the SVM learners' models of every slice and
+degree come from one solve. A grid frees each feature set's slices before
+it builds the next one's.
 
 An example's features, and so every model's label for it, depend on its
 ``(sentence, tokens)`` alone. The encoding extracts each distinct pair
 once, and every evaluation predicts each distinct pair of a batch once
 (``_predict``) and gives its label to every example that repeats it.
-
-A grid of learners and feature sets (``evaluate_grid``, the ``cv --all``
-matrix) extracts its corpus once, under feature set 1, and runs one feature
-set at a time as one unit: each fold's training slice, its held-out rows
-and the closed training set are built once and read by every learner of
-that feature set, as is each slice's label-count table, and the SVM
-learners' models of every slice and degree come from one solve. That
-shared structure is freed before the next feature set's is built.
 """
 
 from __future__ import annotations
@@ -32,14 +33,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
 
 from .corpus import Dataset, FoldPlan, split_folds
 from .declist import train_declist
 from .features import (CorpusEncoding, EncodedBatch, EncodedDataset, Feature,
-                       FeatureSet, distinct_examples, encode, example_features)
+                       FeatureSet, distinct_examples, example_features)
 from .knn import KnnModel, train_knn
 from .maxent import train_maxent
 from .svm import hyperparameter_error, train_pairwise, train_pairwise_slices
@@ -135,21 +133,6 @@ def fit(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet):
     raise ConfigError(f"unknown method {spec.method!r}")
 
 
-def fit_subsets(spec: LearnerSpec, dataset: Dataset, subsets, mode: FeatureSet):
-    """``(model, train)`` for each index sequence ``s`` of ``subsets``, after
-    ``spec.check(mode)``: ``train`` is ``dataset.subset(s)`` and ``model``
-    what ``fit`` trains on it. The SVM trains every subset in one solve
-    (``svm.train_pairwise_slices``); the other learners build and train
-    lazily, one subset per pair drawn."""
-    mode = FeatureSet(mode)
-    spec.check(mode)
-    trains = (dataset.subset(s) for s in subsets)
-    if spec.method == "svm":
-        trains = list(trains)
-        return zip(train_pairwise_slices(trains, C=spec.C, degrees=(spec.d,)), trains)
-    return ((fit(spec, train, mode), train) for train in trains)
-
-
 @dataclass
 class PrecisionReport:
     """Per-fold counts plus per-example predictions of one evaluation."""
@@ -174,23 +157,22 @@ class PrecisionReport:
 def cross_validate(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
                    mode: FeatureSet) -> PrecisionReport:
     """Open evaluation: for each fold, train on the complement and predict
-    the fold. Each fold trains on its slice of one encoding of the dataset,
-    whose vocabulary is the features of its training portion, and predicts
-    the fold from its rows. The folds' models come from ``fit_subsets``, so
-    the SVM trains them all in one solve."""
+    the fold, each fold a split of ``_run_splits``."""
     folds = _folds(dataset, plan)
-    dataset = _encoded(spec, dataset, mode)
-    fits = fit_subsets(spec, dataset, [train for train, _ in folds], mode)
-    tests = [test for _, test in folds]
-    return _evaluate(len(dataset), _held_out(dataset, tests, fits), closed=False)
+    spec.check(mode)
+    scored = _run_splits([spec], CorpusEncoding(dataset), folds, mode)[spec]
+    return _evaluate(len(dataset), scored, closed=False)
 
 
 def closed_test(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> PrecisionReport:
-    """Closed evaluation: train on the full dataset and test on it. The
-    baseline rule is not trained on the data, so its test is open."""
-    dataset = _encoded(spec, dataset, mode)
-    return evaluate_model(fit(spec, dataset, mode), dataset,
-                          closed=spec.method != "baseline")
+    """Closed evaluation: train on the full dataset and test on it, the one
+    split of ``_run_splits``. The baseline rule is not trained on the data,
+    so its test is open."""
+    spec.check(mode)
+    everything = range(len(dataset))
+    scored = _run_splits([spec], CorpusEncoding(dataset),
+                         [(everything, everything)], mode)[spec]
+    return _evaluate(len(dataset), scored, closed=spec.method != "baseline")
 
 
 def grid_cell(spec: LearnerSpec, dataset: Dataset, plan: FoldPlan,
@@ -206,51 +188,43 @@ def evaluate_grid(cells, dataset: Dataset, plan: FoldPlan
     """The ``cross_validate`` and ``closed_test`` reports of every cell
     ``(spec, mode)`` of ``cells``, after checking the fold plan and every
     cell. The examples are extracted once, into one corpus encoding, and
-    the cells run one feature set at a time, each feature set as one unit
-    (``_grid_column``)."""
+    the cells run one feature set at a time: the folds and the closed split
+    are the splits of one ``_run_splits`` call per feature set."""
     folds = _folds(dataset, plan)
     cells = [(spec, FeatureSet(mode)) for spec, mode in cells]
     for spec, mode in cells:
         spec.check(mode)
     corpus = CorpusEncoding(dataset)  # feature set 1 covers all three
+    everything = range(len(dataset))
+    splits = folds + [(everything, everything)]
     reports = {}
     for mode in dict.fromkeys(mode for _, mode in cells):
         specs = [spec for spec, m in cells if m == mode]
-        reports.update(((spec, mode), pair) for spec, pair in
-                       _grid_column(specs, corpus, folds, mode).items())
+        for spec, scored in _run_splits(specs, corpus, splits, mode).items():
+            reports[spec, mode] = (
+                _evaluate(len(dataset), scored[:-1], closed=False),
+                _evaluate(len(dataset), scored[-1:], closed=spec.method != "baseline"))
     return reports
 
 
-class _GridSlice(EncodedDataset):
-    """A training slice that every learner of one feature set of a grid
-    trains on: its label-count table is computed on first use and kept with
-    the slice, which the grid frees once its learners are done with it."""
-
-    @cached_property
-    def _label_counts(self) -> list[dict[str, int]]:
-        return super().label_counts_by_feature()
-
-    def label_counts_by_feature(self) -> list[dict[str, int]]:
-        return self._label_counts
-
-
-def _grid_column(specs, corpus: CorpusEncoding, folds, mode: FeatureSet):
-    """``{spec: (open report, closed report)}`` for every learner of
-    ``specs`` on feature set ``mode``. Each fold's training slice and
-    held-out rows, and the closed training set and its rows, are built once
-    and read by every learner. The SVM learners run first: those of one C
-    train every slice at all their degrees in one solve
-    (``svm.train_pairwise_slices``), whose kernel is the largest
-    allocation, before any label-count table or other model exists. The
-    other learners then run one slice at a time, each model freed before
-    the next trains, and each slice, with its table, once they are done
-    with it."""
-    n = len(corpus.examples)
-    tests = [test for _, test in folds] + [range(n)]
-    trains = [_GridSlice(corpus, train, mode) for train, _ in folds]
-    trains.append(_GridSlice(corpus, np.arange(n), mode))
-    batches = [trains[-1].held_out(test, train) for test, train in zip(tests, trains)]
-    predicted = {spec: [] for spec in specs}  # labels per slice
+def _run_splits(specs, corpus: CorpusEncoding, splits, mode: FeatureSet):
+    """The one evaluation driver: ``{spec: [(test rows, batch, labels), ...]}``
+    for every learner of ``specs`` on feature set ``mode``, one triple per
+    split ``(train rows, test rows)`` of ``splits``, rows of ``corpus``.
+    The batch is the test rows' examples, carrying their rows against the
+    split's training slice, and the labels are what a model trained on that
+    slice predicts for them. Each split's training slice and batch are built
+    once and read by every learner, as is each slice's label-count table.
+    The SVM learners run first: those of one C train every slice at all
+    their degrees in one solve (``svm.train_pairwise_slices``), whose kernel
+    is the largest allocation, before any label-count table or other model
+    exists. The other learners then run one slice at a time, each model
+    freed before the next trains, and each slice, with its table, once they
+    are done with it."""
+    tests = [test for _, test in splits]
+    trains = [EncodedDataset(corpus, train, mode) for train, _ in splits]
+    batches = [corpus.held_out(test, train) for test, train in zip(tests, trains)]
+    predicted = {spec: [] for spec in specs}  # labels per split
     svms = [spec for spec in predicted if spec.method == "svm"]
     for C in dict.fromkeys(spec.C for spec in svms):
         degrees = tuple(dict.fromkeys(spec.d for spec in svms if spec.C == C))
@@ -268,9 +242,7 @@ def _grid_column(specs, corpus: CorpusEncoding, folds, mode: FeatureSet):
             model = fit(spec, train, mode)
             predicted[spec].append(_predict(model, batch))
             del model  # before the next one trains
-    return {spec: (_evaluate(n, zip(tests[:-1], batches, labels), closed=False),
-                   _evaluate(n, [(tests[-1], batches[-1], labels[-1])],
-                             closed=spec.method != "baseline"))
+    return {spec: list(zip(tests, batches, labels))
             for spec, labels in predicted.items()}
 
 
@@ -281,19 +253,10 @@ def _folds(dataset: Dataset, plan: FoldPlan) -> list[tuple[list[int], list[int]]
     return [plan.fold_indices(fold) for fold in range(plan.n_folds)]
 
 
-def _encoded(spec: LearnerSpec, dataset: Dataset, mode: FeatureSet) -> Dataset:
-    """``dataset`` encoded under ``mode`` after ``spec.check(mode)``; the
-    baseline rule reads no features, so its dataset stays as it is."""
-    mode = FeatureSet(mode)
-    spec.check(mode)
-    return dataset if spec.method == "baseline" else encode(dataset, mode)
-
-
 def evaluate_model(model, dataset: Dataset, closed: bool = False) -> PrecisionReport:
     """Score an already trained model on a dataset."""
-    everything = range(len(dataset))
-    examples = dataset.held_out(everything, dataset)
-    return _evaluate(len(dataset), [(everything, examples,
+    examples = dataset.examples
+    return _evaluate(len(dataset), [(range(len(dataset)), examples,
                                      _predict(model, examples))], closed)
 
 
@@ -327,23 +290,6 @@ def _evaluate(n: int, scored, closed: bool) -> PrecisionReport:
             correct += predicted == ex.label
         fold_results.append((correct, len(examples)))
     return PrecisionReport(tuple(fold_results), tuple(predictions), closed)
-
-
-def _held_out(dataset: Dataset, tests, fits):
-    """For each index sequence of ``tests``, what ``_evaluate`` scores: the
-    examples ``dataset.held_out`` gives for it against the training set of
-    the ``(model, train)`` pair drawn from ``fits``, and the model's labels
-    for them. When the datasets are slices of one encoding, the batch
-    carries each example's row against the training vocabulary, which the
-    model reads instead of extracting. Each pair is dropped before the next
-    is drawn, so two models of k-NN, the decision list or maxent are never
-    alive at once; the SVM models of one call of ``fit_subsets`` are
-    trained in one solve, so they are alive together."""
-    for indices in tests:
-        model, train = next(fits)
-        examples = dataset.held_out(indices, train)
-        yield indices, examples, _predict(model, examples)
-        del model, train, examples  # before the next pair trains
 
 
 @dataclass(frozen=True)
@@ -485,11 +431,12 @@ def cross_domain_eval(train: Dataset, test: Dataset, spec: LearnerSpec,
         withheld = {test[i] for i in group}
         return [i for i, ex in enumerate(train) if ex not in withheld]
 
-    trains = [train_without(group) for group in groups]
-    # one encoding of both corpora: the models train on slices of its
-    # training rows and predict the test examples from their rows
-    both = _encoded(spec, Dataset(train.examples + test.examples), mode)
-    train = both.subset(range(len(train)))
-    test = both.subset(range(len(train), len(both)))
-    fits = fit_subsets(spec, train, trains, mode)
-    return _evaluate(len(test), _held_out(test, groups, fits), closed=False)
+    # one encoding of both corpora, the test examples after the training
+    # ones: each group is a split of training rows and test rows
+    spec.check(mode)
+    corpus = CorpusEncoding(train.examples + test.examples)
+    splits = [(train_without(group), [len(train) + i for i in group])
+              for group in groups]
+    scored = _run_splits([spec], corpus, splits, mode)[spec]
+    return _evaluate(len(test), [(group, batch, labels) for group, (_, batch, labels)
+                                 in zip(groups, scored)], closed=False)

@@ -39,9 +39,10 @@ column remap: its vocabulary is the columns its examples use, in order,
 so it is exactly what :func:`encode`, the one training encoder, gives for
 those examples alone. Held-out rows of the same corpus are the same
 gather and remap against a slice's columns
-(:meth:`EncodedDataset.held_out`), as :func:`extract`, which drops features
+(:meth:`CorpusEncoding.held_out`), as :func:`extract`, which drops features
 the vocabulary does not know, gives them for any input. Slices and
-held-out rows are built where they are used, not memoised.
+held-out rows are built where they are used, not memoised; a slice keeps
+its label-count table once it is counted.
 """
 
 from __future__ import annotations
@@ -385,13 +386,25 @@ class CorpusEncoding:
         return EncodedDataset(self, range(len(self.examples)),
                               self.mode if mode is None else mode)
 
+    def held_out(self, rows, train: "EncodedDataset") -> "EncodedBatch":
+        """The examples at ``rows``, carrying their rows against the
+        vocabulary of ``train``, a training slice of this encoding: row
+        ``i`` is ``extract(examples[rows[i]], train.mode, train.vocab)``."""
+        if train.corpus is not self:
+            raise ValueError("held-out examples and their training set must be "
+                             "read off one corpus encoding")
+        rows = np.asarray(rows, dtype=np.intp)
+        return EncodedBatch(map(self.examples.__getitem__, rows.tolist()),
+                            train.mode, train.vocab,
+                            self.rows(rows, train.mode).select(train.used))
+
 
 class EncodedDataset(Dataset):
     """A dataset that carries its training encoding under ``mode``, indexed
     out of the rows ``rows`` of a :class:`CorpusEncoding`: ``used`` are the
     columns of ``corpus.rows(rows, mode)`` its examples use, in order,
     ``vocab`` their features and ``X`` its rows against them, as
-    :func:`encode` defines them. Subsets and held-out rows are not memoised."""
+    :func:`encode` defines them. Subsets are not memoised."""
 
     def __init__(self, corpus: CorpusEncoding, rows, mode: FeatureSet):
         self.corpus = corpus
@@ -411,22 +424,16 @@ class EncodedDataset(Dataset):
             return self
         return EncodedDataset(self.corpus, self.rows[indices], self.mode)
 
-    def held_out(self, indices, train: "EncodedDataset") -> "EncodedBatch":
-        """The examples ``self[i]`` for ``i`` in ``indices``, carrying their
-        rows against the vocabulary of ``train``, a training set read off
-        the same corpus encoding under the same feature set: row ``r`` is
-        ``extract(self[i], mode, train.vocab)``."""
-        if train.corpus is not self.corpus or train.mode != self.mode:
-            raise ValueError("held-out examples and their training set must be "
-                             "read off one corpus encoding under one feature set")
-        rows = self.rows[np.asarray(indices, dtype=np.intp)]
-        return EncodedBatch(map(self.corpus.examples.__getitem__, rows.tolist()),
-                            self.mode, train.vocab,
-                            self.corpus.rows(rows, self.mode).select(train.used))
-
     def label_counts_by_feature(self) -> list[dict[str, int]]:
         """Per feature id, the label counts of the examples that have the
-        feature, from one integer count of (feature, label) keys."""
+        feature. Counted on the first call and kept with the dataset, so
+        every learner trained on it reads one table."""
+        return self._label_counts
+
+    @cached_property
+    def _label_counts(self) -> list[dict[str, int]]:
+        """``label_counts_by_feature``, from one integer count of (feature,
+        label) keys."""
         labels = self.labels
         index = {lab: j for j, lab in enumerate(labels)}
         y = np.array([index[ex.label] for ex in self], dtype=np.int64)

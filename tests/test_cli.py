@@ -149,6 +149,20 @@ def test_cv_all_rejects_learner_flags(tmp_path, capsys, flags):
     assert all(flag in err for flag in flags[::2])
 
 
+@pytest.mark.parametrize("flags", [["--features", "2"], ["--k", "0"],
+                                   ["--k", "5"], ["--d", "5"], ["--C", "2"],
+                                   ["--d", "2", "--features", "3"]])
+def test_eval_model_rejects_learner_flags(tmp_path, capsys, flags):
+    # a saved model fixes its learner and feature set, so these flags would
+    # be silently ignored
+    missing = tmp_path / "absent.tsv"
+    assert main(["eval", "--model", str(tmp_path / "m.json"), "--input",
+                 str(missing)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: eval --model ") and err.count("\n") == 1
+    assert all(flag in err for flag in flags[::2])
+
+
 NO_EXAMPLES = "empty.tsv: no examples"
 
 

@@ -35,7 +35,8 @@ from tamkit.evaluate import (
 )
 from tamkit.cli import GRID, main
 from tamkit.evaluate import _binom_tail_below
-from tamkit.features import EncodedDataset, FeatureSet, encode, example_features
+from tamkit.features import (CorpusEncoding, EncodedDataset, FeatureSet, encode,
+                             example_features)
 from tamkit.svm import TrainingError
 
 
@@ -328,33 +329,67 @@ class TestEvaluateGrid:
         assert _outcome(lambda: evaluate_grid(GRID_CELLS, ds, plan)) == each
 
     @pytest.mark.parametrize("folds", [2, 3])
-    def test_cv_all_work_per_feature_set(self, monkeypatch, tmp_path, folds):
-        # per feature set: one training slice per fold plus the closed set,
-        # a held-out batch each, one label-count table each (the decision
-        # list and the five k-NN cells share it), and one SVM solve
-        counts = {"slices": 0, "batches": 0, "tables": 0, "solves": 0}
-
-        def counted(key, original):
-            def run(*args, **kwargs):
-                counts[key] += 1
-                return original(*args, **kwargs)
-            return run
-
-        for key, name in (("slices", "__init__"), ("batches", "held_out"),
-                          ("tables", "label_counts_by_feature")):
-            monkeypatch.setattr(EncodedDataset, name,
-                                counted(key, getattr(EncodedDataset, name)))
-        monkeypatch.setattr(evaluate, "train_pairwise_slices",
-                            counted("solves", evaluate.train_pairwise_slices))
+    def test_cv_all_work_per_feature_set(self, work, tmp_path, folds):
+        # one encoding; per feature set: one training slice per fold plus
+        # the closed set, a held-out batch each, one label-count table each
+        # (the decision list and the five k-NN cells share it), and one SVM
+        # solve; the baseline row reads the closed split of feature set 1
         corpus = tmp_path / "c.tsv"
         corpus.write_text(serialize_corpus(modality_corpus(40, seed=2)),
                           encoding="utf-8")
         assert main(["cv", "--all", "-i", str(corpus), "--folds", str(folds),
                      "-o", str(tmp_path / "grid.txt")]) == 0
         n_sets = len(FeatureSet)
-        assert counts == {"slices": n_sets * (folds + 1),
-                          "batches": n_sets * (folds + 1),
-                          "tables": n_sets * (folds + 1), "solves": n_sets}
+        assert work == {"encodings": 1, "slices": n_sets * (folds + 1),
+                        "batches": n_sets * (folds + 1),
+                        "tables": n_sets * (folds + 1), "solves": n_sets}
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of the harness's work, by patching what does it: corpus
+    encodings, training slices, held-out batches, label-count tables
+    computed and SVM solves."""
+    counts = {"encodings": 0, "slices": 0, "batches": 0, "tables": 0,
+              "solves": 0}
+
+    def counted(key, original):
+        def run(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return run
+
+    for key, owner, name in (("encodings", CorpusEncoding, "__init__"),
+                             ("slices", EncodedDataset, "__init__"),
+                             ("batches", CorpusEncoding, "held_out")):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    table = EncodedDataset.__dict__["_label_counts"]  # a cached_property
+    monkeypatch.setattr(table, "func", counted("tables", table.func))
+    monkeypatch.setattr(evaluate, "train_pairwise_slices",
+                        counted("solves", evaluate.train_pairwise_slices))
+    return counts
+
+
+@pytest.mark.parametrize("method", ["knn", "dlist", "maxent", "svm", "baseline"])
+@pytest.mark.parametrize("command, splits", [
+    (["cv", "-i", "c.tsv", "--folds", "3"], 3),
+    (["eval", "-i", "c.tsv"], 1),
+    # a disjoint group and three folds of the overlap
+    (["cross-domain", "--train", "c.tsv", "--test", "mixed.tsv", "--folds", "3"],
+     4)])
+def test_work_per_command(work, tmp_path, monkeypatch, command, splits, method):
+    # one encoding, and per split one training slice of it, one held-out
+    # batch and at most one label-count table; no other slice, such as one
+    # of the whole corpus to take the splits' slices from
+    monkeypatch.chdir(tmp_path)
+    train = modality_corpus(40, seed=2)
+    mixed = Dataset(list(train)[:10] + list(modality_corpus(10, seed=9)))
+    for name, ds in (("c.tsv", train), ("mixed.tsv", mixed)):
+        (tmp_path / name).write_text(serialize_corpus(ds), encoding="utf-8")
+    assert main(command + ["--method", method, "-o", "out.txt"]) == 0
+    assert work == {"encodings": 1, "slices": splits, "batches": splits,
+                    "tables": splits if method in ("knn", "dlist") else 0,
+                    "solves": int(method == "svm")}
 
 
 class TestEncodedHarness:
@@ -489,8 +524,7 @@ class TestPredictEachDistinctExampleOnce:
         # the held-out examples carry their rows against the training slice
         both = encode(Dataset(train + test), mode)
         train_set = both.subset(range(len(train)))
-        batch = both.subset(range(len(train), len(both))).held_out(
-            range(len(test)), train_set)
+        batch = both.corpus.held_out(range(len(train), len(both)), train_set)
         model = evaluate.fit(spec, train_set, mode)
         models = [model]
         if spec.method != "baseline":  # and as loaded from its model file
@@ -657,7 +691,52 @@ class TestCategoryDistribution:
         assert top_rate == pytest.approx(0.42)
 
 
+def cross_domain_reference(train, test, spec, mode, folds, seed):
+    """``cross_domain_eval`` by its definition: the test examples absent
+    from the training data are one group, the others are split into folds;
+    each group's model is fitted on a plain dataset of the training
+    examples that are no copy of the group's, and predicts each of the
+    group's examples on its own."""
+    seen = set(train.examples)
+    overlap = [i for i, ex in enumerate(test) if ex in seen]
+    disjoint = [i for i, ex in enumerate(test) if ex not in seen]
+    groups = [disjoint] if disjoint else []
+    n_folds = min(folds, len(overlap))
+    if n_folds >= 2:
+        plan = split_folds(test.subset(overlap), n_folds, seed)
+        groups += [[i for i, f in zip(overlap, plan.assignment) if f == fold]
+                   for fold in range(n_folds)]
+    elif overlap:
+        groups.append(overlap)
+    fold_results, predictions = [], [None] * len(test)
+    for group in groups:
+        withheld = {test[i] for i in group}
+        model = evaluate.fit(spec, Dataset(ex for ex in train if ex not in withheld),
+                             mode)
+        for i in group:
+            predictions[i] = (i, test[i].label, model.predict(test[i]))
+        fold_results.append((sum(predictions[i][2] == test[i].label for i in group),
+                             len(group)))
+    return PrecisionReport(tuple(fold_results), tuple(predictions), False)
+
+
 class TestCrossDomain:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PREDICT_CELLS),
+           st.lists(REPEATING_EXAMPLES, min_size=1, max_size=10), st.data(),
+           st.integers(1, 4), st.integers(0, 3))
+    def test_equals_each_group_fitted_on_its_own(self, cell, train, data, folds,
+                                                 seed):
+        # test examples copied from the training data, repeated, and new;
+        # two training examples that no test example withholds keep two
+        # labels in every training set
+        spec, mode = cell
+        test = Dataset(data.draw(st.lists(st.sampled_from(train) | REPEATING_EXAMPLES,
+                                          min_size=1, max_size=12)))
+        train = Dataset(train + [Example("x", "aた", ("t",)), Example("y", "ba", ("t",))])
+        assert cross_domain_eval(train, test, spec, mode, folds, seed) == (
+            cross_domain_reference(train, test, spec, mode, folds, seed))
+
     def test_disjoint_is_plain_train_then_test(self):
         train = domain_corpus(120, seed=1)
         test = domain_corpus(60, seed=2, swapped=True)

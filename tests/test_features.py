@@ -289,7 +289,7 @@ class TestCorpusEncoding:
         assert train.X.shape == (len(train_idx), len(train.vocab))
         assert train.examples == ds.subset(train_idx).examples
         test_idx = data.draw(indices)
-        held_out = whole.held_out(test_idx, train)
+        held_out = whole.corpus.held_out(test_idx, train)
         assert list(held_out) == [ds[i] for i in test_idx]
         assert held_out.X.shape == (len(test_idx), len(train.vocab))
         assert rows(held_out.X) == [extract(ds[i], mode, train.vocab)
@@ -302,8 +302,7 @@ class TestCorpusEncoding:
         expected = encode(ds.subset(train_idx).subset(inner_idx), mode)
         assert (list(inner.vocab), rows(inner.X)) == (list(expected.vocab),
                                                       rows(expected.X))
-        other = whole.subset(test_idx)
-        assert rows(other.held_out(range(len(other)), inner).X) == [
+        assert rows(whole.corpus.held_out(test_idx, inner).X) == [
             extract(ds[i], mode, inner.vocab) for i in test_idx]
         # the label-count table is the counts of each feature's examples
         counts = [Counter() for _ in inner.vocab]
@@ -321,7 +320,7 @@ class TestCorpusEncoding:
         assert rows(whole.X) == rows(encoding.X)
         assert encode(whole, mode) is whole
         assert whole.subset(range(len(ds))) is whole
-        assert rows(whole.held_out(range(len(ds)), whole).X) == rows(whole.X)
+        assert rows(encoding.held_out(range(len(ds)), whole).X) == rows(whole.X)
 
     @pytest.mark.parametrize("mode", [FeatureSet.FS2, FeatureSet.FS3])
     def test_examples_without_features_give_zero_column_slices(self, mode):
@@ -333,17 +332,22 @@ class TestCorpusEncoding:
         assert len(train.vocab) == 0 and train.X.shape == (2, 0)
         assert rows(train.X) == [FeatureVector()] * 2
         assert train.label_counts_by_feature() == []
-        held_out = whole.held_out([2], train)
+        held_out = whole.corpus.held_out([2], train)
         assert held_out.X.shape == (1, 0) and rows(held_out.X) == [FeatureVector()]
 
     def test_a_slice_is_freed_when_its_caller_drops_it(self):
         whole = CorpusEncoding(modality_corpus(30, seed=1)).dataset(FeatureSet.FS1)
         train = whole.subset(range(0, 30, 2))
-        whole.held_out(range(1, 30, 2), train)
+        whole.corpus.held_out(range(1, 30, 2), train)
         ref = weakref.ref(train)
         del train
         gc.collect()
         assert ref() is None
+
+    def test_held_out_rows_need_a_slice_of_the_same_encoding(self):
+        ds = modality_corpus(10, seed=1)
+        with pytest.raises(ValueError, match="one corpus encoding"):
+            CorpusEncoding(ds).held_out([0], CorpusEncoding(ds).dataset())
 
     def test_columns_are_the_feature_sets_ranges(self):
         ex = Example("x", "今日 走る", ("今日", "走る"))
